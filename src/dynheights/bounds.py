@@ -28,7 +28,7 @@ from .errors import RootFindingError
 from .mahler import (height_from_minpoly, log_mahler_plus,
                      two_variable_mahler)
 from .places import weil_height
-from .polys import Poly, int_poly, resultant_univ
+from .polys import Poly, int_poly
 from .roots import aberth, complex_roots
 
 _CIRCLE_BAND = 1e-6  # |z| band for circle moments
@@ -133,20 +133,20 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
 
 def _minpoly_of_psi_image(a: int, b: int, c: int, psi: Poly) -> Poly:
     """Primitive integer polynomial vanishing at psi(alpha) for the roots
-    alpha of a x^2 + b x + c, by resultant elimination:
-    Res_x(P(x), psi(x) - y), interpolated in y at 0, 1, 2."""
-    P = int_poly([c, b, a])
-    vals = []
-    for y0 in (0, 1, 2):
-        shifted = list(psi.coeffs)
-        shifted[0] -= y0
-        vals.append(resultant_univ(P, Poly.of(shifted)))
-    # Lagrange through (0, v0), (1, v1), (2, v2)
-    v0, v1, v2 = (Fraction(v) for v in vals)
-    c2 = (v0 - 2 * v1 + v2) / 2
-    c1 = v1 - v0 - c2
-    c0 = v0
-    return Poly.of([c0, c1, c2]).primitive_int()
+    alpha of a x^2 + b x + c (a != 0), by trace and norm over Q:
+    psi = u + v x modulo a x^2 + b x + c, so the two values psi(alpha)
+    have sum T = 2u - v b/a and product N = u^2 - u v b/a + v^2 c/a, and
+    the result is y^2 - T y + N made primitive.  This is the resultant
+    Res_x(a x^2 + b x + c, psi(x) - y) = a^m (y^2 - T y + N) divided by
+    its content."""
+    s, p = Fraction(-b, a), Fraction(c, a)  # alpha + alpha', alpha alpha'
+    u = v = Fraction(0)
+    for cf in reversed(psi.coeffs):
+        # (u + v x) x + cf, with x^2 = s x - p
+        u, v = cf - v * p, u + v * s
+    trace = 2 * u + v * s
+    norm = u * u + u * v * s + v * v * p
+    return Poly.of([norm, -trace, 1]).primitive_int()
 
 
 def _is_perfect_square(n: int) -> bool:
@@ -265,14 +265,13 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
     degree-d solve of p0(x) - w p1(x) = 0): backward steps contract
     toward the Julia set, whereas the expanded level-n polynomial has
     monomial coefficients too ill-conditioned for double precision.
+    phi^n is never formed: its forms cannot be proportional, so
+    phi^n(z) = a never holds identically, because Res(phi) != 0 and
+    composition keeps the resultant nonzero (`HomogPair.compose`).
     """
     if level < 1 or max_moment < 1:
         raise ValueError("level and max_moment must be >= 1")
     a = Fraction(a)
-    Fn = S.F.iterate(level)
-    pn0, pn1 = Fn.dehomog()
-    if (pn0.scale(a.denominator) - pn1.scale(a.numerator)).is_zero:
-        raise ValueError("level-n preimage polynomial vanishes identically")
     p0, p1 = S.F.dehomog()
     d = S.degree
     c0 = [float(c) for c in p0.coeffs] + [0.0] * (d + 1 - len(p0.coeffs))

@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateMapError
+from .errors import DegenerateMapError, DistortionBoundError
 from .places import ARCH, Place, ProjPointQ, weil_height, weil_height_exact
 from .polys import (HomogPair, Poly, bareiss_det, factorize, homog_step,
-                    resultant, sylvester_matrix)
+                    sylvester_matrix)
 
 _GREEN_MAX_STEPS = 4000
 
@@ -72,7 +72,8 @@ class DynSystem:
 
     C_arch satisfies |log||F(x)|| - d log||x||| <= C_arch for all real
     x != 0 (sup norm); it controls how many archimedean iterations are
-    needed for a requested height accuracy.
+    needed for a requested height accuracy.  res_valuations maps each
+    bad prime p to v_p(Res F).
     """
 
     F: HomogPair
@@ -80,14 +81,16 @@ class DynSystem:
     bad_primes: tuple
     c_arch: float
     c_formula: dict = field(compare=False)
+    res_valuations: dict = field(compare=False)
 
     @staticmethod
     def of(F: HomogPair) -> "DynSystem":
         d = F.degree
         if d < 2:
             raise DegenerateMapError("dynamical degree must be >= 2")
-        res = resultant(F)
-        bad = tuple(sorted(factorize(res)))
+        res = F.res
+        valuations = factorize(res)
+        bad = tuple(sorted(valuations))
         maxcoef = max(max(abs(c) for c in F.f0), max(abs(c) for c in F.f1))
         upper = math.log((d + 1) * maxcoef)
         maxcof = _cofactor_max(F)
@@ -95,7 +98,7 @@ class DynSystem:
         c_arch = max(upper, lower)
         formula = {"upper": upper, "lower": lower,
                    "max_coeff": maxcoef, "max_cofactor": maxcof}
-        sys = DynSystem(F, res, bad, c_arch, formula)
+        sys = DynSystem(F, res, bad, c_arch, formula, valuations)
         sys._check_distortion()
         return sys
 
@@ -120,7 +123,10 @@ class DynSystem:
             v0, v1 = self.F.evaluate_float(a / n, b / n)
             m = max(abs(v0), abs(v1))
             if m > 0 and abs(math.log(m)) > self.c_arch + 1e-9:
-                raise AssertionError("distortion constant violated")
+                raise DistortionBoundError(
+                    f"distortion constant violated: |log||F(x)||| = "
+                    f"{abs(math.log(m))!r} > C_arch = {self.c_arch!r} at "
+                    f"x = ({a / n!r}, {b / n!r})")
 
 
 def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
@@ -160,8 +166,7 @@ def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
     if p not in S.bad_primes:
         return 0.0
     d = S.degree
-    vres = factorize(S.res).get(p, 0)
-    m = vres + 1  # extracted valuations are < m
+    m = S.res_valuations[p] + 1  # extracted valuations are < m
     logp = math.log(p)
     # steps needed for the truncation tail (m-1) logp d^{-K} / (d-1) <= eps
     K = max(8, math.ceil(
@@ -214,8 +219,7 @@ def finite_ledger_exact(S: DynSystem, P: ProjPointQ, p: int, eps: float):
     if p not in S.bad_primes:
         return []
     d = S.degree
-    vres = factorize(S.res).get(p, 0)
-    m = vres + 1
+    m = S.res_valuations[p] + 1
     K = max(8, math.ceil(math.log(max((m - 1) * math.log(p), 1e-300)
                                   / ((d - 1) * eps)) / math.log(d)) + 1)
     out = []

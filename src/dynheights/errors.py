@@ -28,6 +28,11 @@ class DegenerateMapError(DynheightsError):
     """Resultant vanishes: the two forms share a projective root."""
 
 
+class DistortionBoundError(DynheightsError):
+    """The certified archimedean distortion constant C_arch of a map
+    failed its spot check."""
+
+
 class RootFindingError(DynheightsError):
     """Simultaneous root iteration failed to converge.
 

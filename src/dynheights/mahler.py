@@ -42,8 +42,8 @@ class MahlerResult:
 
 
 def _float_coeffs(P: Poly):
-    m = max(abs(Fraction(c)) for c in P.coeffs)
-    return np.array([float(Fraction(c) / m) for c in P.coeffs]), m
+    m = max(abs(c) for c in P.coeffs)
+    return np.array([float(c / m) for c in P.coeffs]), m
 
 
 def _eval_on_circle(coeffs_ascending, theta):

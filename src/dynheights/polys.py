@@ -5,6 +5,10 @@ Polynomials are dense coefficient tuples in ascending degree, with int or
 Fraction entries; all arithmetic here is exact.  A degree-d rational
 self-map of P^1 is stored as a primitive pair of integer binary forms
 (F0, F1) of common degree d with nonzero resultant, F0 the numerator.
+The resultant is computed once, when a pair enters through
+`HomogPair.of`, and kept on the pair; composites need no second check,
+because composition cannot make a map degenerate (see
+`HomogPair.compose`).
 
 Resultant sign convention: Sylvester matrix with the F0-rows first,
 coefficients in descending degree; for binary forms both coefficient
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateMapError, ParseError
 from .places import ProjPointQ, normalize_proj
@@ -248,6 +253,14 @@ def resultant_univ(f: Poly, g: Poly) -> int:
 # ---------------------------------------------------------------------------
 # binary forms
 
+def _primitive(f0, f1):
+    """The two coefficient lists divided by the gcd of all of them."""
+    g = 0
+    for c in f0 + f1:
+        g = math.gcd(g, abs(c))
+    return tuple(c // g for c in f0), tuple(c // g for c in f1)
+
+
 @dataclass(frozen=True)
 class HomogPair:
     """Primitive pair of integer binary forms of common degree d.
@@ -255,33 +268,39 @@ class HomogPair:
     f0[i] (resp. f1[i]) is the coefficient of X^i Y^(d-i).  The map on
     P^1 is [a:b] -> [F0(a,b) : F1(a,b)], i.e. z -> P(z)/Q(z) after
     dehomogenizing with z = X/Y.
+
+    Build pairs with `of` (or `from_polys`), which rejects a zero
+    resultant; `compose` and `iterate` return pairs that are
+    nondegenerate by construction.  `res` is computed on first use and
+    kept, so `of` and `DynSystem.of` share one determinant.
     """
 
     f0: tuple
     f1: tuple
 
-    def __post_init__(self):
-        if len(self.f0) != len(self.f1):
-            raise DegenerateMapError("forms must have equal degree")
-        if resultant(self) == 0:
-            raise DegenerateMapError("resultant is zero: the forms share a root")
-
     @property
     def degree(self) -> int:
         return len(self.f0) - 1
 
+    @cached_property
+    def res(self) -> int:
+        """Res(F0, F1) as binary forms of degree d."""
+        return resultant(self)
+
     @staticmethod
     def of(f0_seq, f1_seq) -> "HomogPair":
+        """Primitive pair from integer coefficient lists; raises
+        DegenerateMapError unless the resultant is nonzero."""
         f0 = [int(c) for c in f0_seq]
         f1 = [int(c) for c in f1_seq]
         if len(f0) != len(f1):
             raise DegenerateMapError("forms must have equal degree")
-        g = 0
-        for c in f0 + f1:
-            g = math.gcd(g, abs(c))
-        if g == 0:
+        if not any(f0 + f1):
             raise DegenerateMapError("zero pair of forms")
-        return HomogPair(tuple(c // g for c in f0), tuple(c // g for c in f1))
+        F = HomogPair(*_primitive(f0, f1))
+        if F.res == 0:
+            raise DegenerateMapError("resultant is zero: the forms share a root")
+        return F
 
     @staticmethod
     def from_polys(num: Poly, den: Poly) -> "HomogPair":
@@ -329,7 +348,14 @@ class HomogPair:
         return Poly.of(self.f0), Poly.of(self.f1)
 
     def compose(self, other: "HomogPair") -> "HomogPair":
-        """self after other: forms of degree d1*d2, re-primitivized."""
+        """self after other: forms of degree d*e, re-primitivized.
+
+        No resultant check: for F of degree d, G of degree e and g the
+        content removed from F o G,
+        |Res(F o G)| * g^(2de) = |Res F|^e * |Res G|^(d^2)
+        (Silverman, The Arithmetic of Dynamical Systems, Ex. 2.12), so the
+        composite of two nondegenerate pairs is nondegenerate.
+        """
         g0 = Poly.of(other.f0)
         g1 = Poly.of(other.f1)
         d = self.degree
@@ -352,7 +378,7 @@ class HomogPair:
         def pad(p):
             return list(p.coeffs) + [0] * (size - len(p.coeffs))
 
-        return HomogPair.of(pad(out0), pad(out1))
+        return HomogPair(*_primitive(pad(out0), pad(out1)))
 
     def iterate(self, n: int) -> "HomogPair":
         """n-fold composition with itself (n >= 1)."""
@@ -368,7 +394,8 @@ class HomogPair:
 
 def resultant(F: HomogPair) -> int:
     """Resultant of the pair as binary forms of degree d (full padded
-    Sylvester determinant, F0-rows first)."""
+    Sylvester determinant, F0-rows first).  `HomogPair.res` keeps the
+    value, so prefer it on a pair built by `of`."""
     f_desc = list(reversed(F.f0))
     g_desc = list(reversed(F.f1))
     return bareiss_det(sylvester_matrix(f_desc, g_desc))

@@ -1,11 +1,14 @@
-"""Simultaneous complex root finding by the Aberth-Ehrlich iteration.
+"""Complex root finding: closed form for n <= 2, otherwise the
+simultaneous Aberth-Ehrlich iteration.
 
 Deterministic setup: initial guesses are roots of unity scaled by the
 Fujiwara bound and rotated by a fixed irrational angle, so repeated runs
 produce identical output.  Roots at the origin (trailing zero
-coefficients in the monomial basis) are split off exactly.  After
-convergence, clusters of radius 10*tol are merged to their centroid,
-which is how multiple roots are reported.
+coefficients in the monomial basis) are split off exactly.  Quadratics
+use the cancellation-free formula (no iteration, so no convergence
+failure).  Clusters of radius 10*tol (wider after an iteration that
+stalled at a multiple root) are merged to their centroid, which is how
+multiple roots are reported.
 """
 
 from __future__ import annotations
@@ -81,6 +84,9 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
     coeffs = [c / scale for c in coeffs]
     if n == 1:
         return zero_roots + [-coeffs[0] / coeffs[1]]
+    if n == 2:
+        return zero_roots + _merge_clusters(_quadratic_roots(*coeffs),
+                                            10.0 * tol)
 
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
     radius = 0.8 * fujiwara_bound(coeffs)
@@ -134,6 +140,18 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
                                                                max_corr)))
 
 
+def _quadratic_roots(c, b, a):
+    """Both roots of a x^2 + b x + c (a, c != 0) without cancellation:
+    q = -(b + s sqrt(b^2 - 4ac)) / 2 with the sign s making
+    Re(conj(b) s sqrt) >= 0, so |q| >= |b| / 2, and the roots are q / a
+    and c / q (q != 0 because c != 0)."""
+    sq = cmath.sqrt(b * b - 4.0 * a * c)
+    if (b.conjugate() * sq).real < 0.0:
+        sq = -sq
+    q = -0.5 * (b + sq)
+    return [q / a, c / q]
+
+
 def _merge_clusters(points, radius):
     """Merge root clusters of the given radius to repeated centroids."""
     n = len(points)
@@ -177,9 +195,9 @@ def complex_roots(P: Poly, tol: float = 1e-12):
     if P.degree() < 1:
         raise ValueError("need degree >= 1")
     # exact prescaling so huge integer coefficients cannot overflow float
-    from fractions import Fraction
-    m = max(abs(Fraction(c)) for c in P.coeffs)
-    scaled = [float(Fraction(c) / m) for c in P.coeffs]
+    # (int / int and Fraction division both round correctly)
+    m = max(abs(c) for c in P.coeffs)
+    scaled = [float(c / m) for c in P.coeffs]
     zs = aberth(scaled, tol=tol)
     max_eta = _BACKWARD_ERROR_UNITS * P.degree() * sys.float_info.epsilon
     moduli = [abs(c) for c in scaled]

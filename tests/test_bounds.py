@@ -7,14 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynheights.bounds import (DynPair, EmpiricalMeasure, energy_arch_power,
+from dynheights import polys
+from dynheights.bounds import (DynPair, EmpiricalMeasure,
+                               _minpoly_of_psi_image, energy_arch_power,
                                energy_level_curve, pair_bound_power,
                                preimage_measure_stats,
                                roots_of_unity_height_sequence,
                                scan_exceptions, star_discrepancy_angles)
 from dynheights.dynamics import DynSystem
 from dynheights.mahler import log_mahler_plus
-from dynheights.polys import int_poly, parse_poly
+from dynheights.polys import (HomogPair, Poly, int_poly, parse_poly,
+                              resultant_univ)
 
 PSI = parse_poly("1 - x")
 
@@ -147,3 +150,60 @@ def test_preimage_stats_validation():
     S = DynSystem.from_expr("x^2")
     with pytest.raises(ValueError):
         preimage_measure_stats(S, Fraction(1), 0, 4)
+
+
+def test_preimage_stats_builds_no_iterate(monkeypatch):
+    S = DynSystem.from_expr("x^2 - 1")
+    calls = []
+
+    def spy(name):
+        def fail(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return fail
+
+    monkeypatch.setattr(HomogPair, "compose", spy("compose"))
+    monkeypatch.setattr(polys, "resultant", spy("resultant"))
+    mu, _, _ = preimage_measure_stats(S, Fraction(1, 2), 6, 4)
+    assert len(mu.points) == 64
+    assert calls == []
+
+
+def _minpoly_by_resultant(a, b, c, psi):
+    """Res_x(a x^2 + b x + c, psi(x) - y) interpolated in y at 0, 1, 2."""
+    P = int_poly([c, b, a])
+    vals = []
+    for y0 in (0, 1, 2):
+        shifted = list(psi.coeffs)
+        shifted[0] -= y0
+        vals.append(Fraction(resultant_univ(P, Poly.of(shifted))))
+    v0, v1, v2 = vals
+    c2 = (v0 - 2 * v1 + v2) / 2
+    return Poly.of([v0, v1 - v0 - c2, c2]).primitive_int()
+
+
+def test_psi_image_minpoly_matches_resultant_route():
+    # the resultant route is exact for integer psi only (Bareiss divides
+    # with //); fractional psi is checked at the two image points instead
+    psis = [parse_poly(t) for t in ("1 - x", "x^2 + 2*x + 1", "3*x^2 - x + 2",
+                                     "x^3 - 2", "x^4 + x - 1", "-5*x^5 + x^2",
+                                     "x/2 - 1/3", "2*x^3/5 + x^2 - 7")]
+    for psi in psis:
+        integral = all(Fraction(c).denominator == 1 for c in psi.coeffs)
+        for a in range(1, 4):
+            for b in range(-4, 5):
+                for c in range(-3, 4):
+                    if c == 0:
+                        continue
+                    Q = _minpoly_of_psi_image(a, b, c, psi)
+                    assert Q.content() == 1 and Q.leading() > 0
+                    if integral:
+                        assert Q == _minpoly_by_resultant(a, b, c, psi), (
+                            a, b, c, psi)
+                        continue
+                    disc = cmath.sqrt(b * b - 4 * a * c)
+                    for alpha in ((-b + disc) / (2 * a), (-b - disc) / (2 * a)):
+                        y = psi(alpha)
+                        scale = sum(abs(q) * abs(y) ** k
+                                    for k, q in enumerate(Q.coeffs))
+                        assert abs(Q(y)) <= 1e-12 * scale, (a, b, c, psi)

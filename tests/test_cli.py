@@ -139,6 +139,16 @@ def test_computational_failure_exit_1(capsys):
     assert rec["outputs"]["error"] == "DegenerateMapError"
 
 
+def test_distortion_failure_exit_1(capsys, monkeypatch):
+    # a tiny cofactor bound lowers C_arch below the map's real distortion
+    from dynheights import dynamics
+    monkeypatch.setattr(dynamics, "_cofactor_max", lambda F: 1e-12)
+    code, rec = run(capsys, "canheight", "--map",
+                    "(2*x^2 - 3)/(3*x^2 - 2*x - 2)", "--point", "1")
+    assert code == 1
+    assert rec["outputs"]["error"] == "DistortionBoundError"
+
+
 def test_parse_failure_exit_1(capsys):
     code, rec = run(capsys, "mahler", "--poly", "x^^2")
     assert code == 1

@@ -1,6 +1,7 @@
 """Canonical heights: local Green functions, functional equation,
 preperiodicity certificates."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ from dynheights.dynamics import (DynSystem, canonical_height,
                                  finite_ledger_exact, green_finite,
                                  green_ledger, is_preperiodic, local_green,
                                  rational_points_up_to_height)
-from dynheights.errors import DegenerateMapError
+from dynheights import dynamics
+from dynheights.errors import (DegenerateMapError, DistortionBoundError,
+                               DynheightsError)
 from dynheights.places import ARCH, Place, ProjPointQ, weil_height
-from dynheights.polys import homog_step, parse_map
+from dynheights.polys import factorize, homog_step, parse_map
 
 # canonical height of 0 under z^2 + 1, frozen from the exact recursion
 # a_{n+1} = a_n^2 + 1 evaluated in 40-digit log arithmetic to n = 221
@@ -38,6 +41,32 @@ def test_degree_one_rejected():
 def test_bad_primes():
     assert DynSystem.from_expr("x^2 - 29/16").bad_primes == (2,)
     assert DynSystem.from_expr("x^2").bad_primes == ()
+
+
+def test_resultant_valuations_read_not_refactored(monkeypatch):
+    S = DynSystem.from_expr("(x^2 - 29/16)/(3*x)")
+    assert S.res_valuations == factorize(S.res)
+    assert S.bad_primes == tuple(sorted(S.res_valuations))
+    P = _pt(Fraction(1, 4))
+    before = green_ledger(S, P, 1e-10).per_place
+    ledgers = [finite_ledger_exact(S, P, p, 1e-10) for p in S.bad_primes]
+
+    def fail(n):
+        raise AssertionError("factorize called again")
+
+    monkeypatch.setattr(dynamics, "factorize", fail)
+    assert green_ledger(S, P, 1e-10).per_place == before
+    assert [finite_ledger_exact(S, P, p, 1e-10)
+            for p in S.bad_primes] == ledgers
+
+
+def test_distortion_violation_is_typed():
+    S = DynSystem.from_expr("x^2 - 2")
+    S._check_distortion()
+    low = dataclasses.replace(S, c_arch=0.0)
+    with pytest.raises(DistortionBoundError) as info:
+        low._check_distortion()
+    assert isinstance(info.value, DynheightsError)
 
 
 def test_power_map_height_is_weil():

@@ -41,6 +41,11 @@ def test_lehmer_polynomial():
     assert abs(mahler_via_quadrature(P).log_value - expected) < 1e-7
 
 
+def test_double_root_quadratic_exact():
+    # 3 (x - 1)^2: the closed form gives the double root 1 exactly
+    assert mahler_via_roots(int_poly([3, -6, 3])).log_value == math.log(3)
+
+
 def test_monomial_and_constant():
     assert mahler_via_roots(int_poly([0, 0, 7])).log_value == math.log(7)
     assert mahler_via_roots(int_poly([5])).log_value == math.log(5)

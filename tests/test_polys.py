@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynheights.errors import DegenerateMapError, ParseError
 from dynheights.places import ProjPointQ
@@ -120,6 +120,49 @@ def test_compose_and_iterate():
     K = H.compose(H)
     a, b = K.evaluate(3, 1)
     assert Fraction(a, b) == Fraction((3 ** 2 - 1) ** 2 - 1)
+
+
+def _full_resultant(f0, f1):
+    """Resultant of two forms by the Fraction determinant above."""
+    return _lu_det(sylvester_matrix(list(reversed(f0)), list(reversed(f1))))
+
+
+form_pairs = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-4, 4), min_size=d + 1, max_size=d + 1),
+    st.lists(st.integers(-4, 4), min_size=d + 1, max_size=d + 1)))
+
+
+def _pair_or_none(forms):
+    try:
+        return HomogPair.of(*forms)
+    except DegenerateMapError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_pairs, form_pairs)
+def test_compose_resultant_identity(fs, gs):
+    # |Res(F o G)| g^(2de) = |Res F|^e |Res G|^(d^2), g the removed content
+    F, G = _pair_or_none(fs), _pair_or_none(gs)
+    assume(F is not None and G is not None)
+    d, e = F.degree, G.degree
+    g0, g1 = Poly.of(G.f0), Poly.of(G.f1)
+    raw0 = raw1 = Poly(())
+    for i in range(d + 1):
+        term = g0 ** i * g1 ** (d - i)
+        raw0 = raw0 + term.scale(F.f0[i])
+        raw1 = raw1 + term.scale(F.f1[i])
+    raw0 = list(raw0.coeffs) + [0] * (d * e + 1 - len(raw0.coeffs))
+    raw1 = list(raw1.coeffs) + [0] * (d * e + 1 - len(raw1.coeffs))
+    g = math.gcd(*raw0, *raw1)
+    H = F.compose(G)
+    assert H.f0 == tuple(c // g for c in raw0)
+    assert H.f1 == tuple(c // g for c in raw1)
+    lhs = abs(_full_resultant(H.f0, H.f1)) * g ** (2 * d * e)
+    rhs = (abs(_full_resultant(F.f0, F.f1)) ** e
+           * abs(_full_resultant(G.f0, G.f1)) ** (d * d))
+    assert lhs == rhs != 0
+    assert H.res == resultant(H)
 
 
 @settings(max_examples=40)

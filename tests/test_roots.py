@@ -1,8 +1,10 @@
 """Simultaneous complex root finding: accuracy, Vieta identities, scaling."""
 
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -102,3 +104,39 @@ def test_deterministic_output():
 def test_constant_rejected():
     with pytest.raises(ValueError):
         aberth([2 + 0j])
+
+
+# moduli in [1e-3, 1e3] or 0, so the products below stay normal floats
+nonzero = st.floats(-1e3, 1e3).filter(lambda x: abs(x) >= 1e-3)
+coef = st.one_of(st.just(0.0), nonzero)
+cplx = st.builds(complex, coef, coef)
+quadratics = st.one_of(
+    st.tuples(nonzero, coef, nonzero),                          # real
+    st.tuples(cplx, cplx, cplx).filter(                         # complex
+        lambda cba: cba[0] != 0 and cba[2] != 0),
+    st.tuples(nonzero, cplx.filter(lambda r: r != 0)).map(      # double root
+        lambda ar: (ar[0] * ar[1] ** 2, -2 * ar[0] * ar[1], ar[0])),
+    st.tuples(st.just(0.0), coef, nonzero))                     # zero constant
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratics)
+@example((3.0, -6.0, 3.0))
+@example((1.0, 0.0, 1.0))
+@example((0.0, 0.0, 1.0))
+def test_quadratic_closed_form(cba):
+    coeffs = list(cba)  # ascending: c, b, a
+    roots = aberth(coeffs)
+    assert len(roots) == 2
+    max_eta = 8 * 2 * sys.float_info.epsilon
+    moduli = [abs(c) for c in coeffs]
+    for z in roots:
+        size = sum(m * abs(z) ** k for k, m in enumerate(moduli))
+        res = abs(sum(c * z ** k for k, c in enumerate(coeffs)))
+        assert res <= max_eta * size
+    ref = np.roots(coeffs[::-1])
+    ref = list(ref) + [0j] * (2 - len(ref))
+    best = min(max(abs(roots[0] - ref[i]), abs(roots[1] - ref[1 - i]))
+               for i in (0, 1))
+    # a double root moves by about sqrt(eps) under rounding of the input
+    assert best <= 1e-6 * max(1.0, max(abs(r) for r in ref))
