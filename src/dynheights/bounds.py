@@ -13,7 +13,9 @@ for all algebraic x outside a finite exceptional set.  The level-curve
 quadrature integrates log max(|psi|,1) against dArg phi over |phi| = 1 by
 pulling a uniform grid back through phi; its normalization (each of the
 l*nodes preimages carries weight 2 pi/(l*nodes)) is frozen by requiring
-exact agreement with the x^l closed form.
+exact agreement with the x^l closed form.  The grid's preimages are
+solved a block of nodes at a time by the batched Aberth kernel
+`roots.aberth_rows`, not one solve per node.
 """
 
 from __future__ import annotations
@@ -23,15 +25,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .dynamics import DynSystem, rational_points_up_to_height
 from .errors import RootFindingError
 from .mahler import (height_from_minpoly, log_mahler_plus,
                      two_variable_mahler)
 from .places import weil_height
 from .polys import Poly, int_poly
-from .roots import aberth, complex_roots
+from .roots import aberth, aberth_rows, complex_roots
 
 _CIRCLE_BAND = 1e-6  # |z| band for circle moments
+_BLOCK_ROWS = 256  # level-curve nodes solved together; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,12 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
     """Archimedean Dirichlet energy by level-curve quadrature:
     (l m / pi) * integral of log max(|psi|, 1) dArg phi over |phi| = 1.
 
-    For each grid angle the l preimages under phi are found by the
-    simultaneous root iteration; each carries weight 2 pi/(l*nodes).
-    Nodes where the solve fails are retried at a half-step perturbation
-    then skipped (error if more than 1% are skipped).
+    For each grid angle theta the l preimages are the roots of
+    phi - e^{i theta}; each carries weight 2 pi/(l*nodes).  The rows
+    phi - e^{i theta} of _BLOCK_ROWS consecutive nodes are solved together
+    by `aberth_rows`, and psi is evaluated on all their preimages at
+    once.  A node whose solve fails is retried at a half-step
+    perturbation, then skipped (error if more than 1% are skipped).
     """
     ell = phi.degree()
     m = psi.degree()
@@ -93,36 +100,28 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
         raise ValueError("degrees must be >= 1")
     if nodes < 64:
         raise ValueError("need at least 64 nodes")
-    phic = [complex(c) for c in phi.coeffs]
-    psic = [complex(c) for c in psi.coeffs]
-
-    def eval_psi(z):
-        acc = 0j
-        for c in reversed(psic):
-            acc = acc * z + c
-        return acc
-
+    phic = np.array([complex(c) for c in phi.coeffs])
+    psi_desc = np.array([complex(c) for c in reversed(psi.coeffs)])
     total = 0.0
     skipped = 0
     step = 2 * math.pi / nodes
-    for k in range(nodes):
-        theta = (k + 0.5) * step
-        for attempt in (0.0, 0.5 * step):
-            target = cmath.exp(1j * (theta + attempt))
-            coeffs = list(phic)
-            coeffs[0] -= target
-            try:
-                pre = aberth(coeffs, tol=1e-11)
-                break
-            except RootFindingError:
-                continue
-        else:
-            skipped += 1
-            continue
-        for z in pre:
-            mod = abs(eval_psi(z))
-            if mod > 1.0:
-                total += math.log(mod)
+    for first in range(0, nodes, _BLOCK_ROWS):
+        theta = (np.arange(first, min(first + _BLOCK_ROWS, nodes))
+                 + 0.5) * step
+        rows = np.tile(phic, (theta.size, 1))
+        rows[:, 0] -= np.exp(1j * theta)
+        pre = aberth_rows(rows, tol=1e-11)
+        failed = np.isnan(pre[:, 0])
+        if failed.any():
+            rows[failed, 0] = phic[0] - np.exp(1j * (theta[failed]
+                                                     + 0.5 * step))
+            pre[failed] = aberth_rows(rows[failed], tol=1e-11)
+            failed = np.isnan(pre[:, 0])
+            skipped += int(failed.sum())
+            pre = pre[~failed]
+        vals = np.polyval(psi_desc, pre)
+        mod = np.hypot(vals.real, vals.imag)  # rounded as abs(complex)
+        total += float(np.log(mod[mod > 1.0]).sum())
     if skipped > max(1, nodes // 100):
         raise RootFindingError(
             f"{skipped} of {nodes} level-curve nodes failed to solve")

@@ -6,6 +6,7 @@ and exits 0 on success, 1 on computational failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -213,7 +214,11 @@ def _cmd_selftest(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first dispatch and kept: building
+    it costs milliseconds, more than many subcommands.  The handlers it
+    stores look package functions up as module globals at call time."""
     ap = argparse.ArgumentParser(
         prog="dynheights",
         description="Canonical heights, Mahler measures, metrized-graph "

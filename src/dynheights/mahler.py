@@ -67,16 +67,16 @@ def mahler_via_roots(P: Poly) -> MahlerResult:
     return MahlerResult(log_m, "roots", err)
 
 
-def _circle_average_log_abs(P: Poly, nodes: int) -> float:
-    """Circle average of log|P| with near-circle roots removed by Jensen.
+def _circle_average_log_abs(P: Poly, nodes: int, roots) -> float:
+    """Circle average of log|P| with near-circle roots removed by Jensen;
+    `roots` are P's roots as complex numbers.
 
     The grid is offset by half a step so a root exactly on the unit circle
     never coincides with a node.
     """
     coeffs, scale = _float_coeffs(P)
     window = min(_NEAR_CIRCLE_WINDOW, 64.0 / nodes)
-    near = [r.value for r in complex_roots(P)
-            if abs(abs(r.value) - 1.0) < window]
+    near = [a for a in roots if abs(abs(a) - 1.0) < window]
     theta = (np.arange(nodes) + 0.5) * (2 * math.pi / nodes)
     z = np.exp(1j * theta)
     vals = np.log(np.maximum(np.abs(np.polyval(coeffs[::-1], z)), 1e-300))
@@ -97,8 +97,9 @@ def mahler_via_quadrature(P: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
                             "quadrature", 0.0)
     if nodes < 16 or nodes & (nodes - 1):
         raise ValueError("nodes must be a power of two, >= 16")
-    fine = _circle_average_log_abs(P, nodes)
-    coarse = _circle_average_log_abs(P, nodes // 2)
+    roots = [r.value for r in complex_roots(P)]
+    fine = _circle_average_log_abs(P, nodes, roots)
+    coarse = _circle_average_log_abs(P, nodes // 2, roots)
     return MahlerResult(fine, "quadrature", abs(fine - coarse))
 
 
@@ -157,7 +158,8 @@ def _log_mahler_plus_value(psi: Poly, nodes: int) -> float:
     if not cross:
         if float(np.max(absvals)) <= 1.0:
             return 0.0
-        return _circle_average_log_abs(psi, nodes)
+        return _circle_average_log_abs(
+            psi, nodes, [r.value for r in complex_roots(psi)])
     total = 0.0
     for i, a in enumerate(cross):
         b = cross[(i + 1) % len(cross)]

@@ -76,10 +76,11 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b != 0]
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in terms:
                 out[i + j] += a * b
         return Poly.of(out)
 
@@ -237,17 +238,28 @@ def sylvester_matrix(f_desc, g_desc):
     return rows
 
 
-def resultant_univ(f: Poly, g: Poly) -> int:
-    """Resultant of two integer polynomials at their true degrees."""
+def resultant_univ(f: Poly, g: Poly) -> int | Fraction:
+    """Resultant of two polynomials with int or Fraction coefficients at
+    their true degrees (an int for integer input, else a Fraction).
+
+    Bareiss divides exactly only in the integers, so denominators are
+    cleared first: with a f and b g integral,
+    Res(f, g) = Res(a f, b g) / (a^deg g * b^deg f).
+    """
     if f.is_zero or g.is_zero:
         return 0
-    fd = list(reversed(f.coeffs))
-    gd = list(reversed(g.coeffs))
+    a = math.lcm(*(c.denominator for c in f.coeffs))
+    b = math.lcm(*(c.denominator for c in g.coeffs))
+    fd = [int(c * a) for c in reversed(f.coeffs)]
+    gd = [int(c * b) for c in reversed(g.coeffs)]
     if len(fd) == 1:
-        return int(fd[0]) ** (len(gd) - 1)
-    if len(gd) == 1:
-        return int(gd[0]) ** (len(fd) - 1)
-    return bareiss_det(sylvester_matrix(fd, gd))
+        res = fd[0] ** (len(gd) - 1)
+    elif len(gd) == 1:
+        res = gd[0] ** (len(fd) - 1)
+    else:
+        res = bareiss_det(sylvester_matrix(fd, gd))
+    den = a ** (len(gd) - 1) * b ** (len(fd) - 1)
+    return res if den == 1 else Fraction(res, den)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +494,13 @@ class _RatFunc:
         return _RatFunc(Poly.const(Fraction(c)), Poly.const(Fraction(1)))
 
     def __add__(self, o):
+        if self.den == o.den:  # every term of a polynomial has den 1
+            return _RatFunc(self.num + o.num, self.den)
         return _RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __sub__(self, o):
+        if self.den == o.den:
+            return _RatFunc(self.num - o.num, self.den)
         return _RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __mul__(self, o):

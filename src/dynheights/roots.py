@@ -9,6 +9,12 @@ use the cancellation-free formula (no iteration, so no convergence
 failure).  Clusters of radius 10*tol (wider after an iteration that
 stalled at a multiple root) are merged to their centroid, which is how
 multiple roots are reported.
+
+`aberth` solves one polynomial in Python complex arithmetic;
+`aberth_rows` solves many polynomials of one degree at once with the
+same steps in numpy, vectorised over the rows (as in Bini's MPSolve,
+Numer. Algorithms 13, 1996), and hands every row it cannot settle
+cleanly to `aberth`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import RootFindingError
 from .polys import Poly
@@ -42,8 +50,11 @@ class ComplexApprox:
 
 
 def _horner(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
+    """Horner evaluation of ascending coefficients at z.  With numpy
+    arrays for z and for each coefficient it evaluates one polynomial per
+    row."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
 
@@ -176,6 +187,156 @@ def _merge_clusters(points, radius):
         out.extend([centroid] * len(members))
     out.sort(key=lambda w: (round(w.real, 12), round(w.imag, 12)))
     return out
+
+
+def _modulus(z):
+    """|z| elementwise, rounded as Python's abs(complex) rounds it."""
+    return np.hypot(z.real, z.imag)
+
+
+def aberth_rows(C, tol: float = 1e-12):
+    """Roots of N polynomials of one degree n at once.
+
+    C holds N ascending coefficient rows of length n + 1; the result is an
+    (N, n) complex array, each row's roots in no fixed order.  Every row
+    gets the steps of `aberth` on its coefficients scaled by their largest
+    modulus: the closed forms for n <= 2, otherwise the same start circle,
+    Gauss-Seidel Aberth sweep, tolerance, stall rule and three Newton
+    polish steps, each step applied to all unfinished rows at once.
+
+    A row is handed to `aberth` itself when its constant or leading
+    coefficient is zero, when its iteration stalls (as at a multiple
+    root) or does not converge in _MAX_ITER sweeps, when two of its roots
+    lie within the merge radius 10 tol, or when a root is not finite.  So
+    exact zero roots, merged clusters and the failure rule stay those of
+    `aberth`.  A degree drop leaves the missing roots at infinity, and a
+    row on which `aberth` raises RootFindingError comes back as NaN.  (The
+    batch can settle a row on which `aberth` would fail, as its rounding
+    differs; such a row has converged to tol all the same.)
+
+    numpy fuses multiply-adds in complex products and divides through a
+    reciprocal, so simple roots agree with `aberth` to a few units in the
+    last place rather than bit for bit.
+    """
+    C = np.asarray(C, dtype=complex)
+    if C.ndim != 2 or C.shape[1] < 2:
+        raise ValueError("need an (N, n + 1) coefficient array with n >= 1")
+    n = C.shape[1] - 1
+    moduli = _modulus(C)
+    batch = np.flatnonzero((moduli[:, 0] > 0) & (moduli[:, n] > 0))
+    scale = moduli[batch].max(axis=1)[:, None]
+    A = np.empty((batch.size, n + 1), dtype=complex)
+    A.real = C.real[batch] / scale  # as Python divides a complex by a float
+    A.imag = C.imag[batch] / scale
+    with np.errstate(all="ignore"):
+        settled = np.ones(batch.size, dtype=bool)
+        if n == 1:
+            Z = -A[:, :1] / A[:, 1:]
+        elif n == 2:
+            Z = _quadratic_rows(A)
+        else:
+            Z, settled = _aberth_sweeps(A, tol)
+        for j in range(n):
+            for k in range(j + 1, n):
+                settled &= _modulus(Z[:, j] - Z[:, k]) > 10.0 * tol
+        settled &= np.isfinite(Z).all(axis=1)
+    out = np.empty((len(C), n), dtype=complex)
+    out[batch[settled]] = Z[settled]
+    rest = np.ones(len(C), dtype=bool)
+    rest[batch[settled]] = False
+    for i in np.flatnonzero(rest):
+        try:
+            roots = aberth(C[i], tol=tol)
+        except RootFindingError:
+            roots = [complex(math.nan, math.nan)] * n
+        out[i] = roots + [complex(math.inf, 0.0)] * (n - len(roots))
+    return out
+
+
+def _quadratic_rows(A):
+    """`_quadratic_roots` of each scaled row (c, b, a) of A.  The
+    discriminant is formed with the real operations of Python's complex
+    product, which numpy would fuse: it cancels at a double root, where
+    one rounding moves the roots by sqrt(eps)."""
+    c, b, a = A[:, 0], A[:, 1], A[:, 2]
+    a4r, a4i = 4.0 * a.real, 4.0 * a.imag
+    disc = np.empty_like(b)
+    disc.real = ((b.real * b.real - b.imag * b.imag)
+                 - (a4r * c.real - a4i * c.imag))
+    disc.imag = ((b.real * b.imag + b.imag * b.real)
+                 - (a4r * c.imag + a4i * c.real))
+    sq = np.sqrt(disc)
+    sq = np.where(b.real * sq.real + b.imag * sq.imag < 0.0, -sq, sq)
+    q = -0.5 * (b + sq)
+    return np.stack([q / a, c / q], axis=1)
+
+
+def _aberth_sweeps(A, tol):
+    """The iteration and polish of `aberth` on scaled rows A (nonzero
+    constant and leading coefficients, degree n >= 3), vectorised over the
+    rows.  Returns (roots, settled); a row that stalled or ran out of
+    sweeps is not settled, and its roots are undefined."""
+    m, n = A.shape[0], A.shape[1] - 1
+    moduli = _modulus(A)
+    best = np.zeros(m)
+    for k in range(1, n + 1):  # fujiwara_bound, row by row
+        best = np.maximum(best, (moduli[:, n - k] / moduli[:, n]) ** (1.0 / k))
+    radius = 0.8 * (2.0 * best)
+    z = [radius * cmath.exp(1j * (2 * math.pi * j / n + _START_ANGLE))
+         for j in range(n)]
+    coeffs = [A[:, k] for k in range(n + 1)]
+    deriv = [k * coeffs[k] for k in range(1, n + 1)]
+    Z = np.empty((m, n), dtype=complex)
+    settled = np.zeros(m, dtype=bool)
+    live = np.arange(m)
+    best_corr = np.full(m, math.inf)
+    stagnant = np.zeros(m, dtype=int)
+    for _ in range(_MAX_ITER):
+        if not live.size:
+            break
+        max_corr = np.zeros(live.size)
+        for j in range(n):
+            zj = z[j]
+            dj = _horner(deriv, zj)
+            w = _horner(coeffs, zj) / dj
+            s = 0j
+            for k in range(n):
+                if k != j:
+                    dz = zj - z[k]
+                    s = s + 1.0 / np.where(dz == 0, 1e-14 + 1e-14j, dz)
+            denom = 1.0 - w * s
+            corr = np.where(denom != 0, w / denom, w)
+            flat = dj == 0
+            corr[flat] = -(1e-8 + 1e-8j)
+            z[j] = zj - corr
+            max_corr = np.maximum(max_corr,
+                                  np.where(flat, math.inf, _modulus(corr)))
+        done = max_corr < tol
+        improved = max_corr < 0.5 * best_corr
+        best_corr = np.where(improved, max_corr, best_corr)
+        stagnant = np.where(improved, 0, stagnant + 1)
+        leave = done | ((stagnant >= 40) & (best_corr < 1e-7))
+        if leave.any():
+            Z[live[done]] = np.stack([zj[done] for zj in z], axis=1)
+            settled[live[done]] = True
+            keep = ~leave
+            live = live[keep]
+            z = [zj[keep] for zj in z]
+            coeffs = [c[keep] for c in coeffs]
+            deriv = [c[keep] for c in deriv]
+            best_corr = best_corr[keep]
+            stagnant = stagnant[keep]
+    rows = np.flatnonzero(settled)
+    coeffs = [A[rows, k] for k in range(n + 1)]
+    deriv = [k * coeffs[k] for k in range(1, n + 1)]
+    z = [Z[rows, j] for j in range(n)]
+    for _ in range(3):
+        for j in range(n):
+            dj = _horner(deriv, z[j])
+            z[j] = np.where(dj != 0, z[j] - _horner(coeffs, z[j]) / dj,
+                            z[j])
+    Z[rows] = np.stack(z, axis=1)
+    return Z, settled
 
 
 def complex_roots(P: Poly, tol: float = 1e-12):

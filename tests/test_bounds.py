@@ -4,10 +4,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynheights import polys
+from dynheights import bounds, polys, roots
 from dynheights.bounds import (DynPair, EmpiricalMeasure,
                                _minpoly_of_psi_image, energy_arch_power,
                                energy_level_curve, pair_bound_power,
@@ -15,9 +16,11 @@ from dynheights.bounds import (DynPair, EmpiricalMeasure,
                                roots_of_unity_height_sequence,
                                scan_exceptions, star_discrepancy_angles)
 from dynheights.dynamics import DynSystem
+from dynheights.errors import RootFindingError
 from dynheights.mahler import log_mahler_plus
 from dynheights.polys import (HomogPair, Poly, int_poly, parse_poly,
                               resultant_univ)
+from dynheights.roots import aberth
 
 PSI = parse_poly("1 - x")
 
@@ -74,6 +77,68 @@ def test_level_curve_non_power_map():
     # phi = x^2 - 2: finite positive energy, no closed form asserted
     val = energy_level_curve(parse_poly("x^2 - 2"), PSI, nodes=1024)
     assert val > 0.0 and math.isfinite(val)
+
+
+def _energy_node_by_node(phi, psi, nodes):
+    """The level-curve sum with one scalar `aberth` solve per node."""
+    total = 0.0
+    for k in range(nodes):
+        coeffs = [complex(c) for c in phi.coeffs]
+        coeffs[0] -= cmath.exp(1j * (k + 0.5) * 2 * math.pi / nodes)
+        for z in aberth(coeffs, tol=1e-11):
+            total += math.log(max(abs(psi(z)), 1.0))
+    return 2.0 * psi.degree() * total / nodes
+
+
+@pytest.mark.parametrize("phi, psi", [
+    ("x - 1/2", "3*x^2 - 1"), ("x^2 - 2", "1 - x"), ("-(x + 1)^2", "x^3 + 2"),
+    ("x^3 - 2*x + 1", "2*x - 1"), ("(x - 1)^4", "x^2 - x - 1"),
+    ("x^5 + 3*x^2 - x + 7", "x + 1")])
+def test_level_curve_matches_node_by_node(phi, psi):
+    phi, psi = parse_poly(phi), parse_poly(psi)
+    ref = _energy_node_by_node(phi, psi, 600)
+    assert abs(energy_level_curve(phi, psi, nodes=600) - ref) <= 1e-13 * ref
+
+
+def test_level_curve_solves_in_blocks(monkeypatch):
+    calls = []
+    scalar = roots.aberth
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "aberth", spy)
+    monkeypatch.setattr(bounds, "aberth", spy)
+    for phi in ("x^2 - 2", "x^3 - 2*x + 1", "3*x^4 + x - 5"):
+        energy_level_curve(parse_poly(phi), PSI, nodes=2048)
+    assert len(calls) <= 3
+
+
+def test_level_curve_retries_then_skips(monkeypatch):
+    phi, nodes = parse_poly("x^2 - 2"), 1024
+    ref = energy_level_curve(phi, PSI, nodes=nodes)
+    solve = bounds.aberth_rows
+
+    def failing(rows_to_fail):
+        def solve_some(rows, tol):
+            out = solve(rows, tol)
+            out[rows_to_fail(len(rows))] = np.nan
+            return out
+        return solve_some
+
+    # the first node of each 256-node block fails, then solves at the
+    # half step (skipping it instead would move the value by 1.3e-5)
+    monkeypatch.setattr(bounds, "aberth_rows", failing(
+        lambda n: slice(0, 1 if n > 1 else 0)))
+    assert abs(energy_level_curve(phi, PSI, nodes=nodes) - ref) <= 1e-6 * ref
+    # it fails at the half step too: 4 of 1024 nodes are skipped
+    monkeypatch.setattr(bounds, "aberth_rows", failing(lambda n: slice(0, 1)))
+    assert abs(energy_level_curve(phi, PSI, nodes=nodes) - ref) <= 1e-3 * ref
+    # more than 1% skipped
+    monkeypatch.setattr(bounds, "aberth_rows", failing(lambda n: slice(0, 3)))
+    with pytest.raises(RootFindingError):
+        energy_level_curve(phi, PSI, nodes=nodes)
 
 
 def test_scan_threshold_zero_empty():
@@ -183,13 +248,10 @@ def _minpoly_by_resultant(a, b, c, psi):
 
 
 def test_psi_image_minpoly_matches_resultant_route():
-    # the resultant route is exact for integer psi only (Bareiss divides
-    # with //); fractional psi is checked at the two image points instead
     psis = [parse_poly(t) for t in ("1 - x", "x^2 + 2*x + 1", "3*x^2 - x + 2",
                                      "x^3 - 2", "x^4 + x - 1", "-5*x^5 + x^2",
                                      "x/2 - 1/3", "2*x^3/5 + x^2 - 7")]
     for psi in psis:
-        integral = all(Fraction(c).denominator == 1 for c in psi.coeffs)
         for a in range(1, 4):
             for b in range(-4, 5):
                 for c in range(-3, 4):
@@ -197,13 +259,8 @@ def test_psi_image_minpoly_matches_resultant_route():
                         continue
                     Q = _minpoly_of_psi_image(a, b, c, psi)
                     assert Q.content() == 1 and Q.leading() > 0
-                    if integral:
-                        assert Q == _minpoly_by_resultant(a, b, c, psi), (
-                            a, b, c, psi)
-                        continue
-                    disc = cmath.sqrt(b * b - 4 * a * c)
-                    for alpha in ((-b + disc) / (2 * a), (-b - disc) / (2 * a)):
-                        y = psi(alpha)
-                        scale = sum(abs(q) * abs(y) ** k
-                                    for k, q in enumerate(Q.coeffs))
-                        assert abs(Q(y)) <= 1e-12 * scale, (a, b, c, psi)
+                    assert Q == _minpoly_by_resultant(a, b, c, psi), (
+                        a, b, c, psi)
+    # Bareiss floor-divided Fractions and gave y^2 - 1 here
+    assert (_minpoly_by_resultant(1, -4, -3, parse_poly("x/2 - 1/3"))
+            == int_poly([-47, -48, 36]))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dynheights import cli
 from dynheights.cli import dispatch, to_json
 
 
@@ -163,3 +164,29 @@ def test_selftest_filter(capsys):
     names = [c["name"] for c in rec["outputs"]["criteria"]]
     assert names == ["level-curve-energy"]
     assert rec["outputs"]["all_passed"] is True
+
+
+def test_parser_kept_across_dispatches(capsys):
+    calls = [["height", "--point", "2/3"],
+             ["mahler", "--poly", "x^2 - x - 1", "--method", "both",
+              "--nodes", "64"],
+             ["no-such-command"],
+             ["energy", "--phi", "x^2", "--psi", "1 - x", "--nodes", "256"],
+             ["height"],
+             ["bound", "--ell", "2", "--psi", "1 - x", "--nodes", "256"],
+             ["height", "--point", "inf"]]
+
+    def outcome(argv):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    kept = [outcome(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 0, 2, 0, 2, 0, 0]

@@ -125,3 +125,17 @@ def test_two_variable_oracle_power_map():
 def test_height_from_minpoly_degree_normalization():
     P = parse_poly("x^2 - 2")
     assert abs(height_from_minpoly(P) - 0.5 * math.log(2)) < 1e-12
+
+
+def test_quadrature_finds_roots_once(monkeypatch):
+    from dynheights import mahler
+    calls = []
+    real = mahler.complex_roots
+
+    def spy(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(mahler, "complex_roots", spy)
+    mahler_via_quadrature(parse_poly("x^4 - x - 1"), nodes=1024)
+    assert len(calls) == 1

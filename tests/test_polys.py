@@ -202,6 +202,8 @@ def test_parse_expr_dispatch():
     assert isinstance(parse_expr("x^2 + 1"), Poly)
     assert isinstance(parse_expr("(x^2 + 1)/x"), HomogPair)
     assert isinstance(parse_expr("(x^2 - 1)/(x - 1)"), Poly)  # reduces
+    assert parse_expr("((x + 1/2)^3 - 1/8)/x") == rat_poly(
+        [Fraction(3, 4), Fraction(3, 2), 1])
 
 
 def test_parse_errors():
@@ -214,3 +216,41 @@ def test_negative_exponent():
     F = parse_expr("x^-1")
     assert isinstance(F, HomogPair)
     assert F.evaluate(2, 1) == (1, 2)
+
+
+def test_resultant_univ_clears_denominators():
+    f = int_poly([-3, -4, 1])                             # x^2 - 4x - 3
+    psi = rat_poly([Fraction(-1, 3), Fraction(1, 2)])     # x/2 - 1/3
+    # psi(2 + sqrt 7) psi(2 - sqrt 7) = 4/9 - 7/4
+    assert resultant_univ(f, psi) == Fraction(-47, 36)
+
+
+small_rat_polys = st.lists(st.fractions(-9, 9, max_denominator=12),
+                           min_size=2, max_size=5).map(rat_poly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rat_polys, small_rat_polys)
+def test_resultant_univ_fractions_match_lu(f, g):
+    assume(f.degree() >= 1 and g.degree() >= 1)
+    mat = sylvester_matrix(list(reversed(f.coeffs)), list(reversed(g.coeffs)))
+    assert resultant_univ(f, g) == _lu_det(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-50, 50, max_denominator=30), max_size=40))
+def test_parse_round_trip_random_coefficients(coeffs):
+    f = rat_poly(coeffs)
+    assert parse_poly(f.to_str()) == f
+
+
+@pytest.mark.parametrize("text, f0, f1", [
+    ("(x^2 + 1)/x", (1, 0, 1), (0, 1, 0)),
+    ("1/(x - 1) + 1/(x + 1)", (0, 2, 0), (-1, 0, 1)),
+    ("(x^3 - 2*x)/(3*x^2 - 2) - x/3", (0, -4, 0), (-6, 0, 9)),
+    ("x - (x^2 - 2)/(2*x)", (2, 0, 1), (0, 2, 0)),
+    ("x^-2 + 1/2", (2, 0, 1), (0, 0, 2)),
+    ("-(x^2 - 1)/(x^2 + 1) + 2/(x - 1)/(x + 1)",
+     (1, 0, 4, 0, -1), (-1, 0, 0, 0, 1))])
+def test_rational_maps_parse(text, f0, f1):
+    assert parse_expr(text) == HomogPair(f0, f1)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dynheights.errors import RootFindingError
 from dynheights.polys import int_poly, rat_poly
-from dynheights.roots import aberth, complex_roots, fujiwara_bound
+from dynheights.roots import (aberth, aberth_rows, complex_roots,
+                              fujiwara_bound)
 
 
 def test_fujiwara_bound_contains_roots():
@@ -140,3 +141,74 @@ def test_quadratic_closed_form(cba):
                for i in (0, 1))
     # a double root moves by about sqrt(eps) under rounding of the input
     assert best <= 1e-6 * max(1.0, max(abs(r) for r in ref))
+
+
+def _backward_error(coeffs, z):
+    res = abs(sum(c * z ** k for k, c in enumerate(coeffs)))
+    if res == 0:  # also an exact zero root
+        return 0.0
+    return res / sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+
+
+@st.composite
+def row_batches(draw):
+    """(n, rows): rows of degree n drawn from generic, zero-constant,
+    degree-drop and double-root polynomials."""
+    n = draw(st.integers(1, 6))
+    nz_cplx = cplx.filter(lambda c: c != 0)
+
+    def row(kind):
+        if kind == "double":
+            r = draw(nz_cplx)
+            others = [draw(nz_cplx) for _ in range(n - 2)]
+            return list(np.polynomial.polynomial.polyfromroots(
+                [r, r] + others))
+        mid = [draw(cplx) for _ in range(n - 1)]
+        const = 0j if kind == "zero constant" else draw(nz_cplx)
+        lead = draw(nz_cplx)
+        if kind == "degree drop":  # to degree n - 1 >= 1
+            mid[-1], lead = lead, 0j
+        return [const] + mid + [lead]
+
+    kinds = ["generic", "zero constant"] + (["degree drop", "double"]
+                                            if n >= 2 else [])
+    rows = [row(draw(st.sampled_from(kinds)))
+            for _ in range(draw(st.integers(1, 6)))]
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_batches())
+@example((3, [[-1, 3, -3, 1], [6, -11, 6, -1], [0, 2, 0, 1]]))
+def test_aberth_rows_matches_aberth(batch):
+    n, rows = batch
+    Z = aberth_rows(np.array(rows, dtype=complex))
+    assert Z.shape == (len(rows), n)
+    max_eta = 8 * n * sys.float_info.epsilon
+    for coeffs, zs in zip(rows, Z):
+        try:
+            ref = aberth(coeffs)
+        except RootFindingError:
+            # rounding differs, so the batch may settle a row that the
+            # scalar iteration does not; its roots must then be accurate
+            assert np.isnan(zs).all() or all(
+                _backward_error(coeffs, z) <= max_eta for z in zs)
+            continue
+        got = [complex(z) for z in zs if np.isfinite(z)]
+        assert len(got) == len(ref) and len(zs) - len(got) == n - len(ref)
+        # a double root of a rounded polynomial is fixed only to about
+        # sqrt(eps), so there the two solvers are held to the backward
+        # error alone; isolated roots must agree
+        for k, r in enumerate(ref):
+            scale = max(1.0, abs(r))
+            if all(abs(r - w) > 1e-3 * scale for w in ref[:k] + ref[k + 1:]):
+                assert min(abs(r - z) for z in got) <= 1e-10 * scale
+        if all(_backward_error(coeffs, r) <= max_eta for r in ref):
+            assert all(_backward_error(coeffs, z) <= max_eta for z in got)
+
+
+def test_aberth_rows_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        aberth_rows(np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        aberth_rows(np.ones(4))
