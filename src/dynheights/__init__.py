@@ -3,10 +3,10 @@ projective line over Q: exact place-by-place arithmetic, Mahler measures,
 metrized-graph curvature, and Hodge-index height lower bounds.
 """
 
-from .bounds import (DynPair, EmpiricalMeasure, energy_arch_power,
-                     energy_level_curve, pair_bound_power,
-                     preimage_measure_stats, roots_of_unity_height_sequence,
-                     scan_exceptions, star_discrepancy_angles)
+from .bounds import (EmpiricalMeasure, energy_arch_power, energy_level_curve,
+                     pair_bound_power, preimage_measure_stats,
+                     roots_of_unity_height_sequence, scan_exceptions,
+                     star_discrepancy_angles)
 from .dynamics import (DynSystem, GreenLedger, canonical_height,
                        common_preperiodic_scan, escape_threshold,
                        green_ledger, is_preperiodic, local_green,
@@ -19,8 +19,7 @@ from .graphs import (DiscreteMeasure, MetrizedGraph, PLFunction,
                      dirichlet_energy, laplacian_pl, load_graph_json,
                      subdivide)
 from .mahler import (MahlerResult, height_from_minpoly, log_mahler_plus,
-                     mahler_via_quadrature, mahler_via_roots,
-                     two_variable_mahler)
+                     mahler_via_quadrature, mahler_via_roots)
 from .places import (ARCH, Place, ProjPointQ, log_abs_at, parse_point,
                      parse_rational, valuation, weil_height,
                      weil_height_exact)

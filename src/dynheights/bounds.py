@@ -16,6 +16,17 @@ l*nodes preimages carries weight 2 pi/(l*nodes)) is frozen by requiring
 exact agreement with the x^l closed form.  The grid's preimages are
 solved a block of nodes at a time by the batched Aberth kernel
 `roots.aberth_rows`, not one solve per node.
+
+The quadratic exception scan scores each candidate a x^2 + b x + c in
+integer arithmetic and closed form: the image polynomial of psi(alpha)
+comes from an integer Horner reduction modulo a x^2 + b x + c, and the
+Mahler measure of a quadratic is max(|a|, |c|, |q|), with q = a times its
+larger root when the roots are real, so no root finder, Poly or Fraction
+is involved.  Only the reported exceptions are solved, for their
+approximate location.
+
+numpy is imported by `energy_level_curve` alone, so importing this module
+(and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -25,32 +36,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .dynamics import DynSystem, rational_points_up_to_height
 from .errors import RootFindingError
-from .mahler import (height_from_minpoly, log_mahler_plus,
-                     two_variable_mahler)
+from .mahler import log_mahler_plus
 from .places import weil_height
 from .polys import Poly, int_poly
 from .roots import aberth, aberth_rows, complex_roots
 
 _CIRCLE_BAND = 1e-6  # |z| band for circle moments
 _BLOCK_ROWS = 256  # level-curve nodes solved together; bounds peak memory
-
-
-@dataclass(frozen=True)
-class DynPair:
-    """A pair (phi of degree l, psi of degree m) with integer coefficients,
-    so that the metric-comparison function vanishes at finite places."""
-
-    ell: int
-    psi: Poly
-    phi: Poly = None  # None means the power map x^ell
-
-    def __post_init__(self):
-        if self.ell < 1 or self.psi.degree() < 1:
-            raise ValueError("degrees must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -67,11 +61,11 @@ class EmpiricalMeasure:
 
 def pair_bound_power(ell: int, psi: Poly, nodes: int = 16384) -> float:
     """Lower bound for l h(x) + h(psi(x)) outside finitely many points:
-    log M(psi(x) - y) / (l + m)."""
+    log M(psi(x) - y) / (l + m), where M(psi(x) - y) = M^+(psi)."""
     if ell < 1 or psi.degree() < 1:
         raise ValueError("degrees must be >= 1")
     m = psi.degree()
-    return two_variable_mahler(psi, nodes).log_value / (ell + m)
+    return log_mahler_plus(psi, nodes).log_value / (ell + m)
 
 
 def energy_arch_power(ell: int, psi: Poly, nodes: int = 16384) -> float:
@@ -94,6 +88,8 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
     once.  A node whose solve fails is retried at a half-step
     perturbation, then skipped (error if more than 1% are skipped).
     """
+    import numpy as np
+
     ell = phi.degree()
     m = psi.degree()
     if ell < 1 or m < 1:
@@ -130,22 +126,63 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
     return (2.0 * m / good) * total
 
 
+def _log_mahler_quadratic(a: int, b: int, c: int) -> float:
+    """log M(a x^2 + b x + c) for integers with a != 0, in closed form.
+
+    If b^2 - 4ac <= 0 the roots are conjugate or equal, so both have
+    |r|^2 = c/a and log M = log max(|a|, |c|).  Otherwise the roots are
+    real, q/a and c/q with the cancellation-free
+    q = -(b + sign(b) sqrt(b^2 - 4ac))/2 (as in `roots._quadratic_roots`),
+    |q/a| >= |c/q|, and log|a| + sum log^+|r| = log max(|a|, |q|, |c|);
+    c = 0 gives |q| = |b|.
+    """
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        return math.log(max(abs(a), abs(c)))
+    if max(abs(b), disc).bit_length() <= 1000:
+        q = (abs(b) + math.sqrt(disc)) / 2
+    else:  # beyond double range; isqrt is off by under one part in 2^500
+        q = (abs(b) + math.isqrt(disc)) // 2
+    return math.log(max(abs(a), abs(c), q))
+
+
+def _psi_numerators(psi: Poly):
+    """(num, den) with den * psi = sum num[k] x^k: den is the lcm of the
+    denominators of psi's coefficients and num are integers."""
+    den = math.lcm(*(Fraction(cf).denominator for cf in psi.coeffs))
+    return [int(Fraction(cf) * den) for cf in psi.coeffs], den
+
+
+def _psi_image_coeffs(a: int, b: int, c: int, num, den: int):
+    """Ascending coefficients of the primitive integer polynomial, with
+    positive leading coefficient, vanishing at psi(alpha) for the roots
+    alpha of a x^2 + b x + c (a != 0), where den * psi = sum num[k] x^k.
+
+    Horner's rule on num modulo a x^2 + b x + c, in integers, keeps
+    den * psi(x) = (U + V x)/e: each step multiplies by x, replaces x^2
+    by -(b x + c)/a and adds the next coefficient.  Then w = U + V alpha
+    = e den psi(alpha) satisfies a w^2 - (2aU - bV) w + aU^2 - bUV + cV^2
+    = 0 (substitute alpha = (w - U)/V), and y = psi(alpha) satisfies
+    the same with w = e den y."""
+    U = V = 0
+    e = 1
+    for cf in reversed(num):
+        U, V, e = a * cf * e - V * c, a * U - V * b, a * e
+    ed = e * den
+    coeffs = (a * U * U - b * U * V + c * V * V, -(2 * a * U - b * V) * ed,
+              a * ed * ed)
+    g = math.gcd(*coeffs)
+    if coeffs[2] < 0:
+        g = -g
+    return tuple(k // g for k in coeffs)
+
+
 def _minpoly_of_psi_image(a: int, b: int, c: int, psi: Poly) -> Poly:
     """Primitive integer polynomial vanishing at psi(alpha) for the roots
-    alpha of a x^2 + b x + c (a != 0), by trace and norm over Q:
-    psi = u + v x modulo a x^2 + b x + c, so the two values psi(alpha)
-    have sum T = 2u - v b/a and product N = u^2 - u v b/a + v^2 c/a, and
-    the result is y^2 - T y + N made primitive.  This is the resultant
-    Res_x(a x^2 + b x + c, psi(x) - y) = a^m (y^2 - T y + N) divided by
-    its content."""
-    s, p = Fraction(-b, a), Fraction(c, a)  # alpha + alpha', alpha alpha'
-    u = v = Fraction(0)
-    for cf in reversed(psi.coeffs):
-        # (u + v x) x + cf, with x^2 = s x - p
-        u, v = cf - v * p, u + v * s
-    trace = 2 * u + v * s
-    norm = u * u + u * v * s + v * v * p
-    return Poly.of([norm, -trace, 1]).primitive_int()
+    alpha of a x^2 + b x + c (a != 0): the resultant
+    Res_x(a x^2 + b x + c, psi(x) - y) divided by its content, with
+    positive leading coefficient (see `_psi_image_coeffs`)."""
+    return int_poly(_psi_image_coeffs(a, b, c, *_psi_numerators(psi)))
 
 
 def _is_perfect_square(n: int) -> bool:
@@ -163,6 +200,13 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
     requested) through primitive irreducible integer minimal polynomials
     a x^2 + b x + c with |a|,|b|,|c| <= e^H.  Returns a list of records
     {kind, point, value} in deterministic order.
+
+    A quadratic candidate is scored without root finding: h(x) is half
+    the closed-form log M of its minimal polynomial
+    (`_log_mahler_quadratic`), and h(psi(x)) half that of the image
+    polynomial, which `_psi_image_coeffs` builds in integer arithmetic.
+    Only the minimal polynomials of reported exceptions are solved
+    (`complex_roots`), to place each root in its record.
     """
     if threshold < 0 or H < 0:
         raise ValueError("threshold and H must be >= 0")
@@ -186,6 +230,7 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
         if value < threshold:
             out.append({"kind": "rational", "point": str(P), "value": value})
     if include_quadratic:
+        num, den = _psi_numerators(psi)
         bound = int(math.floor(math.exp(H) + 1e-12))
         # M(P) >= max(|lead|, |const|) and M(P) >= |b|/2 prune the boxes
         ac_max = min(bound, int(math.exp(2.0 * threshold / ell)) + 1)
@@ -193,20 +238,20 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
         for a in range(1, ac_max + 1):
             for c in range(-ac_max, ac_max + 1):
                 for b in range(-b_max, b_max + 1):
-                    if math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:
+                    if math.gcd(a, b, c) != 1:
                         continue
                     disc = b * b - 4 * a * c
                     if disc == 0 or _is_perfect_square(disc):
                         continue  # reducible over Q
-                    hx = height_from_minpoly(int_poly([c, b, a]))
+                    hx = _log_mahler_quadratic(a, b, c) / 2
                     if ell * hx >= threshold:
                         continue
-                    Q = _minpoly_of_psi_image(a, b, c, psi)
-                    himg = height_from_minpoly(Q)
+                    c2, b2, a2 = _psi_image_coeffs(a, b, c, num, den)
+                    himg = _log_mahler_quadratic(a2, b2, c2) / 2
                     value = ell * hx + himg
                     if value < threshold:
                         minpoly = int_poly([c, b, a])
-                        for r in complex_roots(int_poly([c, b, a])):
+                        for r in complex_roots(minpoly):
                             out.append({
                                 "kind": "quadratic",
                                 "point": f"root of {minpoly.to_str()} "

@@ -20,7 +20,7 @@ from .dynamics import (DynSystem, canonical_height, common_preperiodic_scan,
 from .errors import DynheightsError
 from .graphs import (curvature, dirichlet_energy, laplacian_pl,
                      load_graph_json)
-from .mahler import mahler_via_quadrature, mahler_via_roots
+from .mahler import mahler_both, mahler_via_quadrature, mahler_via_roots
 from .places import parse_point, parse_rational, weil_height
 from .polys import parse_poly
 
@@ -131,9 +131,11 @@ def _cmd_scan_pair(args):
 def _cmd_mahler(args):
     P = parse_poly(args.poly)
     results = {}
-    if args.method in ("roots", "both"):
+    if args.method == "both":
+        results["roots"], results["quad"] = mahler_both(P, nodes=args.nodes)
+    elif args.method == "roots":
         results["roots"] = mahler_via_roots(P)
-    if args.method in ("quad", "both"):
+    else:
         results["quad"] = mahler_via_quadrature(P, nodes=args.nodes)
     out = {name: {"log_value": r.log_value, "method": r.method,
                   "error_estimate": r.error_estimate}

@@ -276,9 +276,6 @@ def canonical_height(S: DynSystem, P: ProjPointQ, eps: float = 1e-9) -> float:
     return green_ledger(S, P, eps / 4).total()
 
 
-_ESCAPE_SAFETY = 1.0  # strict inequality margin is not needed; kept explicit
-
-
 def escape_threshold(S: DynSystem) -> float:
     """Weil height beyond which the canonical height is provably positive:
     h_W > (C_arch + log|Res|) / (d-1) forces hhat > 0, since the

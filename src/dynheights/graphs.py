@@ -243,11 +243,6 @@ def pairing(f: PLFunction, mu: DiscreteMeasure) -> Fraction:
     return sum((f(v) * m for v, m in mu.vertex_masses.items()), Fraction(0))
 
 
-def scale_to_real(mu: DiscreteMeasure, log_pi_inv: float) -> dict:
-    """Apply the length unit log|pi|^-1 when leaving exact arithmetic."""
-    return {v: float(m) * log_pi_inv for v, m in mu.vertex_masses.items()}
-
-
 # ---------------------------------------------------------------------------
 # JSON interface
 #

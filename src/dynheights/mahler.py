@@ -16,15 +16,19 @@ the crossings are located by bisection and the integral is assembled as a
 composite trapezoid per smooth piece.  M^+(psi) equals the two-variable
 Mahler measure M(psi(x) - y), for which a tensor-grid double-trapezoid
 oracle is provided as a cross-check.
+
+Each polynomial's roots are found once per call: `mahler_both` shares
+them between the two routes, and `log_mahler_plus` between its two
+grids.  numpy is imported by the quadratures alone; the roots route
+(and `height_from_minpoly`) runs without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .places import ARCH, log_abs_at
 from .polys import Poly
@@ -42,22 +46,44 @@ class MahlerResult:
 
 
 def _float_coeffs(P: Poly):
+    import numpy as np
+
     m = max(abs(c) for c in P.coeffs)
     return np.array([float(c / m) for c in P.coeffs]), m
 
 
 def _eval_on_circle(coeffs_ascending, theta):
+    import numpy as np
+
     z = np.exp(1j * theta)
     return np.polyval(coeffs_ascending[::-1], z)
 
 
-def mahler_via_roots(P: Poly) -> MahlerResult:
-    """log M(P) = log|a_d| + sum over roots of log max(1, |root|)."""
+def _constant_result(P: Poly, method: str):
+    """The exact result for a nonzero constant, None for degree >= 1."""
     if P.is_zero:
         raise ValueError("Mahler measure of the zero polynomial")
     if P.degree() == 0:
-        return MahlerResult(log_abs_at(Fraction(P.coeffs[0]), ARCH), "roots", 0.0)
-    roots = complex_roots(P)
+        return MahlerResult(log_abs_at(Fraction(P.coeffs[0]), ARCH), method,
+                            0.0)
+    return None
+
+
+def _check_nodes(nodes: int):
+    if nodes < 16 or nodes & (nodes - 1):
+        raise ValueError("nodes must be a power of two, >= 16")
+
+
+def mahler_via_roots(P: Poly) -> MahlerResult:
+    """log M(P) = log|a_d| + sum over roots of log max(1, |root|)."""
+    const = _constant_result(P, "roots")
+    if const is not None:
+        return const
+    return _roots_result(P, complex_roots(P))
+
+
+def _roots_result(P: Poly, roots) -> MahlerResult:
+    """Jensen's formula on P's roots (ComplexApprox records)."""
     log_m = log_abs_at(Fraction(P.leading()), ARCH)
     for r in roots:
         mod = abs(r.value)
@@ -74,6 +100,8 @@ def _circle_average_log_abs(P: Poly, nodes: int, roots) -> float:
     The grid is offset by half a step so a root exactly on the unit circle
     never coincides with a node.
     """
+    import numpy as np
+
     coeffs, scale = _float_coeffs(P)
     window = min(_NEAR_CIRCLE_WINDOW, 64.0 / nodes)
     near = [a for a in roots if abs(abs(a) - 1.0) < window]
@@ -90,22 +118,39 @@ def _circle_average_log_abs(P: Poly, nodes: int, roots) -> float:
 def mahler_via_quadrature(P: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
     """log M(P) by the periodic trapezoid rule; the error estimate is the
     node-doubling difference (Richardson-style, not a rigorous enclosure)."""
-    if P.is_zero:
-        raise ValueError("Mahler measure of the zero polynomial")
-    if P.degree() == 0:
-        return MahlerResult(log_abs_at(Fraction(P.coeffs[0]), ARCH),
-                            "quadrature", 0.0)
-    if nodes < 16 or nodes & (nodes - 1):
-        raise ValueError("nodes must be a power of two, >= 16")
-    roots = [r.value for r in complex_roots(P)]
-    fine = _circle_average_log_abs(P, nodes, roots)
-    coarse = _circle_average_log_abs(P, nodes // 2, roots)
+    const = _constant_result(P, "quadrature")
+    if const is not None:
+        return const
+    _check_nodes(nodes)
+    return _quadrature_result(P, nodes, complex_roots(P))
+
+
+def _quadrature_result(P: Poly, nodes: int, roots) -> MahlerResult:
+    """The fine and the coarse grid of `mahler_via_quadrature`, with the
+    near-circle factors taken from P's roots (ComplexApprox records)."""
+    values = [r.value for r in roots]
+    fine = _circle_average_log_abs(P, nodes, values)
+    coarse = _circle_average_log_abs(P, nodes // 2, values)
     return MahlerResult(fine, "quadrature", abs(fine - coarse))
+
+
+def mahler_both(P: Poly, nodes: int = _DEFAULT_NODES):
+    """(`mahler_via_roots(P)`, `mahler_via_quadrature(P, nodes)`) from one
+    root solve, with the same values and errors as the two calls."""
+    const = _constant_result(P, "roots")
+    if const is not None:
+        return const, _constant_result(P, "quadrature")
+    roots = complex_roots(P)
+    by_roots = _roots_result(P, roots)
+    _check_nodes(nodes)
+    return by_roots, _quadrature_result(P, nodes, roots)
 
 
 def _crossings(coeffs, nodes):
     """Angles where |psi(e^{i theta})| = 1, located by bisection between
     sign changes of the coarse grid."""
+    import numpy as np
+
     theta = np.arange(nodes) * (2 * math.pi / nodes)
     g = np.abs(_eval_on_circle(coeffs, theta)) - 1.0
 
@@ -139,13 +184,19 @@ def _crossings(coeffs, nodes):
 
 def _trapezoid_log_abs(coeffs, a, b, n):
     """Composite trapezoid of log|psi(e^{i theta})| over [a, b]."""
+    import numpy as np
+
     theta = np.linspace(a, b, n + 1)
     vals = np.log(np.maximum(np.abs(_eval_on_circle(coeffs, theta)), 1e-300))
     h = (b - a) / n
     return float(h * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
 
 
-def _log_mahler_plus_value(psi: Poly, nodes: int) -> float:
+def _log_mahler_plus_value(psi: Poly, nodes: int, psi_roots) -> float:
+    """log M^+(psi) on one grid; psi_roots() gives psi's roots as complex
+    numbers, for when |psi| > 1 on the whole circle."""
+    import numpy as np
+
     coeffs, scale = _float_coeffs(psi)
     # the clipping max(|psi|, 1) is on the original polynomial: undo the
     # prescale on the evaluated values by folding it into the coefficients
@@ -158,8 +209,7 @@ def _log_mahler_plus_value(psi: Poly, nodes: int) -> float:
     if not cross:
         if float(np.max(absvals)) <= 1.0:
             return 0.0
-        return _circle_average_log_abs(
-            psi, nodes, [r.value for r in complex_roots(psi)])
+        return _circle_average_log_abs(psi, nodes, psi_roots())
     total = 0.0
     for i, a in enumerate(cross):
         b = cross[(i + 1) % len(cross)]
@@ -179,16 +229,15 @@ def log_mahler_plus(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
     """log M^+(psi), the circle average of log max(|psi|, 1)."""
     if psi.is_zero:
         raise ValueError("M^+ of the zero polynomial")
-    if nodes < 16 or nodes & (nodes - 1):
-        raise ValueError("nodes must be a power of two, >= 16")
-    fine = _log_mahler_plus_value(psi, nodes)
-    coarse = _log_mahler_plus_value(psi, nodes // 2)
+    _check_nodes(nodes)
+
+    @functools.cache
+    def psi_roots():
+        return [r.value for r in complex_roots(psi)]
+
+    fine = _log_mahler_plus_value(psi, nodes, psi_roots)
+    coarse = _log_mahler_plus_value(psi, nodes // 2, psi_roots)
     return MahlerResult(fine, "quadrature", abs(fine - coarse))
-
-
-def two_variable_mahler(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
-    """log M(psi(x) - y), computed through the identity with M^+(psi)."""
-    return log_mahler_plus(psi, nodes)
 
 
 def two_variable_grid_oracle(psi: Poly, n1: int = 1024, n2: int = 1024) -> float:
@@ -197,6 +246,8 @@ def two_variable_grid_oracle(psi: Poly, n1: int = 1024, n2: int = 1024) -> float
     Independent tensor-grid route to log M(psi(x) - y); both grids are
     offset by half a step to dodge the logarithmic singularities.
     """
+    import numpy as np
+
     coeffs, scale = _float_coeffs(psi)
     coeffs = coeffs * float(scale)
     t1 = (np.arange(n1) + 0.5) * (2 * math.pi / n1)

@@ -647,14 +647,6 @@ def parse_poly(text: str) -> Poly:
     return out
 
 
-def parse_int_poly(text: str) -> Poly:
-    """Parse and clear denominators to a primitive integer polynomial."""
-    p = parse_poly(text)
-    if p.is_zero:
-        return p
-    return p.primitive_int()
-
-
 def parse_map(text: str) -> HomogPair:
     """Parse a rational self-map of P^1 as a primitive homogeneous pair."""
     out = parse_expr(text)

@@ -14,7 +14,8 @@ multiple roots are reported.
 `aberth_rows` solves many polynomials of one degree at once with the
 same steps in numpy, vectorised over the rows (as in Bini's MPSolve,
 Numer. Algorithms 13, 1996), and hands every row it cannot settle
-cleanly to `aberth`.
+cleanly to `aberth`.  numpy is imported inside `aberth_rows` and its
+helpers only, so `aberth` and `complex_roots` run without it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import RootFindingError
 from .polys import Poly
@@ -191,6 +190,8 @@ def _merge_clusters(points, radius):
 
 def _modulus(z):
     """|z| elementwise, rounded as Python's abs(complex) rounds it."""
+    import numpy as np
+
     return np.hypot(z.real, z.imag)
 
 
@@ -218,6 +219,8 @@ def aberth_rows(C, tol: float = 1e-12):
     reciprocal, so simple roots agree with `aberth` to a few units in the
     last place rather than bit for bit.
     """
+    import numpy as np
+
     C = np.asarray(C, dtype=complex)
     if C.ndim != 2 or C.shape[1] < 2:
         raise ValueError("need an (N, n + 1) coefficient array with n >= 1")
@@ -258,6 +261,8 @@ def _quadratic_rows(A):
     discriminant is formed with the real operations of Python's complex
     product, which numpy would fuse: it cancels at a double root, where
     one rounding moves the roots by sqrt(eps)."""
+    import numpy as np
+
     c, b, a = A[:, 0], A[:, 1], A[:, 2]
     a4r, a4i = 4.0 * a.real, 4.0 * a.imag
     disc = np.empty_like(b)
@@ -276,6 +281,8 @@ def _aberth_sweeps(A, tol):
     constant and leading coefficients, degree n >= 3), vectorised over the
     rows.  Returns (roots, settled); a row that stalled or ran out of
     sweeps is not settled, and its roots are undefined."""
+    import numpy as np
+
     m, n = A.shape[0], A.shape[1] - 1
     moduli = _modulus(A)
     best = np.zeros(m)

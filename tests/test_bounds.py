@@ -2,14 +2,15 @@
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynheights import bounds, polys, roots
-from dynheights.bounds import (DynPair, EmpiricalMeasure,
+from dynheights.bounds import (EmpiricalMeasure, _log_mahler_quadratic,
                                _minpoly_of_psi_image, energy_arch_power,
                                energy_level_curve, pair_bound_power,
                                preimage_measure_stats,
@@ -17,20 +18,13 @@ from dynheights.bounds import (DynPair, EmpiricalMeasure,
                                scan_exceptions, star_discrepancy_angles)
 from dynheights.dynamics import DynSystem
 from dynheights.errors import RootFindingError
-from dynheights.mahler import log_mahler_plus
+from dynheights.mahler import (height_from_minpoly, log_mahler_plus,
+                               mahler_via_roots)
 from dynheights.polys import (HomogPair, Poly, int_poly, parse_poly,
-                              resultant_univ)
+                              rat_poly, resultant_univ)
 from dynheights.roots import aberth
 
 PSI = parse_poly("1 - x")
-
-
-def test_dyn_pair_validation():
-    DynPair(2, PSI)
-    with pytest.raises(ValueError):
-        DynPair(0, PSI)
-    with pytest.raises(ValueError):
-        DynPair(1, int_poly([5]))
 
 
 def test_empirical_measure_weights():
@@ -264,3 +258,174 @@ def test_psi_image_minpoly_matches_resultant_route():
     # Bareiss floor-divided Fractions and gave y^2 - 1 here
     assert (_minpoly_by_resultant(1, -4, -3, parse_poly("x/2 - 1/3"))
             == int_poly([-47, -48, 36]))
+
+
+EPS = 2.0 ** -52
+
+
+def _log_mahler_quadratic_decimal(a, b, c):
+    """log M(a x^2 + b x + c) to 40 digits from its roots, in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        A = Decimal(a)
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            moduli = [(Decimal(c) / A).sqrt()] * 2  # conjugate roots
+        else:
+            s = Decimal(disc).sqrt()
+            moduli = [abs((-b + s) / (2 * A)), abs((-b - s) / (2 * A))]
+        return float(abs(A).ln() + sum(r.ln() for r in moduli if r > 1))
+
+
+coefficient = st.integers(-10 ** 4, 10 ** 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient.filter(bool), coefficient, coefficient)
+@example(9999, -20001, 10002)   # real roots 1.0003 and 1, next to a double
+@example(10000, -20001, 10001)  # roots 1.0001 and 1: roots route off 1.7e-12
+@example(1, 0, -7)
+def test_log_mahler_quadratic_closed_form(a, b, c):
+    closed = _log_mahler_quadratic(a, b, c)
+    ref = _log_mahler_quadratic_decimal(a, b, c)
+    assert abs(closed - ref) <= 4 * EPS * max(1.0, abs(ref))  # a few ulps
+    via_roots = mahler_via_roots(int_poly([c, b, a])).log_value
+    # mahler_via_roots rounds the coefficients when it scales them; near a
+    # double real root that moves the larger root by up to
+    # eps (b^2 + 4|ac|) / (sqrt(disc) (|b| + sqrt(disc))) relative
+    disc = b * b - 4 * a * c
+    slack = 0.0
+    if disc > 0:
+        s = math.sqrt(disc)
+        slack = EPS * (b * b + 4 * abs(a * c)) / (s * (abs(b) + s))
+    assert abs(closed - via_roots) <= 1e-14 + slack
+
+
+def test_log_mahler_quadratic_exact_cases():
+    # conjugate pairs: log max(|a|, |c|)
+    assert _log_mahler_quadratic(1, 1, 1) == 0.0
+    assert _log_mahler_quadratic(3, 2, 5) == math.log(5)
+    assert _log_mahler_quadratic(-7, 1, -2) == math.log(7)
+    # a zero root: log max(|a|, |b|)
+    assert _log_mahler_quadratic(2, -7, 0) == math.log(7)
+    assert _log_mahler_quadratic(5, 3, 0) == math.log(5)
+    # double roots: (3x - 2)^2, (2x + 3)^2, (x - 1)^2
+    assert _log_mahler_quadratic(9, -12, 4) == math.log(9)
+    assert _log_mahler_quadratic(4, 12, 9) == math.log(9)
+    assert _log_mahler_quadratic(1, -2, 1) == 0.0
+    # x^2 - x - 1: the golden ratio
+    assert abs(_log_mahler_quadratic(1, -1, -1)
+               - math.log((1 + math.sqrt(5)) / 2)) <= 1e-16
+    # beyond double range: (10^400 x - 1)(x - 10^400) has log M = 800 log 10
+    big = 10 ** 400
+    assert abs(_log_mahler_quadratic(big, -(big * big + 1), big)
+               - 800 * math.log(10)) <= 1e-12
+
+
+def _minpoly_by_trace_norm(a, b, c, psi):
+    """The image polynomial in Fraction arithmetic: psi = u + v x modulo
+    a x^2 + b x + c, trace T = 2u + v s and norm N = u^2 + u v s + v^2 p
+    (s, p the sum and product of the roots), and y^2 - T y + N made
+    primitive."""
+    s, p = Fraction(-b, a), Fraction(c, a)
+    u = v = Fraction(0)
+    for cf in reversed(psi.coeffs):
+        u, v = cf - v * p, u + v * s
+    trace = 2 * u + v * s
+    norm = u * u + u * v * s + v * v * p
+    return Poly.of([norm, -trace, 1]).primitive_int()
+
+
+fractional_psi = st.lists(st.fractions(-50, 50, max_denominator=12),
+                          min_size=2, max_size=7).map(rat_poly).filter(
+                              lambda P: P.degree() >= 1)
+small = st.integers(-20, 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small.filter(bool), small, small, fractional_psi)
+def test_psi_image_integer_route_matches_fractions(a, b, c, psi):
+    Q = _minpoly_of_psi_image(a, b, c, psi)
+    assert Q == _minpoly_by_trace_norm(a, b, c, psi)
+    assert Q.content() == 1 and Q.leading() > 0
+
+
+def _quadratic_scan_reference(ell, psi, threshold, H):
+    """The quadratic records of `scan_exceptions` as the root-finding
+    route computed them: `height_from_minpoly` of the minimal polynomial
+    and of the Fraction image polynomial for every box point."""
+    bound = int(math.floor(math.exp(H) + 1e-12))
+    ac_max = min(bound, int(math.exp(2.0 * threshold / ell)) + 1)
+    b_max = min(bound, int(2.0 * math.exp(2.0 * threshold / ell)) + 1)
+    out = []
+    for a in range(1, ac_max + 1):
+        for c in range(-ac_max, ac_max + 1):
+            for b in range(-b_max, b_max + 1):
+                if math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:
+                    continue
+                disc = b * b - 4 * a * c
+                if disc == 0 or math.isqrt(max(disc, 0)) ** 2 == disc:
+                    continue
+                minpoly = int_poly([c, b, a])
+                hx = height_from_minpoly(minpoly)
+                if ell * hx >= threshold:
+                    continue
+                himg = height_from_minpoly(
+                    _minpoly_by_trace_norm(a, b, c, psi))
+                value = ell * hx + himg
+                if value < threshold:
+                    for r in roots.complex_roots(minpoly):
+                        out.append({
+                            "kind": "quadratic",
+                            "point": f"root of {minpoly.to_str()} "
+                                     f"near {r.re:.6f}{r.im:+.6f}i",
+                            "minpoly": minpoly.to_str(),
+                            "value": value,
+                        })
+    return out
+
+
+# (psi, threshold / ell): each threshold lets some quadratic points in
+SCAN_CASES = (("1 - x", 0.8), ("3*x + 2", 0.8), ("x^2 + 2*x + 1", 0.8),
+              ("x/2 - 1/3", 0.8), ("3*x^3 - x/5 + 7/4", 1.2))
+
+
+@pytest.mark.parametrize("text, level", SCAN_CASES)
+def test_quadratic_scan_matches_root_finding_route(text, level):
+    psi = parse_poly(text)
+    found = 0
+    for ell in (1, 2, 3):
+        for H in (2.0, 3.0):
+            threshold = level * ell
+            got = [r for r in scan_exceptions(ell, psi, threshold, H,
+                                              include_quadratic=True)
+                   if r["kind"] == "quadratic"]
+            ref = _quadratic_scan_reference(ell, psi, threshold, H)
+            assert len(got) == len(ref), (ell, H)
+            for g, r in zip(got, ref):
+                assert ({k: v for k, v in g.items() if k != "value"}
+                        == {k: v for k, v in r.items() if k != "value"})
+                assert abs(g["value"] - r["value"]) <= 1e-13
+            found += len(got)
+    assert found > 0
+
+
+def test_quadratic_scan_solves_only_reported_exceptions(monkeypatch):
+    calls = {"complex_roots": 0, "aberth": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bounds, "complex_roots",
+                        spy("complex_roots", roots.complex_roots))
+    monkeypatch.setattr(roots, "aberth", spy("aberth", roots.aberth))
+    recs = scan_exceptions(1, parse_poly("x^2 + x - 1"), 0.99, 3.0,
+                           include_quadratic=True)
+    quads = [r for r in recs if r["kind"] == "quadratic"]
+    assert quads and len(quads) % 2 == 0
+    assert calls["complex_roots"] == len({r["minpoly"] for r in quads})
+    assert calls["complex_roots"] == len(quads) // 2
+    assert calls["aberth"] == calls["complex_roots"]

@@ -1,8 +1,14 @@
 """CLI dispatch: JSON shape, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dynheights
 
 from dynheights import cli
 from dynheights.cli import dispatch, to_json
@@ -69,6 +75,21 @@ def test_mahler_both_methods(capsys):
     q = rec["outputs"]["quad"]["log_value"]
     assert abs(r - 0.48121182505960347) < 1e-12
     assert abs(r - q) < 1e-7
+
+
+def test_mahler_both_solves_once(capsys, monkeypatch):
+    from dynheights import mahler
+    argv = ["mahler", "--poly", "x^4 - 3*x + 1", "--nodes", "2048"]
+    _, by_roots = run(capsys, *argv, "--method", "roots")
+    _, by_quad = run(capsys, *argv, "--method", "quad")
+    calls = []
+    real = mahler.complex_roots
+    monkeypatch.setattr(mahler, "complex_roots",
+                        lambda P: calls.append(P) or real(P))
+    code, both = run(capsys, *argv, "--method", "both")
+    assert code == 0 and len(calls) == 1
+    assert both["outputs"] == {"roots": by_roots["outputs"],
+                               "quad": by_quad["outputs"]}
 
 
 def test_bound_and_energy(capsys):
@@ -190,3 +211,29 @@ def test_parser_kept_across_dispatches(capsys):
         fresh.append(outcome(argv))
     assert kept == fresh
     assert [code for code, _, _ in kept] == [0, 0, 2, 0, 2, 0, 0]
+
+
+def test_cli_runs_without_numpy():
+    """Importing the CLI, and the subcommands that need no quadrature,
+    leave numpy unloaded."""
+    script = "\n".join([
+        "import sys",
+        "import dynheights.cli",
+        "assert 'numpy' not in sys.modules, 'import'",
+        "for argv in (['height', '--point', '2/3'],",
+        "             ['canheight', '--map', 'x^2 - 1', '--point', '1/2'],",
+        "             ['scan', '--ell', '1', '--psi', '1 - x',",
+        "              '--threshold', '0.99', '--quadratic'],",
+        "             ['equidist', '--map', 'x^2 - 1', '--target', '2',",
+        "              '--level', '4']):",
+        "    assert dynheights.cli.dispatch(argv) == 0, argv",
+        "    assert 'numpy' not in sys.modules, argv",
+    ])
+    src = str(Path(dynheights.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynheights.mahler import (height_from_minpoly, log_mahler_plus,
                                mahler_via_quadrature, mahler_via_roots,
-                               two_variable_grid_oracle, two_variable_mahler)
+                               two_variable_grid_oracle)
 from dynheights.polys import int_poly, parse_poly
 
 # independently computed (40-digit quadrature of log(2 sin(t/2)) over the
@@ -111,8 +111,7 @@ def test_log_mahler_plus_dominated():
 
 def test_two_variable_identity_and_oracle():
     psi = parse_poly("1 - x")
-    res = two_variable_mahler(psi)
-    assert res.log_value == log_mahler_plus(psi).log_value
+    res = log_mahler_plus(psi)
     oracle = two_variable_grid_oracle(psi, 1024, 1024)
     assert abs(res.log_value - oracle) < 1e-3
 
@@ -127,7 +126,7 @@ def test_height_from_minpoly_degree_normalization():
     assert abs(height_from_minpoly(P) - 0.5 * math.log(2)) < 1e-12
 
 
-def test_quadrature_finds_roots_once(monkeypatch):
+def _spy_complex_roots(monkeypatch):
     from dynheights import mahler
     calls = []
     real = mahler.complex_roots
@@ -137,5 +136,31 @@ def test_quadrature_finds_roots_once(monkeypatch):
         return real(P)
 
     monkeypatch.setattr(mahler, "complex_roots", spy)
+    return calls
+
+
+def test_quadrature_finds_roots_once(monkeypatch):
+    calls = _spy_complex_roots(monkeypatch)
     mahler_via_quadrature(parse_poly("x^4 - x - 1"), nodes=1024)
     assert len(calls) == 1
+
+
+def test_log_mahler_plus_finds_roots_once(monkeypatch):
+    # |psi| > 1 on the whole circle: both grids use psi's roots
+    calls = _spy_complex_roots(monkeypatch)
+    res = log_mahler_plus(parse_poly("3*x^2 + 2*x + 5"), nodes=1024)
+    assert len(calls) == 1
+    assert abs(res.log_value - math.log(5)) < 1e-12
+
+
+def test_mahler_both_matches_separate_calls(monkeypatch):
+    from dynheights.mahler import mahler_both
+    for text in ("x^4 - x - 1", "3*x^2 + 2*x + 5", "7", "x^5 - 55*x^6 + x^7"):
+        P = parse_poly(text)
+        separate = (mahler_via_roots(P), mahler_via_quadrature(P, nodes=1024))
+        calls = _spy_complex_roots(monkeypatch)
+        assert mahler_both(P, nodes=1024) == separate
+        assert len(calls) == (P.degree() > 0)
+        monkeypatch.undo()
+    with pytest.raises(ValueError):
+        mahler_both(parse_poly("x - 2"), nodes=1000)
