@@ -28,42 +28,47 @@ from fractions import Fraction
 
 from .errors import DegenerateMapError, DistortionBoundError
 from .places import ARCH, Place, ProjPointQ, weil_height, weil_height_exact
-from .polys import (HomogPair, Poly, bareiss_det, factorize, homog_step,
-                    sylvester_matrix)
+from .polys import HomogPair, factorize, homog_step, sylvester_matrix
 
 _GREEN_MAX_STEPS = 4000
 
 
-def _adjugate_last_row(rows):
-    """Last row of the adjugate of an integer matrix, via Cramer: entries
-    are signed minors, computed with the fraction-free determinant."""
-    n = len(rows)
-    out = []
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[:-1]]
-        det = bareiss_det(minor) if minor else 1
-        out.append((-1) ** (j + n - 1) * det)
-    return out
-
-
 def _cofactor_max(F: HomogPair) -> int:
     """Max |coefficient| among the Nullstellensatz cofactors G_i, H_i with
-    G0 F0 + G1 F1 = Res * Y^(2d-1) and H0 F0 + H1 F1 = Res * X^(2d-1),
-    read off the Sylvester adjugate (one row per side)."""
-    best = 0
-    for side in (0, 1):
-        if side == 0:
-            f_desc = list(reversed(F.f0))
-            g_desc = list(reversed(F.f1))
-        else:
-            f_desc = list(F.f0)
-            g_desc = list(F.f1)
-        rows = sylvester_matrix(f_desc, g_desc)
-        # u f + v g = det: coefficient row w solves w M = det * e_last
-        last = _adjugate_last_row([list(map(int, r)) for r in
-                                   [list(x) for x in zip(*rows)]])
-        best = max(best, max(abs(c) for c in last))
-    return best
+    G0 F0 + G1 F1 = Res * Y^(2d-1) and H0 F0 + H1 F1 = Res * X^(2d-1).
+
+    With M the Sylvester matrix of the forms (descending coefficients),
+    the coefficient rows w of (G0, G1) and of (H0, H1) up to sign solve
+    w M = Res e_last and w M = Res e_first: H comes from the Sylvester
+    matrix of the reversed coefficients, which is M with its columns and
+    the rows of each block reversed, so its e_last solution is the e_first
+    solution of M reordered, up to sign.  Both are the columns
+    adj(M^T) e_last and adj(M^T) e_first, read off one fraction-free
+    (Bareiss) Gauss-Jordan elimination of M^T augmented with e_last and
+    e_first, in O(d^3) integer operations.
+    """
+    rows = sylvester_matrix(list(reversed(F.f0)), list(reversed(F.f1)))
+    n = len(rows)
+    # augmented transpose [M^T | e_last e_first]
+    m = [[rows[j][i] for j in range(n)] + [int(i == n - 1), int(i == 0)]
+         for i in range(n)]
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:  # Res != 0, so some row below has a pivot
+            i = next(i for i in range(k + 1, n) if m[i][k] != 0)
+            m[k], m[i] = m[i], m[k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            a = row[k]
+            for j in range(k + 1, n + 2):
+                row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
+    return max(max(abs(r[n]), abs(r[n + 1])) for r in m)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,16 @@ class DegenerateMapError(DynheightsError):
     """Resultant vanishes: the two forms share a projective root."""
 
 
+class FactorizationError(DynheightsError):
+    """Raised for an integer without a prime factorization (zero)."""
+
+
+class CoefficientRangeError(DynheightsError):
+    """The coefficients of a polynomial span more than double precision
+    holds: scaled by the largest, the leading one falls below the normal
+    double range."""
+
+
 class DistortionBoundError(DynheightsError):
     """The certified archimedean distortion constant C_arch of a map
     failed its spot check."""

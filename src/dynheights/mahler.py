@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .places import ARCH, log_abs_at
 from .polys import Poly
-from .roots import complex_roots
+from .roots import complex_roots, prescale
 
 _NEAR_CIRCLE_WINDOW = 0.05  # roots this close to |z|=1 are handled by Jensen
 _DEFAULT_NODES = 16384
@@ -48,8 +48,8 @@ class MahlerResult:
 def _float_coeffs(P: Poly):
     import numpy as np
 
-    m = max(abs(c) for c in P.coeffs)
-    return np.array([float(c / m) for c in P.coeffs]), m
+    scaled, m = prescale(P.coeffs)
+    return np.array(scaled), m
 
 
 def _eval_on_circle(coeffs_ascending, theta):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateMapError, ParseError
+from .errors import DegenerateMapError, FactorizationError, ParseError
 from .places import ProjPointQ, normalize_proj
 
 
@@ -413,16 +413,58 @@ def resultant(F: HomogPair) -> int:
     return bareiss_det(sylvester_matrix(f_desc, g_desc))
 
 
+# Primes up to this bound are found by trial division, larger ones by
+# Pollard-Brent rho; a cofactor with no prime factor up to the bound and
+# below its square is therefore prime.
+_TRIAL_BOUND = 1024
+# Strong Miller-Rabin to the first 13 prime bases decides primality below
+# _MR_PROVEN, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+_RHO_BATCH = 128  # rho steps whose differences share one gcd
+
+
 def factorize(n: int) -> dict:
-    """Prime factorization by trial division (desk-scale inputs)."""
-    n = abs(n)
+    """Prime factorization of a nonzero integer's absolute value, as
+    {prime: exponent} in ascending order of the primes.
+
+    Trial division takes out the primes up to _TRIAL_BOUND; Pollard-Brent
+    rho (Brent, BIT 20 (1980)) splits what is left into factors, and strong
+    Miller-Rabin to the bases 2, ..., 41 proves each one prime below
+    _MR_PROVEN.  A probable prime at or above that bound is trial-divided
+    to its square root, so every prime reported is proven; that is the only
+    route on which the cost grows like sqrt(n), as it did for every input
+    under plain trial division.  Raises FactorizationError for 0.
+    """
+    if n == 0:
+        raise FactorizationError("0 has no prime factorization")
     out = {}
+    rest, done = _trial_divide(abs(n), out, _TRIAL_BOUND)
+    stack = [] if done else [rest]
+    while stack:
+        m = stack.pop()
+        if m >= _TRIAL_BOUND ** 2 and not _strong_probable_prime(m):
+            d = _pollard_brent(m)
+            stack += [d, m // d]
+        elif m < _MR_PROVEN:
+            out[m] = out.get(m, 0) + 1
+        else:
+            _trial_divide(m, out, math.inf)
+    return dict(sorted(out.items()))
+
+
+def _trial_divide(n: int, out: dict, limit):
+    """Divide out of n >= 1 the primes p <= limit with p^2 <= n, counting
+    them in `out`; returns the cofactor and whether it is 1 or prime."""
     for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     q = 5
     while q * q <= n:
+        if q > limit:
+            return n, False
         for p in (q, q + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
@@ -430,7 +472,55 @@ def factorize(n: int) -> dict:
         q += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return n, True
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Strong Miller-Rabin test of an odd n > 41 to the bases _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of an odd composite n, by Brent's variant of
+    Pollard's rho on x -> x^2 + c, for c = 1, 2, ... until one splits n."""
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: step back one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+        c += 1
 
 
 def homog_step(F: HomogPair, P: ProjPointQ):
@@ -480,50 +570,111 @@ def _tokenize(text: str):
     return tokens
 
 
+def _sparse_add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b for sparse polynomials {exponent: nonzero Fraction}."""
+    out = dict(a)
+    for k, c in b.items():
+        v = out.get(k, 0) + (c if sign > 0 else -c)
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
+def _sparse_mul(a: dict, b: dict) -> dict:
+    """Product of sparse polynomials; touches only the nonzero terms."""
+    if len(a) == 1 and len(b) == 1:
+        (i, x), = a.items()
+        (j, y), = b.items()
+        return {i + j: x * y}
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _sparse_pow(a: dict, n: int) -> dict:
+    """a^n for n >= 0; a monomial stays one term."""
+    if len(a) == 1:
+        (k, c), = a.items()
+        return {k * n: c ** n}
+    out = {0: Fraction(1)}
+    while n:
+        if n & 1:
+            out = _sparse_mul(out, a)
+        n >>= 1
+        if n:
+            a = _sparse_mul(a, a)
+    return out
+
+
+def _dense(a: dict) -> Poly:
+    """The dense Poly (Fraction coefficients) of a sparse polynomial."""
+    return Poly(tuple(a.get(k, Fraction(0))
+                      for k in range(max(a, default=-1) + 1)))
+
+
 class _RatFunc:
-    """num/den as Fraction-coefficient polynomials; reduced lazily."""
+    """num/den as sparse polynomials {exponent: nonzero Fraction};
+    reduced once, at the end of a parse."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly):
+    def __init__(self, num: dict, den: dict):
         self.num = num
         self.den = den
 
     @staticmethod
     def const(c):
-        return _RatFunc(Poly.const(Fraction(c)), Poly.const(Fraction(1)))
+        return _RatFunc({0: Fraction(c)} if c else {}, {0: Fraction(1)})
+
+    @staticmethod
+    def var():
+        return _RatFunc({1: Fraction(1)}, {0: Fraction(1)})
 
     def __add__(self, o):
         if self.den == o.den:  # every term of a polynomial has den 1
-            return _RatFunc(self.num + o.num, self.den)
-        return _RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+            return _RatFunc(_sparse_add(self.num, o.num), self.den)
+        return _RatFunc(_sparse_add(_sparse_mul(self.num, o.den),
+                                    _sparse_mul(o.num, self.den)),
+                        _sparse_mul(self.den, o.den))
 
     def __sub__(self, o):
         if self.den == o.den:
-            return _RatFunc(self.num - o.num, self.den)
-        return _RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+            return _RatFunc(_sparse_add(self.num, o.num, -1), self.den)
+        return _RatFunc(_sparse_add(_sparse_mul(self.num, o.den),
+                                    _sparse_mul(o.num, self.den), -1),
+                        _sparse_mul(self.den, o.den))
 
     def __mul__(self, o):
-        return _RatFunc(self.num * o.num, self.den * o.den)
+        return _RatFunc(_sparse_mul(self.num, o.num),
+                        _sparse_mul(self.den, o.den))
 
     def __truediv__(self, o):
-        return _RatFunc(self.num * o.den, self.den * o.num)
+        return _RatFunc(_sparse_mul(self.num, o.den),
+                        _sparse_mul(self.den, o.num))
 
     def pow(self, n):
         if n >= 0:
-            return _RatFunc(self.num ** n, self.den ** n)
-        return _RatFunc(self.den ** (-n), self.num ** (-n))
+            return _RatFunc(_sparse_pow(self.num, n), _sparse_pow(self.den, n))
+        return _RatFunc(_sparse_pow(self.den, -n), _sparse_pow(self.num, -n))
 
     def reduced(self):
-        """(num, den) with gcd removed and denominator made primitive in
-        sign (positive leading coefficient)."""
-        if self.den.is_zero:
+        """Dense (num, den) without common factor.  A constant denominator
+        is returned as it is; otherwise the gcd is removed and the
+        denominator made positive in its leading coefficient."""
+        if not self.den:
             raise DegenerateMapError("division by the zero polynomial")
-        if self.num.is_zero:
+        num, den = _dense(self.num), _dense(self.den)
+        if den.degree() == 0:
+            return num, den
+        if num.is_zero:
             return Poly(()), Poly.const(Fraction(1))
-        g = poly_gcd(self.num, self.den)
-        num = _poly_div_exact(self.num, g)
-        den = _poly_div_exact(self.den, g)
+        g = poly_gcd(num, den)
+        num = _poly_div_exact(num, g)
+        den = _poly_div_exact(den, g)
         if den.leading() < 0:
             num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
         return num, den
@@ -620,8 +771,7 @@ class _Parser:
             elif self.var != tok[1]:
                 raise ParseError(
                     f"two distinct variables {self.var!r} and {tok[1]!r}", tok[2])
-            return _RatFunc(Poly.of([Fraction(0), Fraction(1)]),
-                            Poly.const(Fraction(1)))
+            return _RatFunc.var()
         if tok[0] == "(":
             v = self.expr()
             self.expect(")")

@@ -24,8 +24,9 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import RootFindingError
+from .errors import CoefficientRangeError, RootFindingError
 from .polys import Poly
 
 _START_ANGLE = 0.437  # fixed irrational-ish rotation of the start circle
@@ -56,6 +57,32 @@ def _horner(coeffs, z):
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
+
+
+def _log10_abs(c) -> float:
+    """log10 |c| of a nonzero int or Fraction of any size."""
+    c = Fraction(c)
+    return math.log10(abs(c.numerator)) - math.log10(c.denominator)
+
+
+def prescale(coeffs):
+    """(floats, m): exact ascending coefficients divided by their largest
+    modulus m, so huge coefficients cannot overflow (int / int and
+    Fraction division both round correctly).
+
+    Raises CoefficientRangeError when the leading coefficient falls below
+    the normal double range after the division: its roots would be lost
+    to a degree drop, or computed from a subnormal with few digits.
+    """
+    m = max(abs(c) for c in coeffs)
+    scaled = [float(c / m) for c in coeffs]
+    if abs(scaled[-1]) < sys.float_info.min:
+        raise CoefficientRangeError(
+            "coefficient moduli span 10^%.1f (leading) to 10^%.1f "
+            "(largest), beyond the double range: the leading coefficient "
+            "underflows when scaled by the largest"
+            % (_log10_abs(coeffs[-1]), _log10_abs(m)))
+    return scaled, m
 
 
 def fujiwara_bound(coeffs) -> float:
@@ -362,10 +389,7 @@ def complex_roots(P: Poly, tol: float = 1e-12):
     """
     if P.degree() < 1:
         raise ValueError("need degree >= 1")
-    # exact prescaling so huge integer coefficients cannot overflow float
-    # (int / int and Fraction division both round correctly)
-    m = max(abs(c) for c in P.coeffs)
-    scaled = [float(c / m) for c in P.coeffs]
+    scaled, _ = prescale(P.coeffs)
     zs = aberth(scaled, tol=tol)
     max_eta = _BACKWARD_ERROR_UNITS * P.degree() * sys.float_info.epsilon
     moduli = [abs(c) for c in scaled]

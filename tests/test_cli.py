@@ -1,6 +1,7 @@
 """CLI dispatch: JSON shape, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +176,21 @@ def test_parse_failure_exit_1(capsys):
     code, rec = run(capsys, "mahler", "--poly", "x^^2")
     assert code == 1
     assert rec["outputs"]["error"] == "ParseError"
+
+
+def test_coefficient_range_failure_exit_1(capsys):
+    """A leading coefficient that underflows when scaled by the largest
+    is a typed error naming the range, on every mahler route."""
+    for method in ("roots", "quad", "both"):
+        code, rec = run(capsys, "mahler", "--poly", "x^2 + 10^400",
+                        "--method", method, "--nodes", "64")
+        assert code == 1
+        assert rec["outputs"]["error"] == "CoefficientRangeError"
+        assert "10^0.0 (leading) to 10^400.0" in rec["outputs"]["message"]
+    # an underflowing constant term only loses a root of modulus 10^-200
+    code, rec = run(capsys, "mahler", "--poly", "10^400*x^2 + 1")
+    assert code == 0
+    assert abs(rec["outputs"]["log_value"] - 400 * math.log(10)) < 1e-12
 
 
 def test_selftest_filter(capsys):

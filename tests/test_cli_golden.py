@@ -1,0 +1,88 @@
+"""Golden CLI records: each case's stdout must match the committed file
+byte for byte.
+
+The records in tests/golden/ pin the CLI output across refactors and
+speedups.  `selftest` is left out because its records carry wall times.
+To write the records again (only when an output change is intended and
+recorded), run from the root of a checkout:
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+"""
+
+import os
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from dynheights.cli import dispatch
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+GRAPH = "tests/golden/graph.json"  # relative, since the record echoes it
+
+CASES = {
+    "height": ["height", "--point=-22/7"],
+    "canheight_poly": ["canheight", "--map", "x^2 - 29/16",
+                       "--point", "1/4", "--per-place"],
+    "canheight_rational": ["canheight", "--map",
+                           "(3*x^4 - 7*x + 11)/(5*x^3 + 2*x^2 - 13)",
+                           "--point=-5/7", "--per-place"],
+    "canheight_large_prime": ["canheight", "--map",
+                              "(x^3 + 1234567*x + 89)/(x^2 + 98765*x + 4321)",
+                              "--point", "2/9", "--per-place",
+                              "--eps", "1e-7"],
+    "preperiodic_cycle": ["preperiodic", "--map", "x^2 - 29/16",
+                          "--point", "1/4"],
+    "preperiodic_escape": ["preperiodic", "--map", "(x^2 - 1)/(4*x)",
+                           "--point", "3"],
+    "scan_pair": ["scan-pair", "--phi", "x^2", "--psi", "x^2 - 1",
+                  "--max-height", "2"],
+    "mahler_both": ["mahler", "--poly", "x^3 - x - 1", "--method", "both",
+                    "--nodes", "4096"],
+    "bound": ["bound", "--ell", "2", "--psi", "1 - x", "--nodes", "4096"],
+    "energy": ["energy", "--phi", "x^2", "--psi", "1 - x",
+               "--nodes", "1024"],
+    "scan_quadratic": ["scan", "--ell", "2", "--psi", "x + 1",
+                       "--threshold", "0.8", "--max-height", "2",
+                       "--quadratic"],
+    "equidist": ["equidist", "--map", "(x^2 - 1)/(2*x + 3)", "--target",
+                 "1/2", "--level", "3", "--moments", "4"],
+    "graph_curvature": ["graph", "curvature", "--file", GRAPH],
+    "graph_energy": ["graph", "energy", "--file", GRAPH],
+    "parse_error": ["canheight", "--map", "(x^2 + 3)/(x - ", "--point", "1"],
+    "degenerate_map": ["preperiodic", "--map", "(x^2 - 1)/(x + 1)",
+                       "--point", "2"],
+}
+
+
+def _record(argv):
+    """(exit code, stdout) of one dispatch, run from the checkout root."""
+    buf = StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with redirect_stdout(buf):
+            code = dispatch(argv)
+    finally:
+        os.chdir(cwd)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_golden(name):
+    code, out = _record(CASES[name])
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    want_code = 1 if name in ("parse_error", "degenerate_map") else 0
+    assert code == want_code
+    assert out == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        _, out = _record(argv)
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        sys.stdout.write(f"{name}: {len(out)} bytes\n")

@@ -17,7 +17,8 @@ from dynheights import dynamics
 from dynheights.errors import (DegenerateMapError, DistortionBoundError,
                                DynheightsError)
 from dynheights.places import ARCH, Place, ProjPointQ, weil_height
-from dynheights.polys import factorize, homog_step, parse_map
+from dynheights.polys import (HomogPair, bareiss_det, factorize, homog_step,
+                              parse_map, sylvester_matrix)
 
 # canonical height of 0 under z^2 + 1, frozen from the exact recursion
 # a_{n+1} = a_n^2 + 1 evaluated in 40-digit log arithmetic to n = 221
@@ -58,6 +59,73 @@ def test_resultant_valuations_read_not_refactored(monkeypatch):
     assert green_ledger(S, P, 1e-10).per_place == before
     assert [finite_ledger_exact(S, P, p, 1e-10)
             for p in S.bad_primes] == ledgers
+
+
+def _cofactor_max_by_minors(F):
+    """The Cramer route: each side's cofactor row as 2d signed minors of
+    the transposed Sylvester matrix, one Bareiss determinant each."""
+    best = 0
+    for f_desc, g_desc in ((F.f0[::-1], F.f1[::-1]), (F.f0, F.f1)):
+        rows = [list(col) for col in zip(*sylvester_matrix(list(f_desc),
+                                                           list(g_desc)))]
+        n = len(rows)
+        for j in range(n):
+            minor = [r[:j] + r[j + 1:] for r in rows[:-1]]
+            best = max(best, abs(bareiss_det(minor) if minor else 1))
+    return best
+
+
+@st.composite
+def nondegenerate_pairs(draw):
+    """Pairs of degree 2-7 with coefficients up to 10^8, some with
+    vanishing leading or trailing terms."""
+    d = draw(st.integers(2, 7))
+    bound = draw(st.sampled_from([3, 1000, 10 ** 8]))
+    coeffs = st.lists(st.integers(-bound, bound), min_size=d + 1,
+                      max_size=d + 1)
+    f0, f1 = draw(coeffs), draw(coeffs)
+    if draw(st.booleans()):
+        f0[-1] = 0
+    if draw(st.booleans()):
+        f1[0] = 0
+    if draw(st.booleans()):
+        f1[-1] = 0
+    try:
+        return HomogPair.of(f0, f1)
+    except DegenerateMapError:
+        return HomogPair.of([1] + [0] * d, [0] * d + [1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(nondegenerate_pairs())
+def test_cofactor_max_matches_minors(F):
+    assert dynamics._cofactor_max(F) == _cofactor_max_by_minors(F)
+
+
+@pytest.mark.parametrize("text, formula", [
+    ("x^2 - 29/16", (4.465908118654584, 21.38912252454505, 29, 7424)),
+    ("(3*x^4 - 7*x + 11)/(5*x^3 + 2*x^2 - 13)",
+     (4.174387269895637, 29.937706162243753, 13, 1467557)),
+    ("(x^3 + 1234567*x + 89)/(x^2 + 98765*x + 4321)",
+     (15.412525220399552, 97.63349138605369, 1234567,
+      8088944692380716611622)),
+    ("(2*x^2 - 3)/(3*x^2 - 2*x - 2)",
+     (2.1972245773362196, 4.477336814478207, 3, 22)),
+    ("(x^2 - 1)/(4*x)", (2.4849066497880004, 6.931471805599452, 4, 16)),
+    ("x^5 - 3*x^4 + 2/7", (4.836281906951478, 44.76676289766162, 21,
+                           9794396899)),
+    ("(x^7 - 3*x^2 + 5)/(2*x^6 + x^5 - 7*x)",
+     (4.02535169073515, 34.256102711620954, 7, 11523505)),
+    ("(4*x^6 - x^3 + 9)/(x^6 + 3*x^5 - 2)",
+     (4.143134726391533, 40.05934127071416, 9, 117934785)),
+])
+def test_c_formula_pinned(text, formula):
+    """C_arch's ingredients, frozen from the Cramer-route implementation."""
+    S = DynSystem.from_expr(text)
+    upper, lower, max_coeff, max_cofactor = formula
+    assert S.c_formula == {"upper": upper, "lower": lower,
+                           "max_coeff": max_coeff,
+                           "max_cofactor": max_cofactor}
 
 
 def test_distortion_violation_is_typed():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dynheights.errors import DegenerateMapError, ParseError
+from dynheights import polys
 from dynheights.places import ProjPointQ
 from dynheights.polys import (HomogPair, Poly, bareiss_det, factorize,
                               homog_step, int_poly, parse_expr, parse_map,
@@ -254,3 +255,103 @@ def test_parse_round_trip_random_coefficients(coeffs):
      (1, 0, 4, 0, -1), (-1, 0, 0, 0, 1))])
 def test_rational_maps_parse(text, f0, f1):
     assert parse_expr(text) == HomogPair(f0, f1)
+
+
+class _DenseRatFunc:
+    """The dense parser value: num/den as Fraction-coefficient Polys,
+    reduced at the end; the reference for the sparse `polys._RatFunc`."""
+
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def const(c):
+        return _DenseRatFunc(Poly.const(Fraction(c)), Poly.const(Fraction(1)))
+
+    @staticmethod
+    def var():
+        return _DenseRatFunc(Poly.of([Fraction(0), Fraction(1)]),
+                             Poly.const(Fraction(1)))
+
+    def __add__(self, o):
+        if self.den == o.den:
+            return _DenseRatFunc(self.num + o.num, self.den)
+        return _DenseRatFunc(self.num * o.den + o.num * self.den,
+                             self.den * o.den)
+
+    def __sub__(self, o):
+        if self.den == o.den:
+            return _DenseRatFunc(self.num - o.num, self.den)
+        return _DenseRatFunc(self.num * o.den - o.num * self.den,
+                             self.den * o.den)
+
+    def __mul__(self, o):
+        return _DenseRatFunc(self.num * o.num, self.den * o.den)
+
+    def __truediv__(self, o):
+        return _DenseRatFunc(self.num * o.den, self.den * o.num)
+
+    def pow(self, n):
+        if n >= 0:
+            return _DenseRatFunc(self.num ** n, self.den ** n)
+        return _DenseRatFunc(self.den ** (-n), self.num ** (-n))
+
+    def reduced(self):
+        if self.den.is_zero:
+            raise DegenerateMapError("division by the zero polynomial")
+        if self.num.is_zero:
+            return Poly(()), Poly.const(Fraction(1))
+        g = poly_gcd(self.num, self.den)
+        num = polys._poly_div_exact(self.num, g)
+        den = polys._poly_div_exact(self.den, g)
+        if den.leading() < 0:
+            num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
+        return num, den
+
+
+def _outcome(text):
+    """What parse_expr makes of text: the value with the type of each
+    coefficient, or the error with its message."""
+    try:
+        v = parse_expr(text)
+    except (ParseError, DegenerateMapError) as exc:
+        return type(exc).__name__, str(exc)
+    coeffs = v.coeffs if isinstance(v, Poly) else v.f0 + v.f1
+    return v, [type(c) for c in coeffs]
+
+
+_leaves = st.one_of(st.integers(1, 12).map(str),
+                    st.sampled_from(["x", "x", "x", "0", "x/3", "2*x"]))
+
+
+def _combine(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        pair.map(lambda t: f"{t[0]} + {t[1]}"),
+        pair.map(lambda t: f"{t[0]} - {t[1]}"),
+        pair.map(lambda t: f"{t[0]}*{t[1]}"),
+        pair.map(lambda t: f"({t[0]})/({t[1]})"),
+        pair.map(lambda t: f"{t[0]}/{t[1]}"),
+        children.map(lambda a: f"-({a})"),
+        st.tuples(children, st.integers(-3, 3)).map(
+            lambda t: f"({t[0]})^{t[1]}"))
+
+
+expressions = st.recursive(_leaves, _combine, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions, st.integers(0, 10 ** 6), st.sampled_from(
+    ["", "", "+", "-", "*", "/", "^", "(", ")", "x", "2", "y", " "]))
+def test_sparse_parser_matches_dense_route(text, where, edit):
+    """Same Poly or HomogPair, coefficient types and errors (with their
+    positions) as the dense route, on expressions and on one-character
+    edits of them."""
+    i = where % (len(text) + 1)
+    for t in (text, text[:i] + edit + text[i + 1:]):
+        sparse = _outcome(t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polys, "_RatFunc", _DenseRatFunc)
+            dense = _outcome(t)
+        assert sparse == dense, t
