@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import DynSystem, rational_points_up_to_height
-from .errors import RootFindingError
+from .errors import CoefficientRangeError, RootFindingError
 from .mahler import log_mahler_plus
-from .places import weil_height
+from .places import ARCH, log_abs_at, weil_height
 from .polys import Poly, int_poly
-from .roots import aberth, aberth_rows, complex_roots
+from .roots import aberth, aberth_rows, complex_roots, prescale
 
 _CIRCLE_BAND = 1e-6  # |z| band for circle moments
 _BLOCK_ROWS = 256  # level-curve nodes solved together; bounds peak memory
@@ -96,8 +96,15 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
         raise ValueError("degrees must be >= 1")
     if nodes < 64:
         raise ValueError("need at least 64 nodes")
-    phic = np.array([complex(c) for c in phi.coeffs])
-    psi_desc = np.array([complex(c) for c in reversed(psi.coeffs)])
+    try:
+        phic = np.array([complex(c) for c in phi.coeffs])
+    except OverflowError:
+        raise CoefficientRangeError(
+            "a coefficient of phi is beyond the double range") from None
+    # psi = scale * psi_s: |psi| > 1 and log|psi| are taken in log space
+    psi_s, scale = prescale(psi.coeffs)
+    psi_desc = np.array(psi_s[::-1], dtype=complex)
+    floor, log_scale = float(Fraction(1) / scale), log_abs_at(scale, ARCH)
     total = 0.0
     skipped = 0
     step = 2 * math.pi / nodes
@@ -117,7 +124,8 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
             pre = pre[~failed]
         vals = np.polyval(psi_desc, pre)
         mod = np.hypot(vals.real, vals.imag)  # rounded as abs(complex)
-        total += float(np.log(mod[mod > 1.0]).sum())
+        above = mod > floor
+        total += float(np.log(mod[above]).sum()) + int(above.sum()) * log_scale
     if skipped > max(1, nodes // 100):
         raise RootFindingError(
             f"{skipped} of {nodes} level-curve nodes failed to solve")

@@ -11,11 +11,17 @@ Two independent routes to log M(P):
   and only the smooth remainder is integrated.
 
 The one-sided variant M^+(psi) = exp of the circle average of
-log max(|psi|, 1) has corner singularities where |psi(e^{i theta})| = 1;
-the crossings are located by bisection and the integral is assembled as a
-composite trapezoid per smooth piece.  M^+(psi) equals the two-variable
-Mahler measure M(psi(x) - y), for which a tensor-grid double-trapezoid
-oracle is provided as a cross-check.
+log max(|psi|, 1) has corners where |psi(e^{i theta})| = 1, which cost the
+trapezoid rule its spectral rate (Trefethen & Weideman, SIAM Rev. 2014).
+log|psi| is evaluated once on the grid of `nodes` angles; its sign changes
+and exact zeros bracket the crossings, which are refined all at once by
+bisection and a secant step (log|psi| vanishes there, so an endpoint error
+d costs O(d^2)).  On each arc where |psi| > 1 the integrand is analytic
+and gets composite 16-point Gauss-Legendre panels, about one node per grid
+cell, evaluated in one pass: machine precision.  The one limit: two
+crossings inside one grid cell are missed, an O(h^2) error (h = 2 pi /
+nodes).  Without a crossing M^+ is 1 or M(psi).  M^+(psi) = M(psi(x) - y),
+and a tensor-grid double-trapezoid oracle of the latter cross-checks it.
 
 Each polynomial's roots are found once per call: `mahler_both` shares
 them between the two routes, and `log_mahler_plus` between its two
@@ -27,15 +33,27 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .places import ARCH, log_abs_at
 from .polys import Poly
-from .roots import complex_roots, prescale
+from .roots import _horner, complex_roots, prescale
 
 _NEAR_CIRCLE_WINDOW = 0.05  # roots this close to |z|=1 are handled by Jensen
 _DEFAULT_NODES = 16384
+_HALVINGS = 12  # of a grid cell, before the secant step on each crossing
+_EPS = sys.float_info.epsilon
+# the positive Gauss-Legendre nodes of order 16 on [-1, 1] (the others are
+# their negatives) and their weights, pinned: numpy.polynomial costs memory
+_GL_ORDER = 16
+_GL_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+         0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+         0.9445750230732326, 0.9894009349916499)
+_GL_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+         0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+         0.062253523938647456, 0.027152459411754176)
 
 
 @dataclass(frozen=True)
@@ -50,13 +68,6 @@ def _float_coeffs(P: Poly):
 
     scaled, m = prescale(P.coeffs)
     return np.array(scaled), m
-
-
-def _eval_on_circle(coeffs_ascending, theta):
-    import numpy as np
-
-    z = np.exp(1j * theta)
-    return np.polyval(coeffs_ascending[::-1], z)
 
 
 def _constant_result(P: Poly, method: str):
@@ -98,7 +109,8 @@ def _circle_average_log_abs(P: Poly, nodes: int, roots) -> float:
     `roots` are P's roots as complex numbers.
 
     The grid is offset by half a step so a root exactly on the unit circle
-    never coincides with a node.
+    never coincides with a node.  The near-circle factors are divided out
+    as one product, so the logarithm is taken once per node.
     """
     import numpy as np
 
@@ -107,11 +119,14 @@ def _circle_average_log_abs(P: Poly, nodes: int, roots) -> float:
     near = [a for a in roots if abs(abs(a) - 1.0) < window]
     theta = (np.arange(nodes) + 0.5) * (2 * math.pi / nodes)
     z = np.exp(1j * theta)
-    vals = np.log(np.maximum(np.abs(np.polyval(coeffs[::-1], z)), 1e-300))
-    exact = 0.0
-    for a in near:
-        vals -= np.log(np.maximum(np.abs(z - a), 1e-300))
-        exact += max(0.0, math.log(abs(a))) if a != 0 else 0.0
+    vals = np.polyval(coeffs[::-1], z)
+    if near:
+        prod = z - near[0]
+        for a in near[1:]:
+            prod *= z - a
+        vals /= prod
+    vals = np.log(np.maximum(np.abs(vals), 1e-300))
+    exact = sum(max(0.0, math.log(abs(a))) for a in near)
     return float(np.mean(vals)) + exact + float(log_abs_at(scale, ARCH))
 
 
@@ -146,98 +161,83 @@ def mahler_both(P: Poly, nodes: int = _DEFAULT_NODES):
     return by_roots, _quadrature_result(P, nodes, roots)
 
 
-def _crossings(coeffs, nodes):
-    """Angles where |psi(e^{i theta})| = 1, located by bisection between
-    sign changes of the coarse grid."""
+def _log_mahler_plus_value(g, log_abs, log_m, split):
+    """(log M^+(psi), least log|psi| integrated or inf) from g = log|psi| on
+    the grid of len(g) angles from 0.  log_abs(theta) evaluates
+    log|psi(e^{i theta})|; log_m(nodes) gives log M(psi), for when
+    |psi| > 1 on the whole circle.  An arc gets `split` times the panels
+    that a grid `split` times coarser would give it."""
     import numpy as np
 
-    theta = np.arange(nodes) * (2 * math.pi / nodes)
-    g = np.abs(_eval_on_circle(coeffs, theta)) - 1.0
-
-    def gfun(t):
-        return abs(np.polyval(coeffs[::-1], complex(math.cos(t), math.sin(t)))) - 1.0
-
-    crossings = []
-    for k in range(nodes):
-        a, b = g[k], g[(k + 1) % nodes]
-        ta = theta[k]
-        tb = theta[k] + 2 * math.pi / nodes
-        if a == 0.0:
-            crossings.append(ta)
-            continue
-        if a * b < 0.0:
-            lo, hi = ta, tb
-            flo = a
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = gfun(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            crossings.append(0.5 * (lo + hi))
-    return sorted(crossings)
-
-
-def _trapezoid_log_abs(coeffs, a, b, n):
-    """Composite trapezoid of log|psi(e^{i theta})| over [a, b]."""
-    import numpy as np
-
-    theta = np.linspace(a, b, n + 1)
-    vals = np.log(np.maximum(np.abs(_eval_on_circle(coeffs, theta)), 1e-300))
-    h = (b - a) / n
-    return float(h * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
-
-
-def _log_mahler_plus_value(psi: Poly, nodes: int, psi_roots) -> float:
-    """log M^+(psi) on one grid; psi_roots() gives psi's roots as complex
-    numbers, for when |psi| > 1 on the whole circle."""
-    import numpy as np
-
-    coeffs, scale = _float_coeffs(psi)
-    # the clipping max(|psi|, 1) is on the original polynomial: undo the
-    # prescale on the evaluated values by folding it into the coefficients
-    coeffs = coeffs * float(scale)
-    theta = np.arange(nodes) * (2 * math.pi / nodes)
-    absvals = np.abs(_eval_on_circle(coeffs, theta))
-    if np.max(np.abs(absvals - 1.0)) < 1e-14:
-        return 0.0  # |psi| = 1 identically (monomials with unit coefficient)
-    cross = _crossings(coeffs, nodes)
-    if not cross:
-        if float(np.max(absvals)) <= 1.0:
-            return 0.0
-        return _circle_average_log_abs(psi, nodes, psi_roots())
-    total = 0.0
-    for i, a in enumerate(cross):
-        b = cross[(i + 1) % len(cross)]
-        if b <= a:
-            b += 2 * math.pi
-        mid = 0.5 * (a + b)
-        gmid = abs(np.polyval(coeffs[::-1],
-                              complex(math.cos(mid), math.sin(mid))))
-        if gmid <= 1.0:
-            continue
-        n = max(16, int(round(nodes * (b - a) / (2 * math.pi))))
-        total += _trapezoid_log_abs(coeffs, a, b, n)
-    return total / (2 * math.pi)
+    h = 2 * math.pi / g.size
+    theta = np.arange(g.size) * h
+    after = np.roll(g, -1)
+    cells = np.flatnonzero(g * after < 0.0)
+    lo, hi, glo, ghi = theta[cells], theta[cells] + h, g[cells], after[cells]
+    for _ in range(_HALVINGS):  # bisect every bracket at once
+        mid = 0.5 * (lo + hi)
+        gm = log_abs(mid)
+        left = glo * gm > 0.0
+        lo, glo = np.where(left, mid, lo), np.where(left, gm, glo)
+        hi, ghi = np.where(left, hi, mid), np.where(left, ghi, gm)
+    # a final secant step; exact zeros on the grid are crossings as they are
+    cross = np.sort(np.concatenate((lo + (hi - lo) * glo / (glo - ghi),
+                                    theta[g == 0.0])))
+    if not cross.size:
+        return (log_m(g.size), float(g.min())) if g[0] > 0 else (0.0, math.inf)
+    a, b = cross, np.append(cross[1:], cross[0] + 2 * math.pi)
+    keep = log_abs(0.5 * (a + b)) > 0.0
+    a, b = a[keep], b[keep]
+    # composite Gauss-Legendre panels of about _GL_ORDER grid cells each
+    n = split * np.ceil((b - a) / (split * _GL_ORDER * h)).astype(int)
+    width = np.repeat((b - a) / n, n)
+    left = np.repeat(a, n) + width * (np.arange(n.sum())
+                                      - np.repeat(np.cumsum(n) - n, n))
+    x = np.array(_GL_X + tuple(-t for t in _GL_X))
+    vals = np.maximum(log_abs(left[:, None] + width[:, None] * (1 + x) / 2),
+                      0.0)
+    total = float(((vals @ np.array(_GL_W + _GL_W)) * width).sum()) / 2
+    return total / (2 * math.pi), float(vals.min(initial=np.inf))
 
 
 def log_mahler_plus(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
-    """log M^+(psi), the circle average of log max(|psi|, 1)."""
+    """log M^+(psi), the circle average of log max(|psi|, 1).
+
+    The error estimate is the node-doubling difference plus Horner's
+    rounding bound 2 m eps sum|a_k| / |psi| at the smallest |psi|
+    integrated (|psi| >= 1 there), plus eps |log M^+|.
+    """
+    import numpy as np
+
     if psi.is_zero:
         raise ValueError("M^+ of the zero polynomial")
     _check_nodes(nodes)
+    coeffs, scale = _float_coeffs(psi)
+    log_scale = float(log_abs_at(scale, ARCH))
+
+    def log_abs(theta):
+        vals = np.abs(_horner(coeffs, np.exp(1j * theta)))
+        return np.log(np.maximum(vals, 1e-300)) + log_scale
+
+    g = log_abs(np.arange(nodes) * (2 * math.pi / nodes))
+    if np.max(np.abs(g)) < 1e-14:  # |psi| = 1 identically
+        return MahlerResult(0.0, "quadrature", 0.0)
 
     @functools.cache
     def psi_roots():
         return [r.value for r in complex_roots(psi)]
 
-    fine = _log_mahler_plus_value(psi, nodes, psi_roots)
-    coarse = _log_mahler_plus_value(psi, nodes // 2, psi_roots)
-    return MahlerResult(fine, "quadrature", abs(fine - coarse))
+    def log_m(nodes):
+        return _circle_average_log_abs(psi, nodes, psi_roots())
+
+    # the coarse grid is every other node of the fine one, and the fine
+    # run halves every coarse panel, so the two differ on every arc
+    fine, g_min = _log_mahler_plus_value(g, log_abs, log_m, 2)
+    coarse, _ = _log_mahler_plus_value(g[::2], log_abs, log_m, 1)
+    log_norm = log_abs_at(sum(abs(Fraction(c)) for c in psi.coeffs), ARCH)
+    rounding = 2 * psi.degree() * _EPS * math.exp(min(log_norm - g_min, 700.0))
+    return MahlerResult(fine, "quadrature",
+                        abs(fine - coarse) + rounding + _EPS * abs(fine))
 
 
 def two_variable_grid_oracle(psi: Poly, n1: int = 1024, n2: int = 1024) -> float:
@@ -252,7 +252,7 @@ def two_variable_grid_oracle(psi: Poly, n1: int = 1024, n2: int = 1024) -> float
     coeffs = coeffs * float(scale)
     t1 = (np.arange(n1) + 0.5) * (2 * math.pi / n1)
     t2 = (np.arange(n2) + 0.5) * (2 * math.pi / n2)
-    c = _eval_on_circle(coeffs, t1)
+    c = np.polyval(coeffs[::-1], np.exp(1j * t1))
     diff = c[:, None] - np.exp(1j * t2)[None, :]
     return float(np.mean(np.log(np.maximum(np.abs(diff), 1e-300))))
 

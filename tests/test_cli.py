@@ -193,6 +193,25 @@ def test_coefficient_range_failure_exit_1(capsys):
     assert abs(rec["outputs"]["log_value"] - 400 * math.log(10)) < 1e-12
 
 
+def test_huge_psi_coefficients_bound_and_energy(capsys):
+    """psi beyond the double range stays prescaled: a value that is
+    defined comes back, otherwise the record is a typed error."""
+    # |psi| >= 10^400 - 1 on the circle: log M^+ = log M = 400 log 10
+    code, rec = run(capsys, "bound", "--ell", "1", "--psi",
+                    "10^400*x^2 + 1", "--nodes", "64")
+    assert code == 0
+    assert abs(rec["outputs"]["bound"] * 3 - 400 * math.log(10)) < 1e-12
+    code, rec = run(capsys, "energy", "--phi", "x^2", "--psi",
+                    "x^2 + 10^400", "--nodes", "64")
+    assert code == 1
+    assert rec["outputs"]["error"] == "CoefficientRangeError"
+    # log|psi| = 400 log 10 on the level curve: energy 2 l m 400 log 10
+    code, rec = run(capsys, "energy", "--phi", "x^2", "--psi",
+                    "10^400*x^2 + 1", "--nodes", "64")
+    assert code == 0
+    assert abs(rec["outputs"]["energy"] / (8 * 400 * math.log(10)) - 1) < 1e-12
+
+
 def test_selftest_filter(capsys):
     code = dispatch(["selftest", "--filter", "level-curve"])
     out = capsys.readouterr().out

@@ -1,6 +1,10 @@
 """Mahler measures: Jensen route vs quadrature, M^+, two-variable oracle."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,11 +13,14 @@ from hypothesis import given, settings, strategies as st
 from dynheights.mahler import (height_from_minpoly, log_mahler_plus,
                                mahler_via_quadrature, mahler_via_roots,
                                two_variable_grid_oracle)
-from dynheights.polys import int_poly, parse_poly
+from dynheights.polys import int_poly, parse_poly, rat_poly
 
-# independently computed (40-digit quadrature of log(2 sin(t/2)) over the
-# arc where |1 - e^{it}| >= 1):
-LOG_M_PLUS_ONE_MINUS_X = 0.3230659472194505
+# log M^+(1 - x) = m(1 - x - y) = m(1 + x + y) (substitute -x, -y), and
+# Smyth (Bull. Austral. Math. Soc. 23, 1981) gives
+# m(1 + x + y) = (3 sqrt(3) / (4 pi)) L(chi_-3, 2) with
+# L(chi_-3, 2) = sum chi_-3(n) / n^2 = (zeta(2, 1/3) - zeta(2, 2/3)) / 9
+#              = 0.78130241289648629686...
+SMYTH = 0.32306594721945051409
 
 small_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=7).map(
     int_poly).filter(lambda P: not P.is_zero and P.degree() >= 1)
@@ -77,6 +84,17 @@ def test_cross_method(P):
     assert abs(a - b) <= 1e-6
 
 
+def test_quadrature_divides_out_near_circle_roots():
+    # Lehmer's and cyclotomic factors put roots on and near |z| = 1; the
+    # quadrature divides out their product and adds their Jensen values
+    lehmer = int_poly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    for P in (lehmer * int_poly([1] * 5),
+              lehmer * int_poly([1] * 7) * int_poly([-2, 1, 3]),
+              int_poly([1] * 5) * int_poly([1, 0, -1, 0, 1])):
+        assert abs(mahler_via_quadrature(P).log_value
+                   - mahler_via_roots(P).log_value) <= 1e-13
+
+
 def test_quadrature_node_validation():
     with pytest.raises(ValueError):
         mahler_via_quadrature(int_poly([1, 1]), nodes=1000)
@@ -85,9 +103,11 @@ def test_quadrature_node_validation():
 
 
 def test_log_mahler_plus_golden_value():
-    res = log_mahler_plus(parse_poly("1 - x"))
-    assert abs(res.log_value - LOG_M_PLUS_ONE_MINUS_X) < 1e-8
-    assert res.error_estimate < 1e-6
+    for nodes in (16384, 4096):
+        res = log_mahler_plus(parse_poly("1 - x"), nodes)
+        err = abs(res.log_value - SMYTH)
+        assert err <= 4e-16
+        assert err <= res.error_estimate < 1e-14
 
 
 def test_log_mahler_plus_unit_modulus():
@@ -104,7 +124,6 @@ def test_log_mahler_plus_large_polynomial():
 
 def test_log_mahler_plus_dominated():
     # |x/3| < 1 on the whole circle (rational coefficients allowed)
-    from dynheights.polys import rat_poly
     P = rat_poly([0, Fraction(1, 3)])
     assert log_mahler_plus(P).log_value == 0.0
 
@@ -164,3 +183,95 @@ def test_mahler_both_matches_separate_calls(monkeypatch):
         monkeypatch.undo()
     with pytest.raises(ValueError):
         mahler_both(parse_poly("x - 2"), nodes=1000)
+
+
+def _mp_log_mahler_plus(coeffs):
+    """Test-local reference for log M^+ at 30 digits: tanh-sinh quadrature
+    of log|psi(e^{it})| over the arcs where |psi| > 1, split at the
+    crossings, which are the unit-circle roots of z^m psi(z) psi(1/z) - z^m
+    (real coefficients); log M(psi) from psi's roots when none cross."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(Fraction(a).numerator) / Fraction(a).denominator
+             for a in coeffs]
+        m = len(c) - 1
+        q = [mpmath.mpf(0)] * (2 * m + 1)
+        for i, a in enumerate(c):
+            for j, b in enumerate(c):
+                q[i - j + m] += a * b
+        q[m] -= 1
+        two_pi = 2 * mpmath.pi
+        angles = sorted(mpmath.arg(r) % two_pi
+                        for r in mpmath.polyroots(q[::-1], maxsteps=1000,
+                                                  extraprec=100)
+                        if abs(abs(r) - 1) < 1e-12)
+
+        def f(t):
+            return mpmath.log(abs(mpmath.polyval(c[::-1], mpmath.expj(t))))
+
+        if not angles:
+            if f(0) <= 0:
+                return 0.0
+            roots = mpmath.polyroots(c[::-1], maxsteps=1000, extraprec=100)
+            return float(mpmath.log(abs(c[-1]))
+                         + sum(mpmath.log(abs(r)) for r in roots
+                               if abs(r) > 1))
+        ends = angles + [angles[0] + two_pi]
+        return float(sum(mpmath.quad(f, [a, b]) for a, b in zip(ends, ends[1:])
+                         if f((a + b) / 2) > 0) / two_pi)
+
+
+def _random_psi(rng):
+    deg = rng.randint(1, 8)
+    c = [rng.randint(-9, 9) for _ in range(deg + 1)]
+    c[0], c[-1] = c[0] or 1, c[-1] or 1
+    return c
+
+
+@pytest.mark.parametrize("coeffs", [_random_psi(random.Random(seed))
+                                    for seed in range(12)]
+                         + [[Fraction(5, 4), Fraction(-7, 3), Fraction(1, 2)],
+                            [Fraction(-1, 3), 2, Fraction(3, 7), -1]])
+def test_log_mahler_plus_against_mpmath(coeffs):
+    ref = _mp_log_mahler_plus(coeffs)
+    res = log_mahler_plus(rat_poly(coeffs))
+    err = abs(res.log_value - ref)
+    assert err <= 1e-13
+    assert err <= res.error_estimate
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2 - x", math.log(2)),  # |psi| = 1 only at the grid node 1
+    ("x^2 + 2", math.log(2)),  # |psi| = 1 only at the grid nodes +-i
+    ("3/2 - x/2", math.log(1.5)),  # rational, tangent at the node 1
+    # crossing at the grid nodes +-i and tangent from below at -1:
+    # (1/pi) integral_0^{pi/2} log(1 + 2 cos t) dt (mpmath, 40 digits)
+    ("x^2 + x + 1", 0.38874787204109170685),
+])
+def test_log_mahler_plus_at_grid_nodes(text, expected):
+    for nodes in (16384, 4096, 64, 16):
+        res = log_mahler_plus(parse_poly(text), nodes)
+        err = abs(res.log_value - expected)
+        assert err <= res.error_estimate
+        if nodes >= 4096:
+            assert err <= 4e-16 * max(1.0, expected)
+
+
+def test_gauss_legendre_constants():
+    import numpy as np
+    from dynheights.mahler import _GL_ORDER, _GL_W, _GL_X
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    half = _GL_ORDER // 2
+    assert np.max(np.abs(np.array(_GL_X) - x[half:])) <= 4e-16
+    assert np.max(np.abs(np.array(_GL_W) - w[half:])) <= 4e-16
+    assert np.max(np.abs(x[:half] + x[half:][::-1])) <= 4e-16
+
+
+def test_no_numpy_polynomial_import():
+    # numpy.polynomial costs peak memory; the pinned constants avoid it
+    code = ("import sys; from dynheights.mahler import log_mahler_plus; "
+            "from dynheights.polys import parse_poly; "
+            "log_mahler_plus(parse_poly('1 - x')); "
+            "assert 'numpy.polynomial' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
