@@ -231,9 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--timing", action="store_true",
                     help="include wall-clock milliseconds in the record "
                          "(off by default so reruns are byte-identical)")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker cap (accepted for compatibility; "
-                         "evaluation is sequential and deterministic)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("height", help="Weil height of a point of P^1(Q)")

@@ -125,7 +125,7 @@ class DynSystem:
             n = max(abs(a), abs(b))
             if n == 0:
                 continue
-            v0, v1 = self.F.evaluate_float(a / n, b / n)
+            v0, v1 = self.F.evaluate(a / n, b / n)
             m = max(abs(v0), abs(v1))
             if m > 0 and abs(math.log(m)) > self.c_arch + 1e-9:
                 raise DistortionBoundError(
@@ -145,7 +145,7 @@ def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
     a, b = P.a / scale, P.b / scale
     w = 1.0
     for _ in range(n_steps):
-        v0, v1 = S.F.evaluate_float(a, b)
+        v0, v1 = S.F.evaluate(a, b)
         m = max(abs(v0), abs(v1))
         w /= d
         acc += w * math.log(m)

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .places import ARCH, log_abs_at
-from .polys import Poly
-from .roots import _horner, complex_roots, prescale
+from .polys import Poly, horner
+from .roots import complex_roots, prescale
 
 _NEAR_CIRCLE_WINDOW = 0.05  # roots this close to |z|=1 are handled by Jensen
 _DEFAULT_NODES = 16384
@@ -119,7 +119,7 @@ def _circle_average_log_abs(P: Poly, nodes: int, roots) -> float:
     near = [a for a in roots if abs(abs(a) - 1.0) < window]
     theta = (np.arange(nodes) + 0.5) * (2 * math.pi / nodes)
     z = np.exp(1j * theta)
-    vals = np.polyval(coeffs[::-1], z)
+    vals = horner(coeffs, z)
     if near:
         prod = z - near[0]
         for a in near[1:]:
@@ -216,7 +216,7 @@ def log_mahler_plus(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
     log_scale = float(log_abs_at(scale, ARCH))
 
     def log_abs(theta):
-        vals = np.abs(_horner(coeffs, np.exp(1j * theta)))
+        vals = np.abs(horner(coeffs, np.exp(1j * theta)))
         return np.log(np.maximum(vals, 1e-300)) + log_scale
 
     g = log_abs(np.arange(nodes) * (2 * math.pi / nodes))
@@ -244,17 +244,21 @@ def two_variable_grid_oracle(psi: Poly, n1: int = 1024, n2: int = 1024) -> float
     """Double trapezoid of log|psi(e^{i t1}) - e^{i t2}| over both circles.
 
     Independent tensor-grid route to log M(psi(x) - y); both grids are
-    offset by half a step to dodge the logarithmic singularities.
+    offset by half a step to dodge the logarithmic singularities.  With
+    psi = m psi_s (`prescale`) and top = max(m, 1), the integrand is
+    log top + log|psi_s m/top - w/top|, so no factor leaves the double
+    range.
     """
     import numpy as np
 
     coeffs, scale = _float_coeffs(psi)
-    coeffs = coeffs * float(scale)
+    top = max(scale, 1)
     t1 = (np.arange(n1) + 0.5) * (2 * math.pi / n1)
     t2 = (np.arange(n2) + 0.5) * (2 * math.pi / n2)
-    c = np.polyval(coeffs[::-1], np.exp(1j * t1))
-    diff = c[:, None] - np.exp(1j * t2)[None, :]
-    return float(np.mean(np.log(np.maximum(np.abs(diff), 1e-300))))
+    c = horner(coeffs, np.exp(1j * t1)) * float(scale / top)
+    diff = c[:, None] - np.exp(1j * t2)[None, :] * float(Fraction(1) / top)
+    return (float(log_abs_at(top, ARCH))
+            + float(np.mean(np.log(np.maximum(np.abs(diff), 1e-300)))))
 
 
 def height_from_minpoly(P: Poly) -> float:

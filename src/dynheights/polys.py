@@ -14,6 +14,11 @@ Resultant sign convention: Sylvester matrix with the F0-rows first,
 coefficients in descending degree; for binary forms both coefficient
 vectors are padded to full length d+1.  With this convention
 Res(X^2, 2 Y^2) = +4 and Res(X^2 - Y^2, Y^2) = +1.
+
+`horner` and `HomogPair.evaluate` are the package's one polynomial and
+one binary-form evaluator.  `factorize` reports only proven primes: the
+Miller-Rabin test of `places` is a proof below places._MR_PROVEN (about
+3.3e24) and a probable-prime test above, so larger ones are trial-divided.
 """
 
 from __future__ import annotations
@@ -24,7 +29,20 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegenerateMapError, FactorizationError, ParseError
-from .places import ProjPointQ, normalize_proj
+from .places import (_MR_PROVEN, ProjPointQ, _strong_probable_prime,
+                     normalize_proj)
+
+
+def horner(coeffs, x):
+    """Horner evaluation of nonempty ascending coefficients at x: exact
+    for int and Fraction input, elementwise for a numpy array x of any
+    shape, one polynomial per row for one numpy array per coefficient.
+    Its rounding bound is Higham's (Accuracy and Stability of Numerical
+    Algorithms, ch. 5)."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
 def _trim(coeffs):
@@ -103,10 +121,9 @@ class Poly:
 
     def __call__(self, x):
         """Horner evaluation; works for int, Fraction, float and complex."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if self.is_zero:
+            return 0 * x
+        return horner(self.coeffs, x)
 
     def derivative(self) -> "Poly":
         return Poly.of([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -174,25 +191,36 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q by the Euclidean algorithm."""
     a, b = rat_poly(f.coeffs), rat_poly(g.coeffs)
     while not b.is_zero:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     if a.is_zero:
         return a
     lead = a.leading()
     return Poly(tuple(c / lead for c in a.coeffs))
 
 
-def _poly_mod(a: Poly, b: Poly) -> Poly:
+def _poly_divmod(a: Poly, b: Poly):
+    """(q, r) with a = q b + r and deg r < deg b, over Q (b nonzero)."""
     r = list(a.to_fraction_coeffs())
     bc = b.to_fraction_coeffs()
     db = len(bc) - 1
+    q = [Fraction(0)] * (len(r) - db)
     while len(r) - 1 >= db and r:
-        q = r[-1] / bc[-1]
+        c = r[-1] / bc[-1]
+        q[len(r) - 1 - db] = c
         for i in range(db + 1):
-            r[len(r) - 1 - db + i] -= q * bc[i]
+            r[len(r) - 1 - db + i] -= c * bc[i]
         r.pop()
         while r and r[-1] == 0:
             r.pop()
-    return Poly(tuple(r))
+    return Poly.of(q), Poly(tuple(r))
+
+
+def _poly_div_exact(a: Poly, b: Poly) -> Poly:
+    """Exact quotient a/b over Q (b must divide a)."""
+    q, r = _poly_divmod(a, b)
+    if not r.is_zero:
+        raise ValueError("inexact polynomial division")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +360,12 @@ class HomogPair:
               for i in range(d + 1)]
         return HomogPair.of(f0, f1)
 
-    def evaluate(self, a: int, b: int):
-        """(F0(a,b), F1(a,b)) by exact integer arithmetic."""
+    def evaluate(self, a, b):
+        """(F0(a,b), F1(a,b)): exact for ints, rounded term by term in
+        order of ascending i for floats (an explicit loop, as sum() of
+        floats is compensated since Python 3.12)."""
         d = self.degree
-        # powers of a and b up to d
-        pa = [1] * (d + 1)
-        pb = [1] * (d + 1)
-        for i in range(1, d + 1):
-            pa[i] = pa[i - 1] * a
-            pb[i] = pb[i - 1] * b
-        v0 = sum(self.f0[i] * pa[i] * pb[d - i] for i in range(d + 1))
-        v1 = sum(self.f1[i] * pa[i] * pb[d - i] for i in range(d + 1))
-        return v0, v1
-
-    def evaluate_float(self, a: float, b: float):
-        d = self.degree
-        v0 = 0.0
-        v1 = 0.0
+        v0 = v1 = 0
         for i in range(d + 1):
             mono = a ** i * b ** (d - i)
             v0 += self.f0[i] * mono
@@ -417,11 +434,6 @@ def resultant(F: HomogPair) -> int:
 # Pollard-Brent rho; a cofactor with no prime factor up to the bound and
 # below its square is therefore prime.
 _TRIAL_BOUND = 1024
-# Strong Miller-Rabin to the first 13 prime bases decides primality below
-# _MR_PROVEN, the least strong pseudoprime to all of them (Sorenson and
-# Webster, Math. Comp. 86 (2017)).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN = 3317044064679887385961981
 _RHO_BATCH = 128  # rho steps whose differences share one gcd
 
 
@@ -473,25 +485,6 @@ def _trial_divide(n: int, out: dict, limit):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return n, True
-
-
-def _strong_probable_prime(n: int) -> bool:
-    """Strong Miller-Rabin test of an odd n > 41 to the bases _MR_BASES."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _pollard_brent(n: int) -> int:
@@ -678,25 +671,6 @@ class _RatFunc:
         if den.leading() < 0:
             num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
         return num, den
-
-
-def _poly_div_exact(a: Poly, b: Poly) -> Poly:
-    """Exact quotient a/b over Q (b must divide a)."""
-    r = list(a.to_fraction_coeffs())
-    bc = b.to_fraction_coeffs()
-    db = len(bc) - 1
-    q = [Fraction(0)] * (len(r) - db)
-    while len(r) - 1 >= db and r:
-        c = r[-1] / bc[-1]
-        q[len(r) - 1 - db] = c
-        for i in range(db + 1):
-            r[len(r) - 1 - db + i] -= c * bc[i]
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    if r:
-        raise ValueError("inexact polynomial division")
-    return Poly.of(q)
 
 
 class _Parser:

@@ -8,7 +8,10 @@ coefficients in the monomial basis) are split off exactly.  Quadratics
 use the cancellation-free formula (no iteration, so no convergence
 failure).  Clusters of radius 10*tol (wider after an iteration that
 stalled at a multiple root) are merged to their centroid, which is how
-multiple roots are reported.
+multiple roots are reported.  Of the three final Newton steps, one that
+raises |P| more than _POLISH_GROWTH-fold to a backward error above the
+threshold of `complex_roots` is dropped: at a cluster Newton can throw
+one member far off.  P is evaluated by `polys.horner`.
 
 `aberth` solves one polynomial in Python complex arithmetic;
 `aberth_rows` solves many polynomials of one degree at once with the
@@ -27,11 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoefficientRangeError, RootFindingError
-from .polys import Poly
+from .polys import Poly, horner
 
 _START_ANGLE = 0.437  # fixed irrational-ish rotation of the start circle
 _MAX_ITER = 400
 _BACKWARD_ERROR_UNITS = 8.0  # reliability threshold in units of n * eps
+_POLISH_GROWTH = 4.0  # largest factor by which a polish step may raise |P|
 
 
 @dataclass(frozen=True)
@@ -47,16 +51,6 @@ class ComplexApprox:
     @property
     def value(self) -> complex:
         return complex(self.re, self.im)
-
-
-def _horner(coeffs, z):
-    """Horner evaluation of ascending coefficients at z.  With numpy
-    arrays for z and for each coefficient it evaluates one polynomial per
-    row."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
 
 
 def _log10_abs(c) -> float:
@@ -134,8 +128,8 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
     for _ in range(max_iter):
         max_corr = 0.0
         for j in range(n):
-            pj = _horner(coeffs, z[j])
-            dj = _horner(deriv, z[j])
+            pj = horner(coeffs, z[j])
+            dj = horner(deriv, z[j])
             if dj == 0:
                 z[j] += (1e-8 + 1e-8j)
                 max_corr = math.inf
@@ -168,11 +162,18 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
             f"Aberth iteration did not reach tol={tol} in {max_iter} steps",
             best=zero_roots + z)
     # final Newton polish (helps simple roots to machine accuracy)
+    moduli = [abs(c) for c in coeffs]
+    max_eta = _BACKWARD_ERROR_UNITS * n * sys.float_info.epsilon
+    p = [horner(coeffs, zj) for zj in z]
     for _ in range(3):
         for j in range(n):
-            dj = _horner(deriv, z[j])
+            dj = horner(deriv, z[j])
             if dj != 0:
-                z[j] -= _horner(coeffs, z[j]) / dj
+                zj = z[j] - p[j] / dj
+                pj = horner(coeffs, zj)
+                if (abs(pj) <= _POLISH_GROWTH * abs(p[j])
+                        or abs(pj) <= max_eta * horner(moduli, abs(zj))):
+                    z[j], p[j] = zj, pj
     return zero_roots + _merge_clusters(z, 10.0 * max(tol, min(best_corr,
                                                                max_corr)))
 
@@ -331,8 +332,8 @@ def _aberth_sweeps(A, tol):
         max_corr = np.zeros(live.size)
         for j in range(n):
             zj = z[j]
-            dj = _horner(deriv, zj)
-            w = _horner(coeffs, zj) / dj
+            dj = horner(deriv, zj)
+            w = horner(coeffs, zj) / dj
             s = 0j
             for k in range(n):
                 if k != j:
@@ -364,11 +365,20 @@ def _aberth_sweeps(A, tol):
     coeffs = [A[rows, k] for k in range(n + 1)]
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
     z = [Z[rows, j] for j in range(n)]
+    moduli = [_modulus(c) for c in coeffs]
+    max_eta = _BACKWARD_ERROR_UNITS * n * sys.float_info.epsilon
+    p = [horner(coeffs, zj) for zj in z]
     for _ in range(3):
         for j in range(n):
-            dj = _horner(deriv, z[j])
-            z[j] = np.where(dj != 0, z[j] - _horner(coeffs, z[j]) / dj,
-                            z[j])
+            dj = horner(deriv, z[j])
+            zj = z[j] - p[j] / dj
+            pj = horner(coeffs, zj)
+            res = _modulus(pj)
+            keep = (dj != 0) & ((res <= _POLISH_GROWTH * _modulus(p[j]))
+                                | (res <= max_eta
+                                   * horner(moduli, _modulus(zj))))
+            z[j] = np.where(keep, zj, z[j])
+            p[j] = np.where(keep, pj, p[j])
     Z[rows] = np.stack(z, axis=1)
     return Z, settled
 
@@ -395,8 +405,8 @@ def complex_roots(P: Poly, tol: float = 1e-12):
     moduli = [abs(c) for c in scaled]
     out = []
     for z in zs:
-        res = abs(_horner(scaled, z))
-        size = _horner(moduli, abs(z)).real
+        res = abs(horner(scaled, z))
+        size = horner(moduli, abs(z)).real
         out.append(ComplexApprox(z.real, z.imag, res,
                                  reliable=res <= max_eta * size))
     return out

@@ -33,6 +33,12 @@ def test_empirical_measure_weights():
         EmpiricalMeasure(((1 + 0j, 0.7), (-1 + 0j, 0.5)))
 
 
+@pytest.mark.parametrize("n", [5 ** 7, 3 ** 12])
+def test_empirical_measure_many_equal_weights(n):
+    # a naive float sum of 5^7 weights 5^-7 is 1 + 1.0e-12
+    EmpiricalMeasure(((0j, 1.0 / n),) * n)
+
+
 def test_pair_bound_examples():
     assert abs(pair_bound_power(1, PSI) - 0.3230659472 / 2) < 1e-7
     assert pair_bound_power(1, parse_poly("x")) == 0.0

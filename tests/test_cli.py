@@ -138,9 +138,6 @@ def test_determinism_byte_identical(capsys):
     dispatch(["canheight", "--map", "x^2 - 29/16", "--point", "1/4"])
     second = capsys.readouterr().out
     assert first == second
-    dispatch(["--threads", "4", "canheight", "--map", "x^2 - 29/16",
-              "--point", "1/4"])
-    assert capsys.readouterr().out == first
 
 
 def test_timing_flag_adds_field(capsys):

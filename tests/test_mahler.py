@@ -135,6 +135,13 @@ def test_two_variable_identity_and_oracle():
     assert abs(res.log_value - oracle) < 1e-3
 
 
+def test_two_variable_oracle_huge_coefficients():
+    # the oracle works in log space, so 10^400 does not overflow
+    value = two_variable_grid_oracle(parse_poly("10^400*x^2 + 1"))
+    assert math.isfinite(value)
+    assert abs(value - 400 * math.log(10)) < 1e-3
+
+
 def test_two_variable_oracle_power_map():
     # M(x^2 - y) = 1, i.e. log = 0
     assert abs(two_variable_grid_oracle(int_poly([0, 0, 1]))) < 5e-3

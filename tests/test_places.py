@@ -10,6 +10,7 @@ from dynheights.errors import InvalidPointError, ParseError, UndefinedLogError
 from dynheights.places import (ARCH, Place, ProjPointQ, is_prime, log_abs_at,
                                normalize_proj, parse_point, parse_rational,
                                valuation, weil_height, weil_height_exact)
+from dynheights.polys import factorize
 
 nonzero_rationals = st.fractions(
     min_value=-10**6, max_value=10**6,
@@ -30,6 +31,21 @@ def test_is_prime_small():
     assert {n for n in range(2, 40) if is_prime(n)} == primes
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)  # 641 * 6700417
+
+
+def test_is_prime_agrees_with_factorize():
+    assert not is_prime(0) and not is_prime(1)
+    assert all(is_prime(n) == (factorize(n) == {n: 1})
+               for n in range(2, 10**5 + 1))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 151 * 751 * 28351 is a strong pseudoprime to the bases 2, 3, 5, 7;
+    # 399165290221 * 798330580441 the least one to all bases 2, ..., 37
+    for n in (3215031751, 318665857834031151167461):
+        assert not is_prime(n)
+    with pytest.raises(ValueError):
+        Place(318665857834031151167461)
 
 
 def test_valuation_examples():

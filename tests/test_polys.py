@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -111,6 +112,58 @@ def test_evaluate_and_dehomog():
     assert F.evaluate(2, 1) == (5, 2)
     num, den = F.dehomog()
     assert num.coeffs == (1, 0, 1) and den.coeffs == (0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=7),
+       st.lists(st.integers(-10**6, 10**6), min_size=7, max_size=7),
+       st.floats(-2, 2), st.floats(-2, 2))
+def test_evaluate_floats_match_monomial_loop(f0, f1, a, b):
+    F = HomogPair(tuple(f0), tuple(f1[:len(f0)]))
+    d = F.degree
+    v0 = v1 = 0.0
+    for i in range(d + 1):  # the float evaluator this one replaced
+        mono = a ** i * b ** (d - i)
+        v0 += F.f0[i] * mono
+        v1 += F.f1[i] * mono
+    got = F.evaluate(a, b)
+    assert [v.hex() for v in got] == [v0.hex(), v1.hex()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), min_size=2, max_size=7),
+       st.lists(st.integers(-10**30, 10**30), min_size=7, max_size=7),
+       st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+def test_evaluate_exact_on_large_ints(f0, f1, a, b):
+    F = HomogPair(tuple(f0), tuple(f1[:len(f0)]))
+    d = F.degree
+    got = F.evaluate(a, b)
+    if b == 0:
+        want = (F.f0[d] * a ** d, F.f1[d] * a ** d)
+    else:
+        want = tuple(Poly.of(f)(Fraction(a, b)) * b ** d
+                     for f in (F.f0, F.f1))
+    assert got == want and all(type(v) is int for v in got)
+
+
+def test_horner_matches_polyval_bitwise():
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7))
+    for n in range(1, 9):
+        c = rng.normal(size=n + 1) * 10.0 ** rng.integers(-3, 4, n + 1)
+        for coeffs in (c, c + 1j * rng.normal(size=n + 1)):
+            for x in (z, z[:, 0]):
+                want = np.polyval(coeffs[::-1], x)
+                got = polys.horner(coeffs, x)
+                assert got.shape == x.shape
+                assert np.array_equal(got.view(float), want.view(float))
+
+
+@given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=8),
+       st.fractions(max_denominator=50))
+def test_horner_exact_on_fractions(coeffs, x):
+    assert polys.horner(coeffs, x) == sum(c * x ** k
+                                          for k, c in enumerate(coeffs))
 
 
 def test_compose_and_iterate():

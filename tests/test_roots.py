@@ -45,6 +45,17 @@ def test_multiple_root_cluster():
     assert all(abs(r.value - 1.0) < 1e-5 for r in roots)
 
 
+def test_polish_keeps_triple_root_cluster():
+    # (3x - 1)^3 (3x + 2): Newton polish at the cluster used to throw one
+    # member 3.3e-3 away from 1/3
+    roots = complex_roots(int_poly([-2, 15, -27, -27, 81]))
+    near = sorted(min((abs(r.value - c), c) for c in (1 / 3, -2 / 3))
+                  for r in roots)
+    assert [c for _, c in near].count(1 / 3) == 3
+    assert all(d <= 1e-6 for d, _ in near)
+    assert all(r.reliable for r in roots)
+
+
 def test_huge_coefficients_prescaled():
     # far beyond float range before rescaling
     f = rat_poly([Fraction(10) ** 400, 0, -(Fraction(10) ** 400)])
@@ -180,6 +191,9 @@ def row_batches(draw):
 @settings(max_examples=150, deadline=None)
 @given(row_batches())
 @example((3, [[-1, 3, -3, 1], [6, -11, 6, -1], [0, 2, 0, 1]]))
+# a polish step once threw a member of the close pair near 416.48 off
+@example((3, [[-114818515.68030545, 724831.8456566129, -1494.9084955447324,
+               1]]))
 def test_aberth_rows_matches_aberth(batch):
     n, rows = batch
     Z = aberth_rows(np.array(rows, dtype=complex))
