@@ -38,6 +38,11 @@ def _fmt_float(x: float) -> str:
     return "0" if s == "-0" else s
 
 
+# the quote, the backslash and the control characters, as JSON escapes
+_ESCAPES = {0x22: '\\"', 0x5C: "\\\\",
+            **{c: "\\u%04x" % c for c in range(0x20)}}
+
+
 def to_json(obj) -> str:
     """Serialize to JSON with sorted keys and pinned number formatting."""
     if obj is None:
@@ -53,18 +58,7 @@ def to_json(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append("\\u%04x" % ord(ch))
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"%s"' % obj.translate(_ESCAPES)
     if isinstance(obj, complex):
         return to_json({"re": obj.real, "im": obj.imag})
     if isinstance(obj, dict):

@@ -9,15 +9,23 @@ lift (a,b):
   the tail after N steps is bounded by C_arch * d^{-N} / (d-1), where
   C_arch is a certified distortion constant |log||F(x)|| - d log||x|||
   <= C_arch for x != 0;
-* finite place p (necessarily dividing Res F): the orbit is tracked
-  modulo a high power of p, each step extracts c_k = v_p(gcd) <= v_p(Res),
-  and g_p = -(sum_k d^{-(k+1)} c_k) log p.  The ledger sequence is
-  detected to cycle modulo p^(2 v_p(Res) + 2), in which case the tail is
-  summed in closed form; otherwise the truncation after enough steps is
-  below the requested tolerance.
+* finite place p (necessarily dividing Res F): each step extracts
+  c_k = v_p(gcd) <= v_p(Res), and g_p = -(sum_k d^{-(k+1)} c_k) log p.
+  The ledger (c_k) is detected to cycle modulo p^(2 v_p(Res) + 2), in
+  which case the tail is summed in closed form; otherwise the truncation
+  after enough steps is below the requested tolerance.  The orbit is
+  tracked modulo the power of p that the steps consume, not the worst
+  case of every step extracting v_p(Res) digits: it starts at a few
+  times v_p(Res) digits and is run again at twice the precision when a
+  state would be known to fewer digits than the cycle test reads.  Each
+  c_k and each cycle key depends only on the orbit modulo a fixed power
+  of p, so the ledger, and the float summed from it, are those of the
+  worst-case precision (see green_finite).
 
 With this normalization sum_v g_v equals the canonical height exactly
 (finite places contribute non-positive amounts; good primes contribute 0).
+Sums of floats run left to right in explicit loops, since sum() of
+floats is compensated from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -154,45 +162,52 @@ def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
     return acc, tail
 
 
-def _canonical_padic_state(A: int, B: int, p: int, digits: int, mod: int):
-    """Canonical representative of [A:B] in P^1(Z/p^digits): the unit
-    coordinate is scaled to 1."""
+def _canonical_padic_state(A: int, B: int, p: int, mod: int):
+    """Canonical representative of [A:B] in P^1(Z/mod), mod a power of p:
+    the unit coordinate is scaled to 1."""
     if B % p != 0:
         return (A * pow(B, -1, mod) % mod, 1)
     return (1, B * pow(A, -1, mod) % mod)
 
 
-def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
-    """Finite-place homogeneous Green function of the coprime lift.
+def _padic_orbit(F: HomogPair, P: ProjPointQ, p: int, m: int, K: int,
+                 digits: int, W: int):
+    """(ledger, cycle) of the orbit of P tracked modulo p^W, or None as
+    soon as p^W no longer carries what the next step reads.
 
-    Returns an exact geometric-series value when the p-adic ledger cycles,
-    otherwise a truncation within eps.  Zero at primes of good reduction.
+    prec = digits - sum(c) is the precision of the orbit tracked modulo
+    p^digits; it alone decides when states are compared and when the
+    orbit stops.  The integers are known modulo p^w, w = W - sum(c).
+    cycle is the first repeat (i, j) of the state modulo p^(2m+2), or
+    None.  A state is reduced modulo p^(2m+2) only once a second state
+    falls into its residue class modulo p.
     """
-    if p not in S.bad_primes:
-        return 0.0
-    d = S.degree
-    m = S.res_valuations[p] + 1  # extracted valuations are < m
-    logp = math.log(p)
-    # steps needed for the truncation tail (m-1) logp d^{-K} / (d-1) <= eps
-    K = max(8, math.ceil(
-        math.log(max((m - 1) * logp, 1e-300) / ((d - 1) * eps)) / math.log(d)) + 1)
-    digits = K * m + 2 * m + 8
-    mod = p ** digits
     state_digits = 2 * m + 2
     state_mod = p ** state_digits
+    mod = p ** W
     A, B = P.a % mod, P.b % mod
     prec = digits
+    w = W
     ledger = []
-    seen = {}
-    cycle = None
+    first = {}  # class mod p -> (k, A, B) of its only state; None once shared
+    seen = {}   # state mod p^(2m+2) -> k, for the states of shared classes
     for k in range(K):
+        if w < min(prec, state_digits + m):
+            return None
         if prec - (m - 1) >= state_digits:
-            s = _canonical_padic_state(A, B, p, state_digits, state_mod)
-            if s in seen:
-                cycle = (seen[s], k)
-                break
-            seen[s] = k
-        v0, v1 = S.F.evaluate(A, B)
+            r = A * pow(B % p, -1, p) % p if B % p else p
+            if r not in first:
+                first[r] = (k, A, B)
+            else:
+                if first[r] is not None:
+                    i, Ai, Bi = first[r]
+                    seen[_canonical_padic_state(Ai, Bi, p, state_mod)] = i
+                    first[r] = None
+                s = _canonical_padic_state(A, B, p, state_mod)
+                if s in seen:
+                    return ledger, (seen[s], k)
+                seen[s] = k
+        v0, v1 = F.evaluate(A, B)
         v0 %= mod
         v1 %= mod
         c = 0
@@ -204,17 +219,57 @@ def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
         ledger.append(c)
         A, B = v0, v1
         prec -= c
+        w -= c
         if prec <= state_digits:
             break  # precision exhausted; fall back to truncation
+    return ledger, None
+
+
+def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
+    """Finite-place homogeneous Green function of the coprime lift.
+
+    Returns an exact geometric-series value when the p-adic ledger cycles,
+    otherwise a truncation within eps.  Zero at primes of good reduction.
+
+    With m = v_p(Res) + 1, K steps bound the truncation tail, and
+    digits = K m + 2m + 8 covers K steps that each extract m - 1 digits.
+    The orbit is tracked modulo p^W instead, starting from
+    W = min(digits, 2 (3m + 2)); a step whose state is known to fewer
+    than min(prec, 3m + 2) digits restarts the orbit with W doubled
+    (capped at digits).  Why the ledger is the one of W = digits: each
+    run's integers agree with those of W = digits modulo p^w.  Each
+    c_k = min(m - 1, v_p F0, v_p F1) depends only on the state modulo
+    p^(m-1), and each cycle key only on the state modulo p^(2m+2), and
+    every step runs with w >= 3m + 2 or w = prec (that is, W = digits).
+    So c_k, the keys and the first repeat (i, j) are the same, and
+    so is the float, which is summed left to right in a fixed order.
+    """
+    if p not in S.bad_primes:
+        return 0.0
+    d = S.degree
+    m = S.res_valuations[p] + 1  # extracted valuations are < m
+    logp = math.log(p)
+    # steps needed for the truncation tail (m-1) logp d^{-K} / (d-1) <= eps
+    K = max(8, math.ceil(
+        math.log(max((m - 1) * logp, 1e-300) / ((d - 1) * eps)) / math.log(d)) + 1)
+    digits = K * m + 2 * m + 8
+    W = min(digits, 2 * (3 * m + 2))
+    while (run := _padic_orbit(S.F, P, p, m, K, digits, W)) is None:
+        W = min(digits, 2 * W)
+    ledger, cycle = run
     dinv = 1.0 / d
+    total = 0.0
     if cycle is not None:
         i, j = cycle
-        head = sum(ledger[k] * dinv ** (k + 1) for k in range(i))
-        L = j - i
-        block = sum(ledger[i + t] * dinv ** (t + 1) for t in range(L))
-        total = head + dinv ** i * block / (1.0 - dinv ** L)
+        for k in range(i):
+            total += ledger[k] * dinv ** (k + 1)
+        block = 0.0
+        for t in range(j - i):
+            block += ledger[i + t] * dinv ** (t + 1)
+        total += dinv ** i * block / (1.0 - dinv ** (j - i))
     else:
-        total = sum(c * dinv ** (k + 1) for k, c in enumerate(ledger))
+        for k, c in enumerate(ledger):
+            total += c * dinv ** (k + 1)
     return -total * logp
 
 
@@ -246,7 +301,10 @@ class GreenLedger:
     tail_bound: float
 
     def total(self) -> float:
-        return sum(self.per_place.values())
+        total = 0.0
+        for g in self.per_place.values():  # sum() is compensated from 3.12
+            total += g
+        return total
 
 
 def green_ledger(S: DynSystem, P: ProjPointQ, eps: float) -> GreenLedger:

@@ -655,22 +655,30 @@ class _RatFunc:
         return _RatFunc(_sparse_pow(self.den, -n), _sparse_pow(self.num, -n))
 
     def reduced(self):
-        """Dense (num, den) without common factor.  A constant denominator
-        is returned as it is; otherwise the gcd is removed and the
-        denominator made positive in its leading coefficient."""
+        """The value of the parse: a Poly when the reduced denominator is
+        constant, otherwise the HomogPair of num/den.
+
+        The pair is built from the unreduced num and den, with the
+        denominator made positive in its leading coefficient: a nonzero
+        resultant proves the two coprime.  Only a zero resultant runs the
+        Euclidean gcd, by a monic gcd that keeps that sign."""
         if not self.den:
             raise DegenerateMapError("division by the zero polynomial")
         num, den = _dense(self.num), _dense(self.den)
-        if den.degree() == 0:
-            return num, den
         if num.is_zero:
-            return Poly(()), Poly.const(Fraction(1))
-        g = poly_gcd(num, den)
-        num = _poly_div_exact(num, g)
-        den = _poly_div_exact(den, g)
-        if den.leading() < 0:
-            num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
-        return num, den
+            return Poly(())
+        if den.degree() > 0:
+            if den.leading() < 0:
+                num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
+            try:
+                return HomogPair.from_polys(num, den)
+            except DegenerateMapError:  # Res = 0: num and den share a root
+                g = poly_gcd(num, den)
+                num, den = _poly_div_exact(num, g), _poly_div_exact(den, g)
+            if den.degree() > 0:
+                return HomogPair.from_polys(num, den)
+        c = den.coeffs[0]
+        return Poly(tuple(Fraction(a) / c for a in num.coeffs))
 
 
 class _Parser:
@@ -756,11 +764,7 @@ class _Parser:
 def parse_expr(text: str):
     """Parse an expression; returns a Poly when the reduced denominator is
     constant, otherwise a HomogPair for the rational map."""
-    num, den = _Parser(text).parse().reduced()
-    if den.degree() <= 0:
-        c = den.coeffs[0]
-        return Poly(tuple(Fraction(a) / c for a in num.coeffs))
-    return HomogPair.from_polys(num, den)
+    return _Parser(text).parse().reduced()
 
 
 def parse_poly(text: str) -> Poly:

@@ -8,11 +8,35 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dynheights
 
 from dynheights import cli
 from dynheights.cli import dispatch, to_json
+
+
+def _escape_by_character(s):
+    """The JSON string escape, one character at a time."""
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.characters(max_codepoint=0x2FF)) | st.text())
+def test_to_json_string_escapes(s):
+    assert to_json(s) == _escape_by_character(s)
+    assert json.loads(to_json(s)) == s
 
 
 def run(capsys, *argv):

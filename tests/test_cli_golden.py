@@ -34,6 +34,12 @@ CASES = {
                               "(x^3 + 1234567*x + 89)/(x^2 + 98765*x + 4321)",
                               "--point", "2/9", "--per-place",
                               "--eps", "1e-7"],
+    # sum() of floats is compensated from Python 3.12 on; this record
+    # pins the left-to-right sums of the Green ledger on every version
+    "canheight_sum_order": ["canheight", "--map",
+                            "x^6 + 8*x^5 + 10*x^4 + 15/4*x^3 - 12*x^2"
+                            " - 37/4*x + 11/3",
+                            "--point=-19/23", "--per-place"],
     "preperiodic_cycle": ["preperiodic", "--map", "x^2 - 29/16",
                           "--point", "1/4"],
     "preperiodic_escape": ["preperiodic", "--map", "(x^2 - 1)/(4*x)",

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynheights.dynamics import (DynSystem, canonical_height,
                                  common_preperiodic_scan, escape_threshold,
@@ -18,7 +18,7 @@ from dynheights.errors import (DegenerateMapError, DistortionBoundError,
                                DynheightsError)
 from dynheights.places import ARCH, Place, ProjPointQ, weil_height
 from dynheights.polys import (HomogPair, bareiss_det, factorize, homog_step,
-                              parse_map, sylvester_matrix)
+                              parse_map, rat_poly, sylvester_matrix)
 
 # canonical height of 0 under z^2 + 1, frozen from the exact recursion
 # a_{n+1} = a_n^2 + 1 evaluated in 40-digit log arithmetic to n = 221
@@ -251,3 +251,189 @@ def test_rational_map_with_pole():
     ok, cert = is_preperiodic(S, _pt(0))
     assert ok and cert["cycle"] == ["inf"]
     assert abs(canonical_height(S, _pt(0))) <= 1e-9
+
+
+def _green_finite_full(S, P, p, eps, keys=None):
+    """The ledger loop at the worst-case precision p^(K m + 2m + 8), with
+    every compared state reduced modulo p^(2m+2): the reference for
+    green_finite.  The compared states are appended to keys if given."""
+    if p not in S.bad_primes:
+        return 0.0
+    d = S.degree
+    m = S.res_valuations[p] + 1
+    logp = math.log(p)
+    K = max(8, math.ceil(
+        math.log(max((m - 1) * logp, 1e-300) / ((d - 1) * eps)) / math.log(d)) + 1)
+    digits = K * m + 2 * m + 8
+    mod = p ** digits
+    state_digits = 2 * m + 2
+    state_mod = p ** state_digits
+    A, B = P.a % mod, P.b % mod
+    prec = digits
+    ledger, seen, cycle = [], {}, None
+    for k in range(K):
+        if prec - (m - 1) >= state_digits:
+            if B % p:
+                s = (A * pow(B, -1, state_mod) % state_mod, 1)
+            else:
+                s = (1, B * pow(A, -1, state_mod) % state_mod)
+            if keys is not None:
+                keys.append(s)
+            if s in seen:
+                cycle = (seen[s], k)
+                break
+            seen[s] = k
+        v0, v1 = S.F.evaluate(A, B)
+        v0 %= mod
+        v1 %= mod
+        c = 0
+        while c < m - 1 and v0 % p == 0 and v1 % p == 0:
+            v0 //= p
+            v1 //= p
+            c += 1
+        ledger.append(c)
+        A, B = v0, v1
+        prec -= c
+        if prec <= state_digits:
+            break
+    dinv = 1.0 / d
+    total = 0.0
+    if cycle is not None:
+        i, j = cycle
+        for k in range(i):
+            total += ledger[k] * dinv ** (k + 1)
+        block = 0.0
+        for t in range(j - i):
+            block += ledger[i + t] * dinv ** (t + 1)
+        total += dinv ** i * block / (1.0 - dinv ** (j - i))
+    else:
+        for k, c in enumerate(ledger):
+            total += c * dinv ** (k + 1)
+    return -total * logp
+
+
+def _assert_same_green(S, P, eps):
+    for p in S.bad_primes:
+        got = green_finite(S, P, p, eps)
+        want = _green_finite_full(S, P, p, eps)
+        assert got == want and repr(got) == repr(want), (p, got, want)
+
+
+@st.composite
+def maps_of_degree_2_to_4(draw):
+    """Polynomial and rational maps of degree 2-4 with small rational
+    coefficients, and a resultant below 10^24: factorize proves its
+    primes only below about 3.3e24 and trial-divides a larger probable
+    prime, which can take hours (about 6% of these maps exceed it)."""
+    d = draw(st.integers(2, 4))
+    coeff = st.fractions(-9, 9, max_denominator=12)
+    num = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+    den = draw(st.one_of(st.just([1]),
+                         st.lists(coeff, min_size=1, max_size=d + 1)))
+    assume(num[-1] != 0)
+    try:
+        F = HomogPair.from_polys(rat_poly(num), rat_poly(den))
+    except DegenerateMapError:
+        assume(False)
+    assume(abs(F.res) < 10 ** 24)
+    return DynSystem.of(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_of_degree_2_to_4(),
+       st.tuples(st.integers(-300, 300), st.integers(0, 300)).filter(any),
+       st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_green_finite_matches_full_precision(S, ab, eps):
+    """The same float as the loop at the worst-case precision, at every
+    bad prime."""
+    _assert_same_green(S, ProjPointQ.of(*ab), eps)
+
+
+def _orbit_runs(monkeypatch):
+    """(W, outcome) of each p-adic orbit run: "short" when the run ran
+    out of working precision and restarted, else the cycle it closed
+    (None when the ledger was truncated)."""
+    runs = []
+    orbit = dynamics._padic_orbit
+
+    def spy(F, P, p, m, K, digits, W):
+        out = orbit(F, P, p, m, K, digits, W)
+        runs.append((W, "short" if out is None else out[1]))
+        return out
+
+    monkeypatch.setattr(dynamics, "_padic_orbit", spy)
+    return runs
+
+
+def test_green_finite_cycle_at_constant_extraction(monkeypatch):
+    # 1/4 extracts 2^6 at every step and closes its 3-cycle at step 4,
+    # within the first working precision
+    S = DynSystem.from_expr("x^2 - 29/16")
+    runs = _orbit_runs(monkeypatch)
+    _assert_same_green(S, _pt(Fraction(1, 4)), 1e-12)
+    assert runs == [(106, (1, 4))]
+
+
+def test_green_finite_restarts_until_precision_suffices(monkeypatch):
+    # a/4 with a odd maps to an odd numerator over 4: 9/4 extracts 2^6 at
+    # every step and never repeats a state, so W = 106 and 212 run short
+    S = DynSystem.from_expr("x^2 - 29/16")
+    runs = _orbit_runs(monkeypatch)
+    for eps in (1e-9, 1e-12):
+        runs.clear()
+        _assert_same_green(S, _pt(Fraction(9, 4)), eps)
+        assert runs == [(106, "short"), (212, "short"), (424, None)]
+
+
+@pytest.mark.parametrize("f0, f1, x, p, runs_at_p", [
+    # restarts at w < 3m + 2 = 8 digits: a run that went on reading
+    # states known to fewer digits would close a false cycle
+    ((4, 3, 2), (5, 7, 5), Fraction(19, 14), 3, [(16, "short"), (32, None)]),
+    # the state of step 0 comes back at step 30 as a unit multiple of
+    # its lift that differs modulo 3, after a restart
+    ((2, -1, 5), (1, 9, -1), Fraction(7, 16), 3,
+     [(16, "short"), (32, (0, 30))]),
+])
+def test_green_finite_paths(monkeypatch, f0, f1, x, p, runs_at_p):
+    S = DynSystem.of(HomogPair.of(f0, f1))
+    runs = _orbit_runs(monkeypatch)
+    green_finite(S, _pt(x), p, 1e-9)
+    assert runs == runs_at_p
+    _assert_same_green(S, _pt(x), 1e-9)
+
+
+def test_green_finite_large_resultant_valuation():
+    S = DynSystem.from_expr("x^2 + 1/2^20")
+    assert S.res_valuations == {2: 80}
+    for x in (Fraction(1, 3), Fraction(5, 2), Fraction(7, 1024), 3):
+        _assert_same_green(S, _pt(x), 1e-9)
+
+
+LARGE_PRIME_MAP = "(x^3 + 1234567*x + 89)/(x^2 + 98765*x + 4321)"
+
+
+def test_green_finite_large_prime(monkeypatch):
+    S = DynSystem.from_expr(LARGE_PRIME_MAP)
+    p = 5719905713
+    assert p in S.bad_primes
+    runs = _orbit_runs(monkeypatch)
+    _assert_same_green(S, _pt(Fraction(2, 9)), 1e-9)
+    assert "short" not in [out for _, out in runs]
+    # 5242926998 is the common root of both forms modulo p
+    P = _pt(5242926998)
+    assert green_finite(S, P, p, 1e-9) < 0.0
+    _assert_same_green(S, P, 1e-9)
+
+
+def test_green_finite_shared_residue_class_without_repeat():
+    # at 13 the orbit of 2/9 has 19 states in the 14 classes of P^1(F_13)
+    # and no repeat modulo 13^6: a class holds distinct states
+    S = DynSystem.from_expr(LARGE_PRIME_MAP)
+    P = _pt(Fraction(2, 9))
+    p = 13
+    keys = []
+    _green_finite_full(S, P, p, 1e-9, keys)
+    assert len(set(keys)) == len(keys)
+    classes = [x % p if y == 1 else p for x, y in keys]
+    assert len(set(classes)) < len(classes)
+    _assert_same_green(S, P, 1e-9)

@@ -260,6 +260,23 @@ def test_parse_expr_dispatch():
         [Fraction(3, 4), Fraction(3, 2), 1])
 
 
+def test_coprime_maps_parse_without_gcd(monkeypatch):
+    """A nonzero resultant of the unreduced pair proves it coprime; only a
+    zero resultant runs the Euclidean gcd."""
+    calls = []
+    gcd = polys.poly_gcd
+    monkeypatch.setattr(polys, "poly_gcd",
+                        lambda f, g: calls.append(1) or gcd(f, g))
+    assert parse_expr("(x^2 + 1)/(1 - x)") == HomogPair((-1, 0, -1),
+                                                        (-1, 1, 0))
+    assert parse_expr("(3*x^4 - 7*x + 11)/(5*x^3 + 2*x^2 - 13)/2") == \
+        HomogPair((11, -7, 0, 0, 3), (-26, 0, 4, 10, 0))
+    assert calls == []
+    assert parse_expr("(x^2 - 1)/(1 - x)") == rat_poly([-1, -1])
+    assert parse_expr("(x^3 - x)/(x^3 - x^2)") == HomogPair((1, 1), (0, 1))
+    assert len(calls) == 2
+
+
 def test_parse_errors():
     for bad in ("x +", "x^y", "2x", "x**2", "(x", "x^2 + y"):
         with pytest.raises(ParseError):
@@ -312,7 +329,8 @@ def test_rational_maps_parse(text, f0, f1):
 
 class _DenseRatFunc:
     """The dense parser value: num/den as Fraction-coefficient Polys,
-    reduced at the end; the reference for the sparse `polys._RatFunc`."""
+    reduced at the end by the Euclidean gcd; the reference for the sparse
+    `polys._RatFunc` and its resultant test for coprimality."""
 
     def __init__(self, num, den):
         self.num = num
@@ -351,16 +369,21 @@ class _DenseRatFunc:
         return _DenseRatFunc(self.den ** (-n), self.num ** (-n))
 
     def reduced(self):
+        """The value by the Euclidean route: the gcd is removed before
+        the pair is built, whatever the resultant."""
         if self.den.is_zero:
             raise DegenerateMapError("division by the zero polynomial")
         if self.num.is_zero:
-            return Poly(()), Poly.const(Fraction(1))
+            return Poly(())
         g = poly_gcd(self.num, self.den)
         num = polys._poly_div_exact(self.num, g)
         den = polys._poly_div_exact(self.den, g)
         if den.leading() < 0:
             num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
-        return num, den
+        if den.degree() <= 0:
+            c = den.coeffs[0]
+            return Poly(tuple(Fraction(a) / c for a in num.coeffs))
+        return HomogPair.from_polys(num, den)
 
 
 def _outcome(text):
