@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
-from .errors import DegenerateMapError, DistortionBoundError
-from .places import ARCH, Place, ProjPointQ, weil_height, weil_height_exact
+from .errors import DegenerateMapError
+from .places import (ARCH, Place, ProjPointQ, valuation, weil_height,
+                     weil_height_exact)
 from .polys import HomogPair, factorize, homog_step, sylvester_matrix
-
-_GREEN_MAX_STEPS = 4000
 
 
 def _cofactor_max(F: HomogPair) -> int:
@@ -81,39 +80,33 @@ def _cofactor_max(F: HomogPair) -> int:
 
 @dataclass(frozen=True)
 class DynSystem:
-    """A degree d >= 2 rational self-map of P^1 with cached reduction data.
+    """A degree d >= 2 rational self-map of P^1 with its archimedean
+    distortion constant.
 
     C_arch satisfies |log||F(x)|| - d log||x||| <= C_arch for all real
     x != 0 (sup norm); it controls how many archimedean iterations are
-    needed for a requested height accuracy.  res_valuations maps each
-    bad prime p to v_p(Res F).
+    needed for a requested height accuracy.  Only the finite places sum
+    the primes of Res F, so bad_primes factors Res on its first read and
+    keeps the primes; deciding preperiodicity or pulling orbits back never
+    reads them.
     """
 
     F: HomogPair
-    res: int
-    bad_primes: tuple
     c_arch: float
     c_formula: dict = field(compare=False)
-    res_valuations: dict = field(compare=False)
 
     @staticmethod
     def of(F: HomogPair) -> "DynSystem":
         d = F.degree
         if d < 2:
             raise DegenerateMapError("dynamical degree must be >= 2")
-        res = F.res
-        valuations = factorize(res)
-        bad = tuple(sorted(valuations))
         maxcoef = max(max(abs(c) for c in F.f0), max(abs(c) for c in F.f1))
         upper = math.log((d + 1) * maxcoef)
         maxcof = _cofactor_max(F)
-        lower = math.log(2 * d * maxcof) + math.log(abs(res))
-        c_arch = max(upper, lower)
+        lower = math.log(2 * d * maxcof) + math.log(abs(F.res))
         formula = {"upper": upper, "lower": lower,
                    "max_coeff": maxcoef, "max_cofactor": maxcof}
-        sys = DynSystem(F, res, bad, c_arch, formula, valuations)
-        sys._check_distortion()
-        return sys
+        return DynSystem(F, max(upper, lower), formula)
 
     @staticmethod
     def from_expr(text: str) -> "DynSystem":
@@ -124,22 +117,10 @@ class DynSystem:
     def degree(self) -> int:
         return self.F.degree
 
-    def _check_distortion(self, samples: int = 24):
-        """Spot-check the certified bound on deterministic samples."""
-        d = self.degree
-        vals = [(math.cos(0.7 * k) * 1.0, math.sin(1.3 * k + 0.2))
-                for k in range(samples)]
-        for a, b in vals:
-            n = max(abs(a), abs(b))
-            if n == 0:
-                continue
-            v0, v1 = self.F.evaluate(a / n, b / n)
-            m = max(abs(v0), abs(v1))
-            if m > 0 and abs(math.log(m)) > self.c_arch + 1e-9:
-                raise DistortionBoundError(
-                    f"distortion constant violated: |log||F(x)||| = "
-                    f"{abs(math.log(m))!r} > C_arch = {self.c_arch!r} at "
-                    f"x = ({a / n!r}, {b / n!r})")
+    @cached_property
+    def bad_primes(self) -> tuple:
+        """The primes dividing Res F, in ascending order."""
+        return tuple(factorize(self.F.res))
 
 
 def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
@@ -229,7 +210,9 @@ def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
     """Finite-place homogeneous Green function of the coprime lift.
 
     Returns an exact geometric-series value when the p-adic ledger cycles,
-    otherwise a truncation within eps.  Zero at primes of good reduction.
+    otherwise a truncation within eps, and 0.0 at a prime of good
+    reduction.  It reads v_p(Res) for the given prime alone, so it never
+    factors Res.
 
     With m = v_p(Res) + 1, K steps bound the truncation tail, and
     digits = K m + 2m + 8 covers K steps that each extract m - 1 digits.
@@ -244,10 +227,10 @@ def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
     So c_k, the keys and the first repeat (i, j) are the same, and
     so is the float, which is summed left to right in a fixed order.
     """
-    if p not in S.bad_primes:
+    m = valuation(S.F.res, p) + 1  # extracted valuations are < m
+    if m == 1:
         return 0.0
     d = S.degree
-    m = S.res_valuations[p] + 1  # extracted valuations are < m
     logp = math.log(p)
     # steps needed for the truncation tail (m-1) logp d^{-K} / (d-1) <= eps
     K = max(8, math.ceil(
@@ -271,25 +254,6 @@ def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
         for k, c in enumerate(ledger):
             total += c * dinv ** (k + 1)
     return -total * logp
-
-
-def finite_ledger_exact(S: DynSystem, P: ProjPointQ, p: int, eps: float):
-    """The sequence (c_k) of extracted p-valuations until cycling or until
-    the truncation tail drops below eps; diagnostic helper."""
-    if p not in S.bad_primes:
-        return []
-    d = S.degree
-    m = S.res_valuations[p] + 1
-    K = max(8, math.ceil(math.log(max((m - 1) * math.log(p), 1e-300)
-                                  / ((d - 1) * eps)) / math.log(d)) + 1)
-    out = []
-    Q = P
-    for _ in range(min(K, 64)):
-        Q, led = homog_step(S.F, Q)
-        out.append(led.get(p, 0))
-        if weil_height_exact(Q) > 10 ** 40:
-            break
-    return out
 
 
 @dataclass(frozen=True)
@@ -345,7 +309,7 @@ def escape_threshold(S: DynSystem) -> float:
     archimedean Green deviates from h_W by at most C_arch/(d-1) and each
     finite Green is bounded below by -v_p(Res) log p/(d-1)."""
     d = S.degree
-    return (S.c_arch + math.log(abs(S.res))) / (d - 1)
+    return (S.c_arch + math.log(abs(S.F.res))) / (d - 1)
 
 
 def is_preperiodic(S: DynSystem, P: ProjPointQ):

@@ -38,11 +38,6 @@ class CoefficientRangeError(DynheightsError):
     double range."""
 
 
-class DistortionBoundError(DynheightsError):
-    """The certified archimedean distortion constant C_arch of a map
-    failed its spot check."""
-
-
 class RootFindingError(DynheightsError):
     """Simultaneous root iteration failed to converge.
 

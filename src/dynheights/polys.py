@@ -519,14 +519,12 @@ def _pollard_brent(n: int) -> int:
 def homog_step(F: HomogPair, P: ProjPointQ):
     """One application of the map with exact gcd renormalization.
 
-    Returns the normalized image point and the factorization ledger of the
-    extracted gcd (prime -> exponent).  Only primes dividing Res(F) can
-    occur in the ledger.
+    Returns the normalized image point and the extracted gcd g of the two
+    coordinates; g divides Res(F).
     """
     v0, v1 = F.evaluate(P.a, P.b)
     g = math.gcd(abs(v0), abs(v1))
-    ledger = factorize(g) if g > 1 else {}
-    return normalize_proj(v0 // g, v1 // g), ledger
+    return normalize_proj(v0 // g, v1 // g), g
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dynheights.cli import dispatch
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 GRAPH = "tests/golden/graph.json"  # relative, since the record echoes it
+LARGE_PRIME_MAP = "(x^3 + 1234567891)/(x^2 + 987654323*x + 1)"
 
 CASES = {
     "height": ["height", "--point=-22/7"],
@@ -42,6 +43,10 @@ CASES = {
                             "--point=-19/23", "--per-place"],
     "preperiodic_cycle": ["preperiodic", "--map", "x^2 - 29/16",
                           "--point", "1/4"],
+    # Res is -2^2 3^4 times a 34-digit prime, which factorize could only
+    # prove by trial division; neither command reads the primes of Res
+    "preperiodic_large_prime": ["preperiodic", "--map",
+                                LARGE_PRIME_MAP, "--point", "0"],
     "preperiodic_escape": ["preperiodic", "--map", "(x^2 - 1)/(4*x)",
                            "--point", "3"],
     "scan_pair": ["scan-pair", "--phi", "x^2", "--psi", "x^2 - 1",
@@ -56,6 +61,9 @@ CASES = {
                        "--quadratic"],
     "equidist": ["equidist", "--map", "(x^2 - 1)/(2*x + 3)", "--target",
                  "1/2", "--level", "3", "--moments", "4"],
+    "equidist_large_prime": ["equidist", "--map", LARGE_PRIME_MAP,
+                             "--target", "0", "--level", "3",
+                             "--moments", "4"],
     "graph_curvature": ["graph", "curvature", "--file", GRAPH],
     "graph_energy": ["graph", "energy", "--file", GRAPH],
     "parse_error": ["canheight", "--map", "(x^2 + 3)/(x - ", "--point", "1"],

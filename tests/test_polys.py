@@ -233,9 +233,9 @@ def test_extracted_gcd_divides_resultant(a, b):
 
 def test_homog_step_ledger():
     F = parse_map("x^2 - 29/16")
-    Q, extracted = homog_step(F, ProjPointQ.of(1, 4))
+    Q, g = homog_step(F, ProjPointQ.of(1, 4))
     assert str(Q) == "-7/4"
-    assert extracted == {2: 6}  # gcd(16 - 29*16, 16^2) = 64
+    assert g == 64  # gcd(16 - 29*16, 16^2)
 
 
 def test_factorize():
