@@ -345,5 +345,7 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
             if mod > 0 and abs(mod - 1.0) <= _CIRCLE_BAND:
                 mk += w * (z / mod) ** k
         moments.append(mk)
-    angles = [cmath.phase(z) for z in roots if z != 0]
+    # atan2, not cmath.phase: phase raises OverflowError when the angle
+    # of a subnormal imaginary part underflows
+    angles = [math.atan2(z.imag, z.real) for z in roots if z != 0]
     return measure, moments, star_discrepancy_angles(angles)

@@ -25,8 +25,11 @@ and a tensor-grid double-trapezoid oracle of the latter cross-checks it.
 
 Each polynomial's roots are found once per call: `mahler_both` shares
 them between the two routes, and `log_mahler_plus` between its two
-grids.  numpy is imported by the quadratures alone; the roots route
-(and `height_from_minpoly`) runs without it.
+grids.  The offset grid of the circle average is built once per node
+count, on the first quadrature that needs it, and the last two counts
+are kept read-only (`_offset_circle`).  numpy is imported by the
+quadratures alone; the roots route (and `height_from_minpoly`) runs
+without it.
 """
 
 from __future__ import annotations
@@ -104,21 +107,32 @@ def _roots_result(P: Poly, roots) -> MahlerResult:
     return MahlerResult(log_m, "roots", err)
 
 
+@functools.lru_cache(maxsize=2)
+def _offset_circle(nodes: int):
+    """The read-only grid exp(i (k + 1/2) 2 pi / nodes), k < nodes, built
+    on first use: a `mahler_both` call reads it at `nodes` and nodes / 2."""
+    import numpy as np
+
+    z = np.exp(1j * ((np.arange(nodes) + 0.5) * (2 * math.pi / nodes)))
+    z.flags.writeable = False
+    return z
+
+
 def _circle_average_log_abs(P: Poly, nodes: int, roots) -> float:
     """Circle average of log|P| with near-circle roots removed by Jensen;
     `roots` are P's roots as complex numbers.
 
     The grid is offset by half a step so a root exactly on the unit circle
-    never coincides with a node.  The near-circle factors are divided out
-    as one product, so the logarithm is taken once per node.
+    never coincides with a node, and is built once per node count
+    (`_offset_circle`).  The near-circle factors are divided out as one
+    product, so the logarithm is taken once per node.
     """
     import numpy as np
 
     coeffs, scale = _float_coeffs(P)
     window = min(_NEAR_CIRCLE_WINDOW, 64.0 / nodes)
     near = [a for a in roots if abs(abs(a) - 1.0) < window]
-    theta = (np.arange(nodes) + 0.5) * (2 * math.pi / nodes)
-    z = np.exp(1j * theta)
+    z = _offset_circle(nodes)
     vals = horner(coeffs, z)
     if near:
         prod = z - near[0]

@@ -1,24 +1,30 @@
 """Complex root finding: closed form for n <= 2, otherwise the
 simultaneous Aberth-Ehrlich iteration.
 
-Deterministic setup: initial guesses are roots of unity scaled by the
-Fujiwara bound and rotated by a fixed irrational angle, so repeated runs
-produce identical output.  Roots at the origin (trailing zero
-coefficients in the monomial basis) are split off exactly.  Quadratics
-use the cancellation-free formula (no iteration, so no convergence
-failure).  Clusters of radius 10*tol (wider after an iteration that
-stalled at a multiple root) are merged to their centroid, which is how
-multiple roots are reported.  Of the three final Newton steps, one that
-raises |P| more than _POLISH_GROWTH-fold to a backward error above the
-threshold of `complex_roots` is dropped: at a cluster Newton can throw
-one member far off.  P is evaluated by `polys.horner`.
+Deterministic setup: `aberth` starts from Bini's Newton-polygon circles
+(Numer. Algorithms 13, 1996).  Each edge k0 -> k1 of the upper convex hull
+of the points (k, log|a_k|) puts k1 - k0 points on the circle of radius
+(|a_k0| / |a_k1|)^(1/(k1 - k0)), at equal angles rotated by a fixed
+irrational angle and by 2 pi k0 / n, so roots of very different moduli
+each start near their own circle and repeated runs produce identical
+output.  Roots at the origin (trailing zero coefficients in the monomial
+basis) are split off exactly.  Quadratics use the cancellation-free
+formula (no iteration, so no convergence failure) and merge their two
+roots when they lie within 10*tol.  After the iteration, two roots merge
+to their centroid when they lie within 10*tol or their Weierstrass
+inclusion discs (Carstensen, Numer. Math. 59, 1991; radii from |P(z)|
+plus a bound on its rounding) overlap, which is how multiple roots are
+reported.  Of the three final Newton steps, one that raises |P| more
+than _POLISH_GROWTH-fold to a backward error above the threshold of
+`complex_roots` is dropped: at a cluster Newton can throw one member far
+off.  P is evaluated by `polys.horner`.
 
 `aberth` solves one polynomial in Python complex arithmetic;
-`aberth_rows` solves many polynomials of one degree at once with the
-same steps in numpy, vectorised over the rows (as in Bini's MPSolve,
-Numer. Algorithms 13, 1996), and hands every row it cannot settle
-cleanly to `aberth`.  numpy is imported inside `aberth_rows` and its
-helpers only, so `aberth` and `complex_roots` run without it.
+`aberth_rows` solves many polynomials of one degree at once in numpy,
+vectorised over the rows (as in Bini's MPSolve), and hands every row it
+cannot settle cleanly to `aberth`.  numpy is imported inside
+`aberth_rows` and its helpers only, so `aberth` and `complex_roots` run
+without it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from fractions import Fraction
 from .errors import CoefficientRangeError, RootFindingError
 from .polys import Poly, horner
 
-_START_ANGLE = 0.437  # fixed irrational-ish rotation of the start circle
+_START_ANGLE = 0.437  # fixed irrational-ish rotation of the start circles
 _MAX_ITER = 400
 _BACKWARD_ERROR_UNITS = 8.0  # reliability threshold in units of n * eps
 _POLISH_GROWTH = 4.0  # largest factor by which a polish step may raise |P|
@@ -79,18 +85,6 @@ def prescale(coeffs):
     return scaled, m
 
 
-def fujiwara_bound(coeffs) -> float:
-    """Upper bound on root moduli, 2 * max |a_{n-k}/a_n|^(1/k)."""
-    n = len(coeffs) - 1
-    an = abs(coeffs[-1])
-    best = 0.0
-    for k in range(1, n + 1):
-        c = abs(coeffs[n - k]) / an
-        if c:
-            best = max(best, c ** (1.0 / k))
-    return 2.0 * best if best else 1.0
-
-
 def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
     """All roots of a complex-coefficient polynomial (ascending coeffs).
 
@@ -117,35 +111,36 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
         return zero_roots + [-coeffs[0] / coeffs[1]]
     if n == 2:
         return zero_roots + _merge_clusters(_quadratic_roots(*coeffs),
-                                            10.0 * tol)
+                                            10.0 * tol, (0.0, 0.0))
 
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
-    radius = 0.8 * fujiwara_bound(coeffs)
-    z = [radius * cmath.exp(1j * (2 * math.pi * j / n + _START_ANGLE))
-         for j in range(n)]
+    z = _newton_polygon_start(coeffs)
     best_corr = math.inf
     stagnant = 0
     for _ in range(max_iter):
         max_corr = 0.0
         for j in range(n):
-            pj = horner(coeffs, z[j])
-            dj = horner(deriv, z[j])
+            zj = z[j]
+            pj = horner(coeffs, zj)
+            dj = horner(deriv, zj)
             if dj == 0:
-                z[j] += (1e-8 + 1e-8j)
+                z[j] = zj + (1e-8 + 1e-8j)
                 max_corr = math.inf
                 continue
             w = pj / dj
             s = 0j
-            for k in range(n):
+            for k, zk in enumerate(z):
                 if k != j:
-                    dz = z[j] - z[k]
+                    dz = zj - zk
                     if dz == 0:
                         dz = 1e-14 + 1e-14j
                     s += 1.0 / dz
             denom = 1.0 - w * s
             corr = w / denom if denom != 0 else w
-            z[j] -= corr
-            max_corr = max(max_corr, abs(corr))
+            z[j] = zj - corr
+            size = abs(corr)
+            if size > max_corr:
+                max_corr = size
         if max_corr < tol:
             break
         # a multiple root drives corrections to ~sqrt(eps) and no further;
@@ -174,8 +169,60 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
                 if (abs(pj) <= _POLISH_GROWTH * abs(p[j])
                         or abs(pj) <= max_eta * horner(moduli, abs(zj))):
                     z[j], p[j] = zj, pj
-    return zero_roots + _merge_clusters(z, 10.0 * max(tol, min(best_corr,
-                                                               max_corr)))
+    return zero_roots + _merge_clusters(z, 10.0 * tol,
+                                        _inclusion_radii(coeffs, z, p))
+
+
+def _newton_polygon_start(coeffs):
+    """Bini's start (Numer. Algorithms 13, 1996) for coefficients with
+    a_0 != 0 != a_n: each edge k0 -> k1 of the upper convex hull of the
+    points (k, log|a_k|) gets k1 - k0 points on the circle of radius
+    (|a_k0| / |a_k1|)^(1/(k1 - k0)), at angles 2 pi j / (k1 - k0) +
+    _START_ANGLE + 2 pi k0 / n."""
+    n = len(coeffs) - 1
+    hull = []
+    for k, c in enumerate(coeffs):
+        if c:
+            y = math.log(abs(c))
+            # drop the last vertex while it is on or below the chord to k
+            while len(hull) > 1 and ((hull[-1][1] - hull[-2][1])
+                                     * (k - hull[-2][0])
+                                     <= (y - hull[-2][1])
+                                     * (hull[-1][0] - hull[-2][0])):
+                hull.pop()
+            hull.append((k, y))
+    z = []
+    k0, y0 = hull[0]
+    for k1, y1 in hull[1:]:
+        m = k1 - k0
+        radius = math.exp((y0 - y1) / m)
+        turn = _START_ANGLE + 2 * math.pi * k0 / n
+        z += [cmath.rect(radius, 2 * math.pi * j / m + turn)
+              for j in range(m)]
+        k0, y0 = k1, y1
+    return z
+
+
+def _inclusion_radii(coeffs, z, p):
+    """Radii r_i = n (|P(z_i)| + e_i) / (|a_n| prod_{j != i} |z_i - z_j|)
+    of the Weierstrass inclusion discs (Carstensen, Numer. Math. 59,
+    1991), with p[i] = P(z_i) as computed.  e_i = eps sum_k (2k + 1)
+    |a_k| |z_i|^k bounds the rounding of complex Horner to first order:
+    a_k passes k products (sqrt(2) gamma_2 each, Higham, Lemma 3.5) and
+    k + 1 sums (u each).  An iterate equal to z_i is left out of the
+    product, and a radius that is not finite is 0."""
+    eps = sys.float_info.epsilon
+    weights = [(2 * k + 1) * eps * abs(c) for k, c in enumerate(coeffs)]
+    scale = len(z) / abs(coeffs[-1])
+    radii = []
+    for zi, pi in zip(z, p):
+        prod = 1.0
+        for zj in z:
+            if zj != zi:
+                prod *= abs(zi - zj)
+        r = scale * (abs(pi) + horner(weights, abs(zi))) / prod
+        radii.append(r if r < math.inf else 0.0)
+    return radii
 
 
 def _quadratic_roots(c, b, a):
@@ -190,8 +237,10 @@ def _quadratic_roots(c, b, a):
     return [q / a, c / q]
 
 
-def _merge_clusters(points, radius):
-    """Merge root clusters of the given radius to repeated centroids."""
+def _merge_clusters(points, radius, discs):
+    """Merge root clusters to repeated centroids: points i and j join when
+    they lie within `radius`, or within discs[i] + discs[j] of each other
+    (overlapping discs)."""
     n = len(points)
     parent = list(range(n))
 
@@ -202,8 +251,10 @@ def _merge_clusters(points, radius):
         return i
 
     for i in range(n):
+        zi, ri = points[i], discs[i]
         for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= radius:
+            gap = abs(zi - points[j])
+            if gap <= radius or gap <= ri + discs[j]:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
@@ -229,19 +280,24 @@ def aberth_rows(C, tol: float = 1e-12):
     C holds N ascending coefficient rows of length n + 1; the result is an
     (N, n) complex array, each row's roots in no fixed order.  Every row
     gets the steps of `aberth` on its coefficients scaled by their largest
-    modulus: the closed forms for n <= 2, otherwise the same start circle,
-    Gauss-Seidel Aberth sweep, tolerance, stall rule and three Newton
-    polish steps, each step applied to all unfinished rows at once.
+    modulus: the closed forms for n <= 2, otherwise the same Gauss-Seidel
+    Aberth sweep, tolerance, stall rule and three Newton polish steps,
+    each step applied to all unfinished rows at once.  The start differs:
+    every row starts on one circle of radius 0.8 times its Fujiwara bound
+    2 max |a_{n-k}/a_n|^(1/k), rotated by the same fixed angle, because a
+    Newton polygon per row would cost more in Python than it saves on the
+    low degrees solved here.
 
     A row is handed to `aberth` itself when its constant or leading
     coefficient is zero, when its iteration stalls (as at a multiple
     root) or does not converge in _MAX_ITER sweeps, when two of its roots
     lie within the merge radius 10 tol, or when a root is not finite.  So
-    exact zero roots, merged clusters and the failure rule stay those of
-    `aberth`.  A degree drop leaves the missing roots at infinity, and a
-    row on which `aberth` raises RootFindingError comes back as NaN.  (The
-    batch can settle a row on which `aberth` would fail, as its rounding
-    differs; such a row has converged to tol all the same.)
+    exact zero roots, clusters within 10 tol and the failure rule stay
+    those of `aberth`; a settled row is not merged by inclusion discs.  A
+    degree drop leaves the missing roots at infinity, and a row on which
+    `aberth` raises RootFindingError comes back as NaN.  (The batch can
+    settle a row on which `aberth` would fail, as its rounding differs;
+    such a row has converged to tol all the same.)
 
     numpy fuses multiply-adds in complex products and divides through a
     reciprocal, so simple roots agree with `aberth` to a few units in the
@@ -314,7 +370,7 @@ def _aberth_sweeps(A, tol):
     m, n = A.shape[0], A.shape[1] - 1
     moduli = _modulus(A)
     best = np.zeros(m)
-    for k in range(1, n + 1):  # fujiwara_bound, row by row
+    for k in range(1, n + 1):  # Fujiwara's bound 2 max |a_{n-k}/a_n|^(1/k)
         best = np.maximum(best, (moduli[:, n - k] / moduli[:, n]) ** (1.0 / k))
     radius = 0.8 * (2.0 * best)
     z = [radius * cmath.exp(1j * (2 * math.pi * j / n + _START_ANGLE))

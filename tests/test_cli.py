@@ -271,7 +271,8 @@ def test_cli_runs_without_numpy():
         "             ['scan', '--ell', '1', '--psi', '1 - x',",
         "              '--threshold', '0.99', '--quadratic'],",
         "             ['equidist', '--map', 'x^2 - 1', '--target', '2',",
-        "              '--level', '4']):",
+        "              '--level', '4'],",
+        "             ['mahler', '--poly', 'x^3 - x - 1', '--method', 'roots']):",
         "    assert dynheights.cli.dispatch(argv) == 0, argv",
         "    assert 'numpy' not in sys.modules, argv",
     ])

@@ -64,6 +64,10 @@ CASES = {
     "equidist_large_prime": ["equidist", "--map", LARGE_PRIME_MAP,
                              "--target", "0", "--level", "3",
                              "--moments", "4"],
+    # a level-3 preimage has a subnormal imaginary part, whose angle
+    # underflows (cmath.phase raised OverflowError on it)
+    "equidist_subnormal_phase": ["equidist", "--map", LARGE_PRIME_MAP,
+                                 "--target", "1/2", "--level", "3"],
     "graph_curvature": ["graph", "curvature", "--file", GRAPH],
     "graph_energy": ["graph", "energy", "--file", GRAPH],
     "parse_error": ["canheight", "--map", "(x^2 + 3)/(x - ", "--point", "1"],

@@ -14,6 +14,7 @@ from dynheights.mahler import (height_from_minpoly, log_mahler_plus,
                                mahler_via_quadrature, mahler_via_roots,
                                two_variable_grid_oracle)
 from dynheights.polys import int_poly, parse_poly, rat_poly
+from dynheights.roots import complex_roots
 
 # log M^+(1 - x) = m(1 - x - y) = m(1 + x + y) (substitute -x, -y), and
 # Smyth (Bull. Austral. Math. Soc. 23, 1981) gives
@@ -93,6 +94,19 @@ def test_quadrature_divides_out_near_circle_roots():
               int_poly([1] * 5) * int_poly([1, 0, -1, 0, 1])):
         assert abs(mahler_via_quadrature(P).log_value
                    - mahler_via_roots(P).log_value) <= 1e-13
+
+
+def test_circle_grid_built_once_and_read_only():
+    from dynheights.mahler import _circle_average_log_abs, _offset_circle
+    P = int_poly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]) * int_poly([-2, 1, 3])
+    roots = [r.value for r in complex_roots(P)]
+    first = _circle_average_log_abs(P, 4096, roots)
+    grid = _offset_circle(4096)
+    assert _circle_average_log_abs(P, 4096, roots).hex() == first.hex()
+    assert _offset_circle(4096) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
 
 
 def test_quadrature_node_validation():

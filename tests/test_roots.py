@@ -1,5 +1,6 @@
 """Simultaneous complex root finding: accuracy, Vieta identities, scaling."""
 
+import importlib.util
 import math
 import sys
 from fractions import Fraction
@@ -10,13 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dynheights.errors import RootFindingError
 from dynheights.polys import int_poly, rat_poly
-from dynheights.roots import (aberth, aberth_rows, complex_roots,
-                              fujiwara_bound)
-
-
-def test_fujiwara_bound_contains_roots():
-    coeffs = [(-6 + 0j), (11 + 0j), (-6 + 0j), (1 + 0j)]  # roots 1, 2, 3
-    assert fujiwara_bound(coeffs) >= 3.0
+from dynheights.roots import aberth, aberth_rows, complex_roots, prescale
 
 
 def test_known_real_roots():
@@ -54,6 +49,16 @@ def test_polish_keeps_triple_root_cluster():
     assert [c for _, c in near].count(1 / 3) == 3
     assert all(d <= 1e-6 for d, _ in near)
     assert all(r.reliable for r in roots)
+
+
+def test_close_simple_roots_stay_apart():
+    # (x - 1)(x - 1 - 1e-7)(x + 2): the inclusion discs of the pair near 1
+    # (radius about 4e-8 each) do not overlap, so the pair is not merged
+    d = Fraction(1, 10 ** 7)
+    roots = sorted(r.value.real for r in complex_roots(
+        rat_poly([2 + 2 * d, -3 - d, -d, 1])))
+    assert roots[1] != roots[2]
+    assert abs(roots[1] - 1) <= 1e-8 and abs(roots[2] - 1 - 1e-7) <= 1e-8
 
 
 def test_huge_coefficients_prescaled():
@@ -241,3 +246,55 @@ def test_aberth_rows_rejects_bad_shapes():
         aberth_rows(np.ones((3, 1)))
     with pytest.raises(ValueError):
         aberth_rows(np.ones(4))
+
+
+# Phi_1, Phi_2, Phi_3, Phi_4, Phi_6, Phi_5, Phi_12 and Phi_7, ascending
+CYCLOTOMIC = ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1],
+              [1, 1, 1, 1, 1], [1, 0, -1, 0, 1], [1] * 7)
+# moduli m 10^e from 1e-6 to 9e6, so the Newton polygon has several
+# edges; not 1, so that no root repeats a root of the cyclotomic factor
+root_moduli = st.builds(lambda m, e: m * Fraction(10) ** e,
+                        st.integers(1, 9), st.integers(-6, 6)).filter(
+                            lambda rho: rho != 1)
+root_factors = st.one_of(
+    # x - s rho
+    st.builds(lambda rho, s: [-s * rho, 1], root_moduli,
+              st.sampled_from([1, -1])),
+    # (x - rho e^{i theta})(x - rho e^{-i theta}) with cos theta = c
+    st.builds(lambda rho, c: [rho * rho, -2 * rho * c, 1], root_moduli,
+              st.fractions(-1, 1, max_denominator=64).filter(
+                  lambda c: abs(c) < 1)))
+
+
+@pytest.mark.skipif(importlib.util.find_spec("mpmath") is None,
+                    reason="needs mpmath")
+@settings(max_examples=60, deadline=None)
+@given(st.lists(root_factors, min_size=1, max_size=5, unique_by=tuple),
+       st.sampled_from(CYCLOTOMIC))
+def test_complex_roots_against_mpmath(factors, cyclotomic):
+    # distinct factors, so every root is simple: repeated roots are the
+    # known defect of `aberth` that this test does not cover
+    import mpmath
+
+    P = int_poly(cyclotomic)
+    for f in factors:
+        P = P * rat_poly(f)
+    with mpmath.workdps(40):
+        exact = [mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
+                 for c in P.coeffs]
+        ref = [complex(r) for r in mpmath.polyroots(
+            exact[::-1], maxsteps=500, extraprec=400)]
+    roots = complex_roots(P)
+    assert all(r.reliable for r in roots)
+    got = [r.value for r in roots]
+    scaled, _ = prescale(P.coeffs)
+    # each root within the first-order bound of the nearest reference root
+    # (as in test_aberth_rows_matches_aberth), and the other way round, so
+    # no merge swallows a distinct root
+    max_eta = 8 * P.degree() * sys.float_info.epsilon
+    for z in got:
+        r = min(ref, key=lambda r: abs(r - z))
+        assert abs(r - z) <= 2 * max_eta * _condition(scaled, r)
+    for r in ref:
+        assert (min(abs(r - z) for z in got)
+                <= 2 * max_eta * _condition(scaled, r))
