@@ -13,9 +13,12 @@ for all algebraic x outside a finite exceptional set.  The level-curve
 quadrature integrates log max(|psi|,1) against dArg phi over |phi| = 1 by
 pulling a uniform grid back through phi; its normalization (each of the
 l*nodes preimages carries weight 2 pi/(l*nodes)) is frozen by requiring
-exact agreement with the x^l closed form.  The grid's preimages are
-solved a block of nodes at a time by the batched Aberth kernel
-`roots.aberth_rows`, not one solve per node.
+exact agreement with the x^l closed form.  phi and psi are real, so the
+preimages of the node at -theta are the conjugates of those at theta,
+with the same |psi|: only the nodes of the upper half circle are solved,
+each counted twice (the node at pi, for an odd node count, once).  Their
+preimages are solved a block of 2048 nodes at a time by the batched
+Aberth kernel `roots.aberth_rows`, not one solve per node.
 
 The quadratic exception scan scores each candidate a x^2 + b x + c in
 integer arithmetic and closed form: the image polynomial of psi(alpha)
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +48,7 @@ from .polys import Poly, horner, int_poly
 from .roots import aberth, aberth_rows, complex_roots, prescale
 
 _CIRCLE_BAND = 1e-6  # |z| band for circle moments
-_BLOCK_ROWS = 256  # level-curve nodes solved together; bounds peak memory
+_BLOCK_ROWS = 2048  # level-curve rows solved together; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,17 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
     """Archimedean Dirichlet energy by level-curve quadrature:
     (l m / pi) * integral of log max(|psi|, 1) dArg phi over |phi| = 1.
 
-    For each grid angle theta the l preimages are the roots of
-    phi - e^{i theta}; each carries weight 2 pi/(l*nodes).  The rows
-    phi - e^{i theta} of _BLOCK_ROWS consecutive nodes are solved together
-    by `aberth_rows`, and psi is evaluated on all their preimages at
-    once.  A node whose solve fails is retried at a half-step
-    perturbation, then skipped (error if more than 1% are skipped).
+    For each grid angle theta_k = (k + 1/2) 2 pi / nodes the l preimages
+    are the roots of phi - e^{i theta_k}; each carries weight
+    2 pi/(l*nodes).  phi and psi are real, so the preimages of node
+    nodes - 1 - k are the conjugates of those of node k and give the same
+    |psi|: only the rows k < nodes // 2 are solved, with weight 2, plus
+    the middle row theta = pi with weight 1 when nodes is odd.  The rows
+    of _BLOCK_ROWS consecutive nodes are solved together by
+    `aberth_rows`, and psi is evaluated on all their preimages at once.
+    A row whose solve fails is retried at a half-step perturbation, then
+    skipped together with its mirror (error if more than 1% of the nodes
+    are skipped).
     """
     import numpy as np
 
@@ -104,6 +113,9 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
     except OverflowError:
         raise CoefficientRangeError(
             "a coefficient of phi is beyond the double range") from None
+    if abs(phic[-1]) < sys.float_info.min:
+        raise CoefficientRangeError(
+            "the leading coefficient of phi is below the double range")
     # psi = scale * psi_s: |psi| > 1 and log|psi| are taken in log space
     psi_s, scale = prescale(psi.coeffs)
     psi_c = np.array(psi_s, dtype=complex)
@@ -111,9 +123,12 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
     total = 0.0
     skipped = 0
     step = 2 * math.pi / nodes
-    for first in range(0, nodes, _BLOCK_ROWS):
-        theta = (np.arange(first, min(first + _BLOCK_ROWS, nodes))
-                 + 0.5) * step
+    half = nodes // 2
+    rows_solved = half + nodes % 2  # the middle row theta = pi if odd
+    for first in range(0, rows_solved, _BLOCK_ROWS):
+        k = np.arange(first, min(first + _BLOCK_ROWS, rows_solved))
+        theta = (k + 0.5) * step
+        weight = np.where(k < half, 2.0, 1.0)
         rows = np.tile(phic, (theta.size, 1))
         rows[:, 0] -= np.exp(1j * theta)
         pre = aberth_rows(rows, tol=1e-11)
@@ -123,12 +138,14 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
                                                      + 0.5 * step))
             pre[failed] = aberth_rows(rows[failed], tol=1e-11)
             failed = np.isnan(pre[:, 0])
-            skipped += int(failed.sum())
-            pre = pre[~failed]
+            skipped += int(weight[failed].sum())
+            pre, weight = pre[~failed], weight[~failed]
         vals = horner(psi_c, pre)
         mod = np.hypot(vals.real, vals.imag)  # rounded as abs(complex)
         above = mod > floor
-        total += float(np.log(mod[above]).sum()) + int(above.sum()) * log_scale
+        logs = np.log(mod, out=np.zeros_like(mod), where=above)
+        total += float(weight @ (logs.sum(axis=1)
+                                 + above.sum(axis=1) * log_scale))
     if skipped > max(1, nodes // 100):
         raise RootFindingError(
             f"{skipped} of {nodes} level-curve nodes failed to solve")
@@ -325,9 +342,14 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
     a = Fraction(a)
     p0, p1 = S.F.dehomog()
     d = S.degree
-    c0 = [float(c) for c in p0.coeffs] + [0.0] * (d + 1 - len(p0.coeffs))
-    c1 = [float(c) for c in p1.coeffs] + [0.0] * (d + 1 - len(p1.coeffs))
-    current = [complex(float(a))]
+    try:
+        c0 = [float(c) for c in p0.coeffs] + [0.0] * (d + 1 - len(p0.coeffs))
+        c1 = [float(c) for c in p1.coeffs] + [0.0] * (d + 1 - len(p1.coeffs))
+        current = [complex(float(a))]
+    except OverflowError:
+        raise CoefficientRangeError(
+            "a coefficient of the map, or the target, is beyond the double "
+            "range") from None
     for _ in range(level):
         nxt = []
         for w in current:

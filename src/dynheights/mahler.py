@@ -13,8 +13,8 @@ Two independent routes to log M(P):
 The one-sided variant M^+(psi) = exp of the circle average of
 log max(|psi|, 1) has corners where |psi(e^{i theta})| = 1, which cost the
 trapezoid rule its spectral rate (Trefethen & Weideman, SIAM Rev. 2014).
-log|psi| is evaluated once on the grid of `nodes` angles; its sign changes
-and exact zeros bracket the crossings, which are refined all at once by
+log|psi| is evaluated once on a grid of angles; its sign changes and
+exact zeros bracket the crossings, which are refined all at once by
 bisection and a secant step (log|psi| vanishes there, so an endpoint error
 d costs O(d^2)).  On each arc where |psi| > 1 the integrand is analytic
 and gets composite 16-point Gauss-Legendre panels, about one node per grid
@@ -23,13 +23,21 @@ crossings inside one grid cell are missed, an O(h^2) error (h = 2 pi /
 nodes).  Without a crossing M^+ is 1 or M(psi).  M^+(psi) = M(psi(x) - y),
 and a tensor-grid double-trapezoid oracle of the latter cross-checks it.
 
+Every polynomial the grammar expresses has rational, hence real,
+coefficients, so |P(conj z)| = |P(z)| and both integrands are even in
+theta.  Both quadratures therefore integrate over the closed upper half
+circle and double it: the circle average on the nodes / 2 offset nodes
+in (0, pi), M^+ on the nodes / 2 + 1 angles 2 pi k / nodes from 0 to pi,
+with its arcs ending at 0 and pi.  The oracle keeps its full tensor grid,
+as the independent check.
+
 Each polynomial's roots are found once per call: `mahler_both` shares
 them between the two routes, and `log_mahler_plus` between its two
-grids.  The offset grid of the circle average is built once per node
-count, on the first quadrature that needs it, and the last two counts
-are kept read-only (`_offset_circle`).  numpy is imported by the
-quadratures alone; the roots route (and `height_from_minpoly`) runs
-without it.
+grids; each quadrature scales P to floats once for both of its grids.
+The offset half grid of the circle average is built once per node count,
+on the first quadrature that needs it, and the last two counts are kept
+read-only (`_offset_circle`).  numpy is imported by the quadratures alone;
+the roots route (and `height_from_minpoly`) runs without it.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ _NEAR_CIRCLE_WINDOW = 0.05  # roots this close to |z|=1 are handled by Jensen
 _DEFAULT_NODES = 16384
 _HALVINGS = 12  # of a grid cell, before the secant step on each crossing
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # floor of |P|^2 / |prod| before its logarithm
 # the positive Gauss-Legendre nodes of order 16 on [-1, 1] (the others are
 # their negatives) and their weights, pinned: numpy.polynomial costs memory
 _GL_ORDER = 16
@@ -109,39 +118,47 @@ def _roots_result(P: Poly, roots) -> MahlerResult:
 
 @functools.lru_cache(maxsize=2)
 def _offset_circle(nodes: int):
-    """The read-only grid exp(i (k + 1/2) 2 pi / nodes), k < nodes, built
-    on first use: a `mahler_both` call reads it at `nodes` and nodes / 2."""
+    """The read-only upper half exp(i (k + 1/2) 2 pi / nodes), k < nodes / 2,
+    of the offset grid, built on first use: a `mahler_both` call reads it
+    at `nodes` and nodes / 2.  Node nodes - 1 - k is the conjugate of
+    node k."""
     import numpy as np
 
-    z = np.exp(1j * ((np.arange(nodes) + 0.5) * (2 * math.pi / nodes)))
+    z = np.exp(1j * ((np.arange(nodes // 2) + 0.5) * (2 * math.pi / nodes)))
     z.flags.writeable = False
     return z
 
 
-def _circle_average_log_abs(P: Poly, nodes: int, roots) -> float:
-    """Circle average of log|P| with near-circle roots removed by Jensen;
+def _circle_average_log_abs(coeffs, log_scale: float, nodes: int,
+                            roots) -> float:
+    """Circle average of log|P| with near-circle roots removed by Jensen,
+    for a real P = exp(log_scale) * sum coeffs[k] x^k (`_float_coeffs`);
     `roots` are P's roots as complex numbers.
 
-    The grid is offset by half a step so a root exactly on the unit circle
-    never coincides with a node, and is built once per node count
-    (`_offset_circle`).  The near-circle factors are divided out as one
-    product, so the logarithm is taken once per node.
+    The grid of `nodes` angles is offset by half a step so a root exactly
+    on the unit circle never coincides with a node.  P is real, so
+    |P(conj z)| = |P(z)| and only the upper half of the grid is evaluated
+    (`_offset_circle`, built once per node count): each node z and its
+    conjugate together give log(|P(z)|^2 / |prod (z - a)(z - conj a)|)
+    over the near-circle roots a, one logarithm per node.  That is exact
+    for any set of near roots, so computed conjugate pairs need not match.
     """
     import numpy as np
 
-    coeffs, scale = _float_coeffs(P)
     window = min(_NEAR_CIRCLE_WINDOW, 64.0 / nodes)
     near = [a for a in roots if abs(abs(a) - 1.0) < window]
     z = _offset_circle(nodes)
     vals = horner(coeffs, z)
+    sq = vals.real * vals.real + vals.imag * vals.imag
     if near:
-        prod = z - near[0]
+        prod = (z - near[0]) * (z - near[0].conjugate())
         for a in near[1:]:
             prod *= z - a
-        vals /= prod
-    vals = np.log(np.maximum(np.abs(vals), 1e-300))
+            prod *= z - a.conjugate()
+        sq /= np.abs(prod)
+    mean = 0.5 * float(np.mean(np.log(np.maximum(sq, _TINY))))
     exact = sum(max(0.0, math.log(abs(a))) for a in near)
-    return float(np.mean(vals)) + exact + float(log_abs_at(scale, ARCH))
+    return mean + exact + log_scale
 
 
 def mahler_via_quadrature(P: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
@@ -156,10 +173,13 @@ def mahler_via_quadrature(P: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
 
 def _quadrature_result(P: Poly, nodes: int, roots) -> MahlerResult:
     """The fine and the coarse grid of `mahler_via_quadrature`, with the
-    near-circle factors taken from P's roots (ComplexApprox records)."""
+    near-circle factors taken from P's roots (ComplexApprox records); P
+    is scaled to floats once for both grids."""
+    coeffs, scale = _float_coeffs(P)
+    log_scale = float(log_abs_at(scale, ARCH))
     values = [r.value for r in roots]
-    fine = _circle_average_log_abs(P, nodes, values)
-    coarse = _circle_average_log_abs(P, nodes // 2, values)
+    fine = _circle_average_log_abs(coeffs, log_scale, nodes, values)
+    coarse = _circle_average_log_abs(coeffs, log_scale, nodes // 2, values)
     return MahlerResult(fine, "quadrature", abs(fine - coarse))
 
 
@@ -177,29 +197,36 @@ def mahler_both(P: Poly, nodes: int = _DEFAULT_NODES):
 
 def _log_mahler_plus_value(g, log_abs, log_m, split):
     """(log M^+(psi), least log|psi| integrated or inf) from g = log|psi| on
-    the grid of len(g) angles from 0.  log_abs(theta) evaluates
-    log|psi(e^{i theta})|; log_m(nodes) gives log M(psi), for when
-    |psi| > 1 on the whole circle.  An arc gets `split` times the panels
-    that a grid `split` times coarser would give it."""
+    the grid theta_k = 2 pi k / nodes, k = 0 ... nodes / 2, of the closed
+    upper half circle (both ends included).  psi is real, so the
+    integrand is even and the lower half mirrors the upper.
+    log_abs(theta) evaluates log|psi(e^{i theta})|; log_m(nodes) gives
+    log M(psi), for when |psi| > 1 on the whole circle.  An arc gets
+    `split` times the panels that a grid `split` times coarser would give
+    it."""
     import numpy as np
 
-    h = 2 * math.pi / g.size
+    cells = g.size - 1
+    h = math.pi / cells
     theta = np.arange(g.size) * h
-    after = np.roll(g, -1)
-    cells = np.flatnonzero(g * after < 0.0)
-    lo, hi, glo, ghi = theta[cells], theta[cells] + h, g[cells], after[cells]
+    brackets = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+    zeros = theta[g == 0.0]  # exact zeros on the grid are crossings
+    if not (brackets.size or zeros.size):
+        return ((log_m(2 * cells), float(g.min())) if g[0] > 0
+                else (0.0, math.inf))
+    lo, hi = theta[brackets], theta[brackets] + h
+    glo, ghi = g[brackets], g[brackets + 1]
     for _ in range(_HALVINGS):  # bisect every bracket at once
         mid = 0.5 * (lo + hi)
         gm = log_abs(mid)
         left = glo * gm > 0.0
         lo, glo = np.where(left, mid, lo), np.where(left, gm, glo)
         hi, ghi = np.where(left, hi, mid), np.where(left, ghi, gm)
-    # a final secant step; exact zeros on the grid are crossings as they are
-    cross = np.sort(np.concatenate((lo + (hi - lo) * glo / (glo - ghi),
-                                    theta[g == 0.0])))
-    if not cross.size:
-        return (log_m(g.size), float(g.min())) if g[0] > 0 else (0.0, math.inf)
-    a, b = cross, np.append(cross[1:], cross[0] + 2 * math.pi)
+    # a final secant step
+    cross = np.concatenate((lo + (hi - lo) * glo / (glo - ghi), zeros))
+    # the arcs run between 0, the crossings and pi
+    ends = np.unique(np.concatenate(([0.0], cross, [math.pi])))
+    a, b = ends[:-1], ends[1:]
     keep = log_abs(0.5 * (a + b)) > 0.0
     a, b = a[keep], b[keep]
     # composite Gauss-Legendre panels of about _GL_ORDER grid cells each
@@ -211,15 +238,18 @@ def _log_mahler_plus_value(g, log_abs, log_m, split):
     vals = np.maximum(log_abs(left[:, None] + width[:, None] * (1 + x) / 2),
                       0.0)
     total = float(((vals @ np.array(_GL_W + _GL_W)) * width).sum()) / 2
-    return total / (2 * math.pi), float(vals.min(initial=np.inf))
+    return total / math.pi, float(vals.min(initial=np.inf))
 
 
 def log_mahler_plus(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
     """log M^+(psi), the circle average of log max(|psi|, 1).
 
-    The error estimate is the node-doubling difference plus Horner's
-    rounding bound 2 m eps sum|a_k| / |psi| at the smallest |psi|
-    integrated (|psi| >= 1 there), plus eps |log M^+|.
+    psi is real, so the integral over the circle is twice the one over
+    the upper half: log|psi| is evaluated at the nodes / 2 + 1 angles
+    2 pi k / nodes in [0, pi], and the arcs end at 0 and pi.  The error
+    estimate is the node-doubling difference plus Horner's rounding bound
+    2 m eps sum|a_k| / |psi| at the smallest |psi| integrated (|psi| >= 1
+    there), plus eps |log M^+|.
     """
     import numpy as np
 
@@ -233,7 +263,7 @@ def log_mahler_plus(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
         vals = np.abs(horner(coeffs, np.exp(1j * theta)))
         return np.log(np.maximum(vals, 1e-300)) + log_scale
 
-    g = log_abs(np.arange(nodes) * (2 * math.pi / nodes))
+    g = log_abs(np.arange(nodes // 2 + 1) * (2 * math.pi / nodes))
     if np.max(np.abs(g)) < 1e-14:  # |psi| = 1 identically
         return MahlerResult(0.0, "quadrature", 0.0)
 
@@ -242,7 +272,7 @@ def log_mahler_plus(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
         return [r.value for r in complex_roots(psi)]
 
     def log_m(nodes):
-        return _circle_average_log_abs(psi, nodes, psi_roots())
+        return _circle_average_log_abs(coeffs, log_scale, nodes, psi_roots())
 
     # the coarse grid is every other node of the fine one, and the fine
     # run halves every coarse panel, so the two differ on every arc

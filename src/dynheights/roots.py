@@ -65,23 +65,35 @@ def _log10_abs(c) -> float:
     return math.log10(abs(c.numerator)) - math.log10(c.denominator)
 
 
+def _range_error(log10_lead: float, log10_max: float):
+    return CoefficientRangeError(
+        "coefficient moduli span 10^%.1f (leading) to 10^%.1f (largest), "
+        "beyond the double range: the leading coefficient underflows when "
+        "scaled by the largest" % (log10_lead, log10_max))
+
+
 def prescale(coeffs):
     """(floats, m): exact ascending coefficients divided by their largest
-    modulus m, so huge coefficients cannot overflow (int / int and
-    Fraction division both round correctly).
+    modulus m, so huge coefficients cannot overflow.
+
+    Integer arithmetic throughout: m is found by cross-multiplying, and
+    each p/q divided by m = P/Q is the int true division (p Q) / (q P),
+    which Python rounds correctly, as float(Fraction(p, q) / m) does; no
+    Fraction is built.
 
     Raises CoefficientRangeError when the leading coefficient falls below
     the normal double range after the division: its roots would be lost
     to a degree drop, or computed from a subnormal with few digits.
     """
-    m = max(abs(c) for c in coeffs)
-    scaled = [float(c / m) for c in coeffs]
+    big_p, big_q, m = 0, 1, 0
+    for c in coeffs:
+        p, q = abs(c.numerator), c.denominator
+        if p * big_q > big_p * q:
+            big_p, big_q, m = p, q, c
+    scaled = [c.numerator * big_q / (c.denominator * big_p) for c in coeffs]
+    m = abs(m)
     if abs(scaled[-1]) < sys.float_info.min:
-        raise CoefficientRangeError(
-            "coefficient moduli span 10^%.1f (leading) to 10^%.1f "
-            "(largest), beyond the double range: the leading coefficient "
-            "underflows when scaled by the largest"
-            % (_log10_abs(coeffs[-1]), _log10_abs(m)))
+        raise _range_error(_log10_abs(coeffs[-1]), _log10_abs(m))
     return scaled, m
 
 
@@ -89,7 +101,10 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
     """All roots of a complex-coefficient polynomial (ascending coeffs).
 
     Returns a list of complex roots with multiplicity (length = degree).
-    Raises RootFindingError on non-convergence, carrying the best iterate.
+    Raises RootFindingError on non-convergence, carrying the best iterate,
+    and CoefficientRangeError when the leading coefficient underflows once
+    the coefficients are divided by their largest modulus (the test of
+    `prescale`).
     """
     coeffs = [complex(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -106,7 +121,10 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
     if n == 0:
         return zero_roots
     scale = max(abs(c) for c in coeffs)
+    lead = coeffs[-1]
     coeffs = [c / scale for c in coeffs]
+    if abs(coeffs[-1]) < sys.float_info.min:  # as in `prescale`
+        raise _range_error(math.log10(abs(lead)), math.log10(scale))
     if n == 1:
         return zero_roots + [-coeffs[0] / coeffs[1]]
     if n == 2:

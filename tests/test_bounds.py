@@ -100,6 +100,70 @@ def test_level_curve_matches_node_by_node(phi, psi):
     assert abs(energy_level_curve(phi, psi, nodes=600) - ref) <= 1e-13 * ref
 
 
+LEHMER = int_poly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+CYCLO_PRODUCT = int_poly([1, 1, 1, 1, 1]) * int_poly([1, 0, -1, 0, 1])
+
+
+def _energy_full_grid(phi, psi, nodes):
+    """The level-curve sum with every node theta_k = (k + 1/2) 2 pi / nodes,
+    k < nodes, solved, mirror rows included, all in one `aberth_rows`
+    call."""
+    phic = np.array([complex(c) for c in phi.coeffs])
+    psi_s, scale = roots.prescale(psi.coeffs)
+    theta = (np.arange(nodes) + 0.5) * (2 * math.pi / nodes)
+    rows = np.tile(phic, (nodes, 1))
+    rows[:, 0] -= np.exp(1j * theta)
+    pre = roots.aberth_rows(rows, tol=1e-11)
+    assert not np.isnan(pre).any()
+    mod = np.abs(polys.horner(np.array(psi_s, dtype=complex), pre))
+    mod *= float(scale)
+    total = float(np.log(np.maximum(mod, 1.0)).sum())
+    return 2.0 * psi.degree() * total / nodes
+
+
+def _critical_values_off_circle(phi):
+    """True when no critical value phi(c), phi'(c) = 0, lies within 0.01
+    of |w| = 1: then every phi - e^{i theta} has well separated roots."""
+    deriv = [k * float(c) for k, c in enumerate(phi.coeffs)][1:]
+    crit = np.roots(deriv[::-1]) if len(deriv) > 1 else []
+    return all(abs(abs(phi(complex(c))) - 1.0) > 0.01 for c in crit)
+
+
+small_int_poly = st.lists(st.integers(-9, 9), min_size=2, max_size=5).map(
+    int_poly).filter(lambda P: P.degree() >= 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_int_poly.filter(_critical_values_off_circle),
+       small_int_poly | st.sampled_from([LEHMER, CYCLO_PRODUCT]),
+       st.sampled_from([64, 65, 600, 601]))
+@example(parse_poly("x^2"), LEHMER, 65)
+@example(parse_poly("-(x + 1)^4"), CYCLO_PRODUCT, 601)
+def test_level_curve_matches_full_grid(phi, psi, nodes):
+    # the mirror row's preimages are the conjugates of the upper row's up
+    # to the rounding of the two solves, which these maps keep well
+    # conditioned (no critical value near the level curve): a few eps of
+    # each log|psi|, so a few eps of the total
+    ref = _energy_full_grid(phi, psi, nodes)
+    got = energy_level_curve(phi, psi, nodes=nodes)
+    assert abs(got - ref) <= 64 * EPS * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("nodes", [64, 65, 600, 601, 4096, 4097])
+def test_level_curve_solves_upper_rows(monkeypatch, nodes):
+    blocks = []
+    solve = bounds.aberth_rows
+
+    def spy(rows, tol):
+        blocks.append(len(rows))
+        return solve(rows, tol)
+
+    monkeypatch.setattr(bounds, "aberth_rows", spy)
+    energy_level_curve(parse_poly("x^3 - 2*x + 1"), PSI, nodes=nodes)
+    assert sum(blocks) == (nodes + 1) // 2  # k < nodes // 2, and pi if odd
+    assert max(blocks) <= bounds._BLOCK_ROWS
+
+
 def test_level_curve_solves_in_blocks(monkeypatch):
     calls = []
     scalar = roots.aberth
@@ -127,17 +191,21 @@ def test_level_curve_retries_then_skips(monkeypatch):
             return out
         return solve_some
 
-    # the first node of each 256-node block fails, then solves at the
-    # half step (skipping it instead would move the value by 1.3e-5)
+    # the 512 upper rows are one block (n == 512), and a retry solves only
+    # the rows that failed.  Row 0 fails, then solves at the half step
+    # (skipping it and its mirror instead would move the value by 4.8e-4)
     monkeypatch.setattr(bounds, "aberth_rows", failing(
-        lambda n: slice(0, 1 if n > 1 else 0)))
+        lambda n: slice(0, 1) if n == 512 else slice(0, 0)))
     assert abs(energy_level_curve(phi, PSI, nodes=nodes) - ref) <= 1e-6 * ref
-    # it fails at the half step too: 4 of 1024 nodes are skipped
-    monkeypatch.setattr(bounds, "aberth_rows", failing(lambda n: slice(0, 1)))
+    # rows 256-260 fail at the half step too: they and their mirrors are
+    # 10 of 1024 nodes, exactly 1%
+    monkeypatch.setattr(bounds, "aberth_rows", failing(
+        lambda n: slice(256, 261) if n == 512 else slice(None)))
     assert abs(energy_level_curve(phi, PSI, nodes=nodes) - ref) <= 1e-3 * ref
-    # more than 1% skipped
-    monkeypatch.setattr(bounds, "aberth_rows", failing(lambda n: slice(0, 3)))
-    with pytest.raises(RootFindingError):
+    # rows 256-261: 12 nodes skipped, more than 1%
+    monkeypatch.setattr(bounds, "aberth_rows", failing(
+        lambda n: slice(256, 262) if n == 512 else slice(None)))
+    with pytest.raises(RootFindingError, match="12 of 1024"):
         energy_level_curve(phi, PSI, nodes=nodes)
 
 

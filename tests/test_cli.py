@@ -223,6 +223,26 @@ def test_huge_psi_coefficients_bound_and_energy(capsys):
     assert abs(rec["outputs"]["energy"] / (8 * 400 * math.log(10)) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    # the leading coefficient underflows once scaled by the largest: the
+    # quadratic's closed form divided by zero, and the cubic's Newton
+    # polygon gave too few start points
+    ["energy", "--phi", "10^-200*x^2 + 10^200", "--psi", "x",
+     "--nodes", "64"],
+    ["energy", "--phi", "10^-200*x^3 + 10^200", "--psi", "x",
+     "--nodes", "64"],
+    # the leading coefficient of phi converts to 0.0 (a degree drop)
+    ["energy", "--phi", "10^-400*x^2 + 1", "--psi", "x"],
+    # the map's integer form holds 10^400, which float() cannot convert
+    ["equidist", "--map", "10^-200*x^2 + 10^200", "--target", "1",
+     "--level", "1"],
+])
+def test_coefficient_span_beyond_double_range(capsys, argv):
+    code, rec = run(capsys, *argv)
+    assert code == 1
+    assert rec["outputs"]["error"] == "CoefficientRangeError"
+
+
 def test_selftest_filter(capsys):
     code = dispatch(["selftest", "--filter", "level-curve"])
     out = capsys.readouterr().out

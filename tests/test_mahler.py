@@ -8,12 +8,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from dynheights import mahler
+from dynheights.errors import RootFindingError
 from dynheights.mahler import (height_from_minpoly, log_mahler_plus,
                                mahler_via_quadrature, mahler_via_roots,
                                two_variable_grid_oracle)
-from dynheights.polys import int_poly, parse_poly, rat_poly
+from dynheights.polys import horner, int_poly, parse_poly, rat_poly
 from dynheights.roots import complex_roots
 
 # log M^+(1 - x) = m(1 - x - y) = m(1 + x + y) (substitute -x, -y), and
@@ -97,13 +99,17 @@ def test_quadrature_divides_out_near_circle_roots():
 
 
 def test_circle_grid_built_once_and_read_only():
-    from dynheights.mahler import _circle_average_log_abs, _offset_circle
+    from dynheights.mahler import (_circle_average_log_abs, _float_coeffs,
+                                   _offset_circle)
     P = int_poly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]) * int_poly([-2, 1, 3])
     roots = [r.value for r in complex_roots(P)]
-    first = _circle_average_log_abs(P, 4096, roots)
+    coeffs, scale = _float_coeffs(P)
+    first = _circle_average_log_abs(coeffs, math.log(scale), 4096, roots)
     grid = _offset_circle(4096)
-    assert _circle_average_log_abs(P, 4096, roots).hex() == first.hex()
+    assert (_circle_average_log_abs(coeffs, math.log(scale), 4096,
+                                    roots).hex() == first.hex())
     assert _offset_circle(4096) is grid
+    assert grid.shape == (2048,)  # the upper half
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0] = 0.0
@@ -296,3 +302,188 @@ def test_no_numpy_polynomial_import():
             "assert 'numpy.polynomial' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# ---------------------------------------------------------------------------
+# the upper-half grids against the whole circle
+
+EPS = sys.float_info.epsilon
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+CYCLOTOMIC = ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, 1, 1, 1, 1],
+              [1, -1, 1], [1, 1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 1],
+              [1, -1, 1, -1, 1], [1, 0, -1, 0, 1])
+
+real_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=31).map(
+    int_poly).filter(lambda P: P.degree() >= 1)
+# distinct cyclotomic factors, Lehmer's polynomial or not, and a small
+# random factor: roots on and near |z| = 1
+circle_products = st.builds(
+    lambda cyclo, lehmer, rest: math.prod(
+        map(int_poly, cyclo + [LEHMER] * lehmer), start=int_poly(rest)),
+    st.lists(st.sampled_from(CYCLOTOMIC), min_size=1, max_size=4,
+             unique_by=tuple),
+    st.booleans(),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(
+        lambda c: c[-1] != 0))
+
+
+def _full_circle_average_log_abs(coeffs, log_scale, nodes, roots):
+    """The circle average on the whole offset grid of `nodes` angles:
+    log|P(z) / prod (z - a)| at every node z over the near roots a.
+    Returns (average, near roots, grid)."""
+    import numpy as np
+
+    window = min(0.05, 64.0 / nodes)
+    near = [a for a in roots if abs(abs(a) - 1.0) < window]
+    z = np.exp(1j * ((np.arange(nodes) + 0.5) * (2 * math.pi / nodes)))
+    vals = horner(coeffs, z)
+    for a in near:
+        vals = vals / (z - a)
+    vals = np.log(np.maximum(np.abs(vals), 1e-300))
+    exact = sum(max(0.0, math.log(abs(a))) for a in near)
+    return float(np.mean(vals)) + exact + log_scale, near, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_polys | circle_products,
+       st.sampled_from([16, 64, 1024, 16384]))
+@example(int_poly(LEHMER) * int_poly([1, 1, 1, 1, 1]), 16384)
+def test_circle_average_matches_full_grid(P, nodes):
+    import numpy as np
+
+    try:
+        roots = [r.value for r in complex_roots(P)]
+    except RootFindingError:
+        assume(False)  # a repeated root beyond the solver; not this test's
+    coeffs, scale = mahler._float_coeffs(P)
+    log_scale = math.log(scale)
+    half = mahler._circle_average_log_abs(coeffs, log_scale, nodes, roots)
+    full, near, z = _full_circle_average_log_abs(coeffs, log_scale, nodes,
+                                                 roots)
+    # first-order rounding of either route at a node: Horner's
+    # (2n + 1) eps sum|a_k| relative to |P(z)|, eps for each near factor
+    # and a few for the logarithm and the mean
+    cond = np.mean(horner(np.abs(coeffs), 1.0) / np.abs(horner(coeffs, z)))
+    n = P.degree()
+    assert abs(half - full) <= 2 * EPS * ((2 * n + 1) * cond
+                                          + 2 * len(near) + 4)
+
+
+def _full_log_mahler_plus_value(g, log_abs, log_m):
+    """log M^+ from g = log|psi| on the whole grid of len(g) angles from
+    0: crossings bracketed on every cell (the last wraps round to 0),
+    arcs between consecutive crossings, 2-split panels of about
+    _GL_ORDER cells each."""
+    import numpy as np
+
+    h = 2 * math.pi / g.size
+    theta = np.arange(g.size) * h
+    after = np.roll(g, -1)
+    cells = np.flatnonzero(g * after < 0.0)
+    lo, hi, glo, ghi = theta[cells], theta[cells] + h, g[cells], after[cells]
+    for _ in range(mahler._HALVINGS):
+        mid = 0.5 * (lo + hi)
+        gm = log_abs(mid)
+        left = glo * gm > 0.0
+        lo, glo = np.where(left, mid, lo), np.where(left, gm, glo)
+        hi, ghi = np.where(left, hi, mid), np.where(left, ghi, gm)
+    cross = np.sort(np.concatenate((lo + (hi - lo) * glo / (glo - ghi),
+                                    theta[g == 0.0])))
+    if not cross.size:
+        return log_m(g.size) if g[0] > 0 else 0.0
+    a, b = cross, np.append(cross[1:], cross[0] + 2 * math.pi)
+    keep = log_abs(0.5 * (a + b)) > 0.0
+    a, b = a[keep], b[keep]
+    n = 2 * np.ceil((b - a) / (2 * mahler._GL_ORDER * h)).astype(int)
+    width = np.repeat((b - a) / n, n)
+    left = np.repeat(a, n) + width * (np.arange(n.sum())
+                                      - np.repeat(np.cumsum(n) - n, n))
+    x = np.array(mahler._GL_X + tuple(-t for t in mahler._GL_X))
+    vals = np.maximum(log_abs(left[:, None] + width[:, None] * (1 + x) / 2),
+                      0.0)
+    w = np.array(mahler._GL_W + mahler._GL_W)
+    return float(((vals @ w) * width).sum()) / 2 / (2 * math.pi)
+
+
+def _full_log_mahler_plus(psi, nodes):
+    """log M^+(psi) on the whole grid of `nodes` angles 2 pi k / nodes,
+    with the fine panel rule of `log_mahler_plus`."""
+    import numpy as np
+
+    coeffs, scale = mahler._float_coeffs(psi)
+    log_scale = math.log(scale)
+
+    def log_abs(theta):
+        vals = np.abs(horner(coeffs, np.exp(1j * theta)))
+        return np.log(np.maximum(vals, 1e-300)) + log_scale
+
+    g = log_abs(np.arange(nodes) * (2 * math.pi / nodes))
+    if np.max(np.abs(g)) < 1e-14:
+        return 0.0
+    return _full_log_mahler_plus_value(g, log_abs, lambda n: (
+        _full_circle_average_log_abs(
+            coeffs, log_scale, n, [r.value for r in complex_roots(psi)])[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=9).map(int_poly)
+       .filter(lambda P: P.degree() >= 1) | circle_products)
+@example(parse_poly("1 - x"))
+@example(parse_poly("x^2 + x + 1"))  # tangent at pi, crossings at +-i
+@example(int_poly([3, 0, 0, 5]))     # no crossing
+def test_log_mahler_plus_matches_full_grid(psi):
+    # where the grid resolves every arc the two differ by rounding: of the
+    # Gauss-Legendre sums (a few eps of the value) and of Horner where
+    # |psi| >= 1 (2 m eps sum|a_k| at most).  Where it does not (crossings
+    # closer than a cell, as on some circle products), each is off by up
+    # to the node-doubling difference in its error estimate.
+    try:
+        res = log_mahler_plus(psi, 16384)
+    except RootFindingError:
+        assume(False)  # a repeated root beyond the solver; not this test's
+    full = _full_log_mahler_plus(psi, 16384)
+    norm = sum(abs(c) for c in mahler._float_coeffs(psi)[0])
+    bound = 8 * EPS * (max(1.0, abs(full)) + psi.degree() * norm)
+    assert abs(res.log_value - full) <= bound + res.error_estimate
+
+
+def _spy_grids(monkeypatch):
+    """Sizes of the arrays that mahler evaluates its polynomials on."""
+    sizes = []
+    real = mahler.horner
+
+    def spy(coeffs, x):
+        sizes.append(getattr(x, "size", 1))
+        return real(coeffs, x)
+
+    monkeypatch.setattr(mahler, "horner", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("nodes", [16, 1024, 16384])
+def test_quadratures_evaluate_upper_half(monkeypatch, nodes):
+    lehmer = int_poly(LEHMER)
+    sizes = _spy_grids(monkeypatch)
+    mahler_via_quadrature(lehmer, nodes)
+    assert sizes == [nodes // 2, nodes // 4]  # the fine and coarse grids
+    sizes.clear()
+    # no crossing: the grid, then log M on the fine and coarse grids
+    log_mahler_plus(int_poly([3, 0, 0, 5]), nodes)
+    assert sizes == [nodes // 2 + 1, nodes // 2, nodes // 4]
+    sizes.clear()
+    log_mahler_plus(parse_poly("1 - x"), nodes)
+    assert sizes[0] == nodes // 2 + 1  # 0 ... pi, both ends included
+
+
+def test_log_mahler_plus_crossings_next_to_pi():
+    # |psi| = 1 at pi +- 1.0000000000417e-4, within one cell on either
+    # side of pi even at 16384 nodes; the arc between them, where
+    # |psi| < 1, moves log M^+ by 2.1e-13 (mpmath), so missing the two
+    # crossings would cost that much.  The error estimate is not asserted:
+    # log|199999999/10^8| taken as log p - log q errs by 2.1e-15, more
+    # than the 1.5e-15 it states at 16384 nodes
+    coeffs = [Fraction(199999999, 100000000), 1]
+    ref = _mp_log_mahler_plus(coeffs)
+    for nodes in (16384, 16):
+        res = log_mahler_plus(rat_poly(coeffs), nodes)
+        assert abs(res.log_value - ref) <= 1e-14

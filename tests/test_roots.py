@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dynheights.errors import RootFindingError
+from dynheights.errors import CoefficientRangeError, RootFindingError
 from dynheights.polys import int_poly, rat_poly
 from dynheights.roots import aberth, aberth_rows, complex_roots, prescale
 
@@ -109,6 +109,45 @@ def test_residuals_small(coeffs):
     for r in complex_roots(P):
         if r.value != 0:
             assert r.reliable
+
+
+def _prescale_by_fractions(coeffs):
+    """The Fraction route: m = max |c|, then float(c / m) for each c."""
+    m = max(abs(Fraction(c)) for c in coeffs)
+    return [float(Fraction(c) / m) for c in coeffs], m
+
+
+# exact coefficients from 10^-400 to 10^400, ints among them, so the
+# quotients run from 1 down through the subnormals to 0
+exact_coefficient = st.one_of(
+    st.integers(-10 ** 400, 10 ** 400),
+    st.builds(lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
+              st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20),
+              st.integers(-400, 400)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_coefficient, min_size=2, max_size=12).filter(
+    lambda c: c[-1] != 0))
+def test_prescale_matches_fraction_route(coeffs):
+    ref, m = _prescale_by_fractions(coeffs)
+    if abs(ref[-1]) < sys.float_info.min:
+        with pytest.raises(CoefficientRangeError):
+            prescale(coeffs)
+        return
+    scaled, scale = prescale(coeffs)
+    assert [x.hex() for x in scaled] == [x.hex() for x in ref]
+    assert scale == m
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1e200, 0, 1e-200],        # the leading coefficient underflows
+    [1e200, 0, 0, 1e-200],     # and the Newton polygon would lose a root
+    [1e200, 0, 5e-324],        # a subnormal leading coefficient
+])
+def test_aberth_rejects_underflowing_leading_coefficient(coeffs):
+    with pytest.raises(CoefficientRangeError, match="beyond the double"):
+        aberth(coeffs)
 
 
 def test_deterministic_output():
