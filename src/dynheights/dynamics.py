@@ -11,16 +11,16 @@ lift (a,b):
   <= C_arch for x != 0;
 * finite place p (necessarily dividing Res F): each step extracts
   c_k = v_p(gcd) <= v_p(Res), and g_p = -(sum_k d^{-(k+1)} c_k) log p.
-  The ledger (c_k) is detected to cycle modulo p^(2 v_p(Res) + 2), in
-  which case the tail is summed in closed form; otherwise the truncation
-  after enough steps is below the requested tolerance.  The orbit is
-  tracked modulo the power of p that the steps consume, not the worst
-  case of every step extracting v_p(Res) digits: it starts at a few
-  times v_p(Res) digits and is run again at twice the precision when a
-  state would be known to fewer digits than the cycle test reads.  Each
-  c_k and each cycle key depends only on the orbit modulo a fixed power
-  of p, so the ledger, and the float summed from it, are those of the
-  worst-case precision (see green_finite).
+  A preperiodic point reads its ledger off the exact orbit over Q, the
+  one `is_preperiodic` walks, and sums it as a geometric series over the
+  exact cycle.  Any other point truncates the ledger after enough steps
+  for the requested tolerance.  That orbit is tracked modulo the power
+  of p the steps consume, not the worst case of every step extracting
+  v_p(Res) digits: it starts at a few times v_p(Res) digits and is run
+  again at twice the precision when a state would be known to fewer
+  digits than c_k reads.  Each c_k depends only on the orbit modulo
+  p^v_p(Res), so the ledger, and the float summed from it, are those of
+  the worst-case precision (see green_finite).
 
 With this normalization sum_v g_v equals the canonical height exactly
 (finite places contribute non-positive amounts; good primes contribute 0).
@@ -143,51 +143,21 @@ def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
     return acc, tail
 
 
-def _canonical_padic_state(A: int, B: int, p: int, mod: int):
-    """Canonical representative of [A:B] in P^1(Z/mod), mod a power of p:
-    the unit coordinate is scaled to 1."""
-    if B % p != 0:
-        return (A * pow(B, -1, mod) % mod, 1)
-    return (1, B * pow(A, -1, mod) % mod)
-
-
 def _padic_orbit(F: HomogPair, P: ProjPointQ, p: int, m: int, K: int,
-                 digits: int, W: int):
-    """(ledger, cycle) of the orbit of P tracked modulo p^W, or None as
-    soon as p^W no longer carries what the next step reads.
+                 W: int):
+    """The ledger c_0, ..., c_(K-1) of the orbit of P tracked modulo p^W,
+    or None as soon as p^W no longer carries what the next step reads.
 
-    prec = digits - sum(c) is the precision of the orbit tracked modulo
-    p^digits; it alone decides when states are compared and when the
-    orbit stops.  The integers are known modulo p^w, w = W - sum(c).
-    cycle is the first repeat (i, j) of the state modulo p^(2m+2), or
-    None.  A state is reduced modulo p^(2m+2) only once a second state
-    falls into its residue class modulo p.
+    The integers of step k are known modulo p^w, w = W - sum(c), and
+    c_k = min(m - 1, v_p F0, v_p F1) reads them modulo p^(m-1) only.
     """
-    state_digits = 2 * m + 2
-    state_mod = p ** state_digits
     mod = p ** W
     A, B = P.a % mod, P.b % mod
-    prec = digits
     w = W
     ledger = []
-    first = {}  # class mod p -> (k, A, B) of its only state; None once shared
-    seen = {}   # state mod p^(2m+2) -> k, for the states of shared classes
-    for k in range(K):
-        if w < min(prec, state_digits + m):
+    for _ in range(K):
+        if w < m - 1:
             return None
-        if prec - (m - 1) >= state_digits:
-            r = A * pow(B % p, -1, p) % p if B % p else p
-            if r not in first:
-                first[r] = (k, A, B)
-            else:
-                if first[r] is not None:
-                    i, Ai, Bi = first[r]
-                    seen[_canonical_padic_state(Ai, Bi, p, state_mod)] = i
-                    first[r] = None
-                s = _canonical_padic_state(A, B, p, state_mod)
-                if s in seen:
-                    return ledger, (seen[s], k)
-                seen[s] = k
         v0, v1 = F.evaluate(A, B)
         v0 %= mod
         v1 %= mod
@@ -199,60 +169,55 @@ def _padic_orbit(F: HomogPair, P: ProjPointQ, p: int, m: int, K: int,
         # one of the coordinates now has valuation 0 (c <= v_p(Res))
         ledger.append(c)
         A, B = v0, v1
-        prec -= c
         w -= c
-        if prec <= state_digits:
-            break  # precision exhausted; fall back to truncation
-    return ledger, None
+    return ledger
 
 
 def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
     """Finite-place homogeneous Green function of the coprime lift.
 
-    Returns an exact geometric-series value when the p-adic ledger cycles,
+    Returns an exact geometric-series value when P is preperiodic,
     otherwise a truncation within eps, and 0.0 at a prime of good
     reduction.  It reads v_p(Res) for the given prime alone, so it never
     factors Res.
 
-    With m = v_p(Res) + 1, K steps bound the truncation tail, and
-    digits = K m + 2m + 8 covers K steps that each extract m - 1 digits.
-    The orbit is tracked modulo p^W instead, starting from
-    W = min(digits, 2 (3m + 2)); a step whose state is known to fewer
-    than min(prec, 3m + 2) digits restarts the orbit with W doubled
-    (capped at digits).  Why the ledger is the one of W = digits: each
-    run's integers agree with those of W = digits modulo p^w.  Each
-    c_k = min(m - 1, v_p F0, v_p F1) depends only on the state modulo
-    p^(m-1), and each cycle key only on the state modulo p^(2m+2), and
-    every step runs with w >= 3m + 2 or w = prec (that is, W = digits).
-    So c_k, the keys and the first repeat (i, j) are the same, and
-    so is the float, which is summed left to right in a fixed order.
+    A preperiodic point takes its ledger from the exact orbit over Q:
+    c_k = v_p of the gcd extracted at step k, periodic from the first
+    repeated point on.  Otherwise, with m = v_p(Res) + 1, K steps bound
+    the truncation tail, and digits = K m + 2m + 8 covers K steps that
+    each extract m - 1 digits.  The orbit is tracked modulo p^W instead,
+    starting from W = min(digits, 6m + 4), and a step whose state is
+    known to fewer than m - 1 digits restarts it with W doubled (capped
+    at digits, where no step runs short).  Each c_k depends only on the
+    state modulo p^(m-1), so the ledger is the one of W = digits, and so
+    is the float, which is summed left to right in a fixed order.
     """
     m = valuation(S.F.res, p) + 1  # extracted valuations are < m
     if m == 1:
         return 0.0
     d = S.degree
     logp = math.log(p)
+    dinv = 1.0 / d
+    total = 0.0
+    _, gcds, i = _exact_orbit(S, P)
+    if i is not None:
+        ledger = [valuation(g, p) for g in gcds]
+        for k in range(i):
+            total += ledger[k] * dinv ** (k + 1)
+        block = 0.0
+        for t in range(len(ledger) - i):
+            block += ledger[i + t] * dinv ** (t + 1)
+        total += dinv ** i * block / (1.0 - dinv ** (len(ledger) - i))
+        return -total * logp
     # steps needed for the truncation tail (m-1) logp d^{-K} / (d-1) <= eps
     K = max(8, math.ceil(
         math.log(max((m - 1) * logp, 1e-300) / ((d - 1) * eps)) / math.log(d)) + 1)
     digits = K * m + 2 * m + 8
-    W = min(digits, 2 * (3 * m + 2))
-    while (run := _padic_orbit(S.F, P, p, m, K, digits, W)) is None:
+    W = min(digits, 6 * m + 4)
+    while (ledger := _padic_orbit(S.F, P, p, m, K, W)) is None:
         W = min(digits, 2 * W)
-    ledger, cycle = run
-    dinv = 1.0 / d
-    total = 0.0
-    if cycle is not None:
-        i, j = cycle
-        for k in range(i):
-            total += ledger[k] * dinv ** (k + 1)
-        block = 0.0
-        for t in range(j - i):
-            block += ledger[i + t] * dinv ** (t + 1)
-        total += dinv ** i * block / (1.0 - dinv ** (j - i))
-    else:
-        for k, c in enumerate(ledger):
-            total += c * dinv ** (k + 1)
+    for k, c in enumerate(ledger):
+        total += c * dinv ** (k + 1)
     return -total * logp
 
 
@@ -312,6 +277,25 @@ def escape_threshold(S: DynSystem) -> float:
     return (S.c_arch + math.log(abs(S.F.res))) / (d - 1)
 
 
+def _exact_orbit(S: DynSystem, P: ProjPointQ):
+    """(orbit, gcds, i) of the exact orbit of P over Q, where gcds[k] is
+    the gcd extracted by the step from orbit[k].  When P is preperiodic, i
+    is the index of the first repeated point: orbit[i:] is the cycle and
+    the last step returns to orbit[i].  Otherwise i is None and orbit[-1]
+    is the first point whose Weil height passes the escape threshold."""
+    thresh = escape_threshold(S)
+    orbit, gcds, index = [], [], {}
+    Q = P
+    while Q not in index:
+        orbit.append(Q)
+        if weil_height(Q) > thresh:
+            return orbit, gcds, None
+        index[Q] = len(index)
+        Q, g = homog_step(S.F, Q)
+        gcds.append(g)
+    return orbit, gcds, index[Q]
+
+
 def is_preperiodic(S: DynSystem, P: ProjPointQ):
     """Exact orbit iteration with cycle detection.
 
@@ -319,22 +303,14 @@ def is_preperiodic(S: DynSystem, P: ProjPointQ):
     (False, escape certificate) once the orbit's Weil height passes the
     certified escape threshold (then hhat > 0, so the orbit is infinite).
     """
-    thresh = escape_threshold(S)
-    orbit = []
-    index = {}
-    Q = P
-    while True:
-        if Q in index:
-            i = index[Q]
-            return True, {"tail": [str(x) for x in orbit[:i]],
-                          "cycle": [str(x) for x in orbit[i:]]}
-        if weil_height(Q) > thresh:
-            return False, {"escaped_at": str(Q),
-                           "weil_height": weil_height(Q),
-                           "threshold": thresh}
-        index[Q] = len(orbit)
-        orbit.append(Q)
-        Q, _ = homog_step(S.F, Q)
+    orbit, _, i = _exact_orbit(S, P)
+    if i is None:
+        Q = orbit[-1]
+        return False, {"escaped_at": str(Q),
+                       "weil_height": weil_height(Q),
+                       "threshold": escape_threshold(S)}
+    return True, {"tail": [str(x) for x in orbit[:i]],
+                  "cycle": [str(x) for x in orbit[i:]]}
 
 
 def rational_points_up_to_height(H: float):

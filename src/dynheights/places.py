@@ -100,7 +100,14 @@ def log_abs_at(x: Fraction | int, v: Place) -> float:
         raise UndefinedLogError("log|0|_v is undefined")
     x = Fraction(x)
     if v.is_archimedean:
-        return math.log(abs(x.numerator)) - math.log(x.denominator)
+        n, d = abs(x.numerator), x.denominator
+        # n / d lies in [2^(e-1), 2^(e+1)) for e the difference of the bit
+        # lengths: a normal double for these e, and correctly rounded, so
+        # one log of it is off by about one ulp of the result, where
+        # log n - log d is off by about one ulp of log n
+        if -1021 <= n.bit_length() - d.bit_length() <= 1022:
+            return math.log(n / d)
+        return math.log(n) - math.log(d)
     return -valuation(x, v.prime) * math.log(v.prime)
 
 

@@ -163,12 +163,16 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
             break
         # a multiple root drives corrections to ~sqrt(eps) and no further;
         # accept once they stop improving at a small plateau (clusters are
-        # merged below, so the centroid regains the lost accuracy)
+        # merged below, so the centroid regains the lost accuracy).  The
+        # plateau is relative to the largest root: rounding alone leaves
+        # corrections that grow with |z| on simple roots (up to 2e-7 at
+        # |z| = 7e6)
         if max_corr < 0.5 * best_corr:
             best_corr, stagnant = max_corr, 0
         else:
             stagnant += 1
-            if stagnant >= 40 and best_corr < 1e-7:
+            if (stagnant >= 40
+                    and best_corr < 1e-7 * max(1.0, max(map(abs, z)))):
                 break
     else:
         raise RootFindingError(
@@ -424,7 +428,11 @@ def _aberth_sweeps(A, tol):
         improved = max_corr < 0.5 * best_corr
         best_corr = np.where(improved, max_corr, best_corr)
         stagnant = np.where(improved, 0, stagnant + 1)
-        leave = done | ((stagnant >= 40) & (best_corr < 1e-7))
+        stalled = stagnant >= 40  # and at the relative plateau of `aberth`
+        if stalled.any():
+            stalled &= best_corr < 1e-7 * np.maximum(
+                1.0, np.max([_modulus(zj) for zj in z], axis=0))
+        leave = done | stalled
         if leave.any():
             Z[live[done]] = np.stack([zj[done] for zj in z], axis=1)
             settled[live[done]] = True

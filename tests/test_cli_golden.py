@@ -41,6 +41,11 @@ CASES = {
                             "x^6 + 8*x^5 + 10*x^4 + 15/4*x^3 - 12*x^2"
                             " - 37/4*x + 11/3",
                             "--point=-19/23", "--per-place"],
+    # the 2-adic term is -log 2 * 127/256; closing the ledger at the first
+    # repeat of a state modulo 2^(2m+2) printed -log 2 / 2
+    "canheight_2adic_closure": ["canheight", "--map",
+                                "(-43*x^2 + 90*x + 39)/(10*x^2 - 27*x + 21)",
+                                "--point=-16/21", "--per-place"],
     "preperiodic_cycle": ["preperiodic", "--map", "x^2 - 29/16",
                           "--point", "1/4"],
     # Res is -2^2 3^4 times a 34-digit prime, which factorize could only

@@ -65,6 +65,20 @@ def test_product_formula(x):
     assert abs(total) <= 1e-9 * (1 + abs(math.log(abs(x))))
 
 
+@pytest.mark.parametrize("x", [Fraction(199999999, 100000000),
+                               Fraction(10 ** 300 + 1, 10 ** 299),
+                               Fraction(3, 7 ** 400), Fraction(7 ** 400, 3)])
+def test_log_abs_at_archimedean_rounding(x):
+    # one log of the correctly rounded quotient where it is a normal
+    # double (log p - log q erred by 3.6e-15 at the first); the last two
+    # lie outside the double range and keep log p - log q
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+        err = abs(log_abs_at(x, ARCH) - ref)
+    assert err <= 2 * math.ulp(float(ref))
+
+
 def test_normalization_sign_and_coprimality():
     assert normalize_proj(2, -4) == ProjPointQ(-1, 2)
     assert normalize_proj(-3, 0) == ProjPointQ(1, 0)

@@ -310,6 +310,10 @@ root_factors = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(root_factors, min_size=1, max_size=5, unique_by=tuple),
        st.sampled_from(CYCLOTOMIC))
+# roots of modulus 7e6, whose corrections level off at 0.9-2e-7, the
+# rounding level there: an absolute stall floor of 1e-7 never stopped
+@example([[49 * 10 ** 12, Fraction(196000000, 37), 1],
+          [49 * 10 ** 12, Fraction(252000000, 47), 1]], [-1, 1])
 def test_complex_roots_against_mpmath(factors, cyclotomic):
     # distinct factors, so every root is simple: repeated roots are the
     # known defect of `aberth` that this test does not cover
