@@ -18,7 +18,7 @@ from .bounds import (energy_arch_power, energy_level_curve, pair_bound_power,
                      preimage_measure_stats, roots_of_unity_height_sequence,
                      scan_exceptions)
 from .dynamics import (DynSystem, canonical_height, common_preperiodic_scan,
-                       green_finite, homog_step, is_preperiodic, local_green,
+                       homog_step, is_preperiodic, local_green,
                        rational_points_up_to_height)
 from .graphs import (MetrizedGraph, PLFunction, VertexDivisor,
                      circle_haar_measure, curvature, dirichlet_energy,
@@ -193,7 +193,7 @@ def criterion_5_good_reduction() -> _Recorder:
         bad_val = None
         for P in pts:
             for p in good:
-                if green_finite(S, P, p, 1e-9) != 0.0:
+                if local_green(S, P, Place(p), 1e-9) != 0.0:
                     bad_val = (P, p)
         r.expect(f"{expr}: green == 0 at primes {good}",
                  bad_val is None, f"failed at {bad_val}")

@@ -238,9 +238,17 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
     """
     if threshold < 0 or H < 0:
         raise ValueError("threshold and H must be >= 0")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     m = psi.degree()
     if ell < 1 or m < 1:
         raise ValueError("degrees must be >= 1")
+    # the quadratic box below is 2 e^(2 threshold / ell) wide
+    if (include_quadratic
+            and 2.0 * threshold / ell >= math.log(sys.float_info.max / 2)):
+        raise ValueError(f"threshold {threshold} is out of range for the "
+                         f"quadratic scan: 2 e^(2 threshold / {ell}) must "
+                         "be a finite float")
     out = []
     for P in rational_points_up_to_height(H):
         if P.is_infinity:

@@ -15,8 +15,8 @@ from . import __version__
 from .acceptance import run_all
 from .bounds import (energy_level_curve, pair_bound_power,
                      preimage_measure_stats, scan_exceptions)
-from .dynamics import (DynSystem, canonical_height, common_preperiodic_scan,
-                       green_ledger, is_preperiodic)
+from .dynamics import (DynSystem, common_preperiodic_scan, green_ledger,
+                       is_preperiodic)
 from .errors import DynheightsError
 from .graphs import (curvature, dirichlet_energy, laplacian_pl,
                      load_graph_json)

@@ -11,16 +11,10 @@ lift (a,b):
   <= C_arch for x != 0;
 * finite place p (necessarily dividing Res F): each step extracts
   c_k = v_p(gcd) <= v_p(Res), and g_p = -(sum_k d^{-(k+1)} c_k) log p.
-  A preperiodic point reads its ledger off the exact orbit over Q, the
-  one `is_preperiodic` walks, and sums it as a geometric series over the
-  exact cycle.  Any other point truncates the ledger after enough steps
-  for the requested tolerance.  That orbit is tracked modulo the power
-  of p the steps consume, not the worst case of every step extracting
-  v_p(Res) digits: it starts at a few times v_p(Res) digits and is run
-  again at twice the precision when a state would be known to fewer
-  digits than c_k reads.  Each c_k depends only on the orbit modulo
-  p^v_p(Res), so the ledger, and the float summed from it, are those of
-  the worst-case precision (see green_finite).
+  Every bad prime reads its ledger off one exact walk of the orbit over
+  Q: a preperiodic point sums it as a geometric series over the exact
+  cycle, and any other point truncates it after enough steps for the
+  requested tolerance, going on p-adically past the walk (green_finite).
 
 With this normalization sum_v g_v equals the canonical height exactly
 (finite places contribute non-positive amounts; good primes contribute 0).
@@ -31,6 +25,8 @@ floats is compensated from Python 3.12 on.
 from __future__ import annotations
 
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -127,8 +123,7 @@ def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
     """(value, tail_bound) for the archimedean homogeneous Green function
     of the coprime lift of P."""
     d = S.degree
-    n_steps = max(1, math.ceil(
-        math.log(max(S.c_arch, 1e-300) / ((d - 1) * eps)) / math.log(d)))
+    n_steps = max(1, _tail_steps(S.c_arch, d, eps))
     acc = weil_height(P)
     scale = float(weil_height_exact(P))
     a, b = P.a / scale, P.b / scale
@@ -139,8 +134,16 @@ def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
         w /= d
         acc += w * math.log(m)
         a, b = v0 / m, v1 / m
-    tail = S.c_arch * d ** (-n_steps) / (d - 1)
-    return acc, tail
+    return acc, S.c_arch * d ** (-n_steps) / (d - 1)
+
+
+def _tail_steps(c: float, d: int, eps: float) -> int:
+    """ceil(log_d(c / ((d - 1) eps))): the steps N after which a tail
+    c d^-N / (d - 1) is at most eps (c floored at 1e-300)."""
+    ratio = max(c, 1e-300) / ((d - 1) * eps) if eps else math.inf
+    if ratio == math.inf:
+        raise ValueError("eps is too small: its step count overflows a float")
+    return math.ceil(math.log(ratio) / math.log(d))
 
 
 def _padic_orbit(F: HomogPair, P: ProjPointQ, p: int, m: int, K: int,
@@ -173,25 +176,22 @@ def _padic_orbit(F: HomogPair, P: ProjPointQ, p: int, m: int, K: int,
     return ledger
 
 
-def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
-    """Finite-place homogeneous Green function of the coprime lift.
+def green_finite(S: DynSystem, walk: Walk, p: int, eps: float) -> float:
+    """Finite-place Green function of the coprime lift of walk.points[0],
+    read off its exact walk (`_exact_orbit`): an exact geometric series
+    when the point is preperiodic, otherwise a truncation within eps, and
+    0.0 at a prime of good reduction.  It never factors Res.
 
-    Returns an exact geometric-series value when P is preperiodic,
-    otherwise a truncation within eps, and 0.0 at a prime of good
-    reduction.  It reads v_p(Res) for the given prime alone, so it never
-    factors Res.
-
-    A preperiodic point takes its ledger from the exact orbit over Q:
-    c_k = v_p of the gcd extracted at step k, periodic from the first
-    repeated point on.  Otherwise, with m = v_p(Res) + 1, K steps bound
-    the truncation tail, and digits = K m + 2m + 8 covers K steps that
-    each extract m - 1 digits.  The orbit is tracked modulo p^W instead,
-    starting from W = min(digits, 6m + 4), and a step whose state is
-    known to fewer than m - 1 digits restarts it with W doubled (capped
-    at digits, where no step runs short).  Each c_k depends only on the
-    state modulo p^(m-1), so the ledger is the one of W = digits, and so
-    is the float, which is summed left to right in a fixed order.
-    """
+    With m = v_p(Res) + 1, the ledger starts with c_k = v_p(walk.gcds[k]):
+    every gcd divides Res, so this is the c_k = min(m - 1, v_p F0, v_p F1)
+    a p-adic step extracts.  It is periodic from cycle_start on, if any.
+    Otherwise K steps bound the tail; when the walk escapes after n < K
+    steps, `_padic_orbit` goes on from its last point (the p-adic state up
+    to a unit) modulo p^W.  W starts at min(digits, 6m + 4), where
+    digits = (K - n) m + 2m + 8, and doubles (up to digits, where no step
+    runs short) when a state is known to fewer than the m - 1 digits a
+    step reads.  So the ledger, and its float summed left to right, are
+    those of W = digits."""
     m = valuation(S.F.res, p) + 1  # extracted valuations are < m
     if m == 1:
         return 0.0
@@ -199,9 +199,9 @@ def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
     logp = math.log(p)
     dinv = 1.0 / d
     total = 0.0
-    _, gcds, i = _exact_orbit(S, P)
+    ledger = [valuation(g, p) for g in walk.gcds]
+    i = walk.cycle_start
     if i is not None:
-        ledger = [valuation(g, p) for g in gcds]
         for k in range(i):
             total += ledger[k] * dinv ** (k + 1)
         block = 0.0
@@ -209,15 +209,16 @@ def green_finite(S: DynSystem, P: ProjPointQ, p: int, eps: float) -> float:
             block += ledger[i + t] * dinv ** (t + 1)
         total += dinv ** i * block / (1.0 - dinv ** (len(ledger) - i))
         return -total * logp
-    # steps needed for the truncation tail (m-1) logp d^{-K} / (d-1) <= eps
-    K = max(8, math.ceil(
-        math.log(max((m - 1) * logp, 1e-300) / ((d - 1) * eps)) / math.log(d)) + 1)
-    digits = K * m + 2 * m + 8
-    W = min(digits, 6 * m + 4)
-    while (ledger := _padic_orbit(S.F, P, p, m, K, W)) is None:
-        W = min(digits, 2 * W)
-    for k, c in enumerate(ledger):
-        total += c * dinv ** (k + 1)
+    K = max(8, _tail_steps((m - 1) * logp, d, eps) + 1)
+    if (n := len(ledger)) < K:
+        digits = (K - n) * m + 2 * m + 8
+        W = min(digits, 6 * m + 4)
+        while (rest := _padic_orbit(S.F, walk.points[-1], p, m, K - n,
+                                    W)) is None:
+            W = min(digits, 2 * W)
+        ledger += rest
+    for k in range(K):
+        total += ledger[k] * dinv ** (k + 1)
     return -total * logp
 
 
@@ -237,24 +238,28 @@ class GreenLedger:
 
 
 def green_ledger(S: DynSystem, P: ProjPointQ, eps: float) -> GreenLedger:
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be a positive finite number")
     n_fin = len(S.bad_primes)
     eps_arch = eps / 2 if n_fin else eps
     eps_fin = eps / (2 * n_fin) if n_fin else eps
     per = {}
     arch, tail = green_archimedean(S, P, eps_arch)
     per[ARCH] = arch
-    for p in S.bad_primes:
-        per[Place(p)] = green_finite(S, P, p, eps_fin)
+    if n_fin:
+        walk = _exact_orbit(S, P)
+        for p in S.bad_primes:
+            per[Place(p)] = green_finite(S, walk, p, eps_fin)
     return GreenLedger(per, tail + n_fin * eps_fin)
 
 
 def local_green(S: DynSystem, P: ProjPointQ, v: Place, eps: float) -> float:
     """Local Green value at one place (archimedean requires eps > 0)."""
     if v.is_archimedean:
-        if eps <= 0:
-            raise ValueError("eps must be positive at the archimedean place")
+        if not 0 < eps < math.inf:
+            raise ValueError("archimedean eps must be positive and finite")
         return green_archimedean(S, P, eps)[0]
-    return green_finite(S, P, v.prime, eps)
+    return green_finite(S, _exact_orbit(S, P), v.prime, eps)
 
 
 def canonical_height(S: DynSystem, P: ProjPointQ, eps: float = 1e-9) -> float:
@@ -277,23 +282,26 @@ def escape_threshold(S: DynSystem) -> float:
     return (S.c_arch + math.log(abs(S.F.res))) / (d - 1)
 
 
-def _exact_orbit(S: DynSystem, P: ProjPointQ):
-    """(orbit, gcds, i) of the exact orbit of P over Q, where gcds[k] is
-    the gcd extracted by the step from orbit[k].  When P is preperiodic, i
-    is the index of the first repeated point: orbit[i:] is the cycle and
-    the last step returns to orbit[i].  Otherwise i is None and orbit[-1]
-    is the first point whose Weil height passes the escape threshold."""
+Walk = namedtuple("Walk", "points gcds cycle_start")
+
+
+def _exact_orbit(S: DynSystem, P: ProjPointQ) -> Walk:
+    """The exact orbit of P over Q; gcds[k] is the gcd extracted by the
+    step from points[k].  When P is preperiodic, points[cycle_start:] is
+    the cycle and the last step returns to points[cycle_start].  Otherwise
+    cycle_start is None and points[-1] is the first point whose Weil
+    height passes the escape threshold."""
     thresh = escape_threshold(S)
     orbit, gcds, index = [], [], {}
     Q = P
     while Q not in index:
         orbit.append(Q)
         if weil_height(Q) > thresh:
-            return orbit, gcds, None
+            return Walk(orbit, gcds, None)
         index[Q] = len(index)
         Q, g = homog_step(S.F, Q)
         gcds.append(g)
-    return orbit, gcds, index[Q]
+    return Walk(orbit, gcds, index[Q])
 
 
 def is_preperiodic(S: DynSystem, P: ProjPointQ):
@@ -316,24 +324,16 @@ def is_preperiodic(S: DynSystem, P: ProjPointQ):
 def rational_points_up_to_height(H: float):
     """All normalized points of P^1(Q) with Weil height <= H, in a fixed
     deterministic order (finite points by (b, a), then infinity)."""
+    if not H <= math.log(sys.float_info.max):
+        raise ValueError(f"height bound {H} is out of range: e^H must be "
+                         "a finite float")
     bound = int(math.floor(math.exp(H) + 1e-12))
-    out = []
-    for b in range(1, bound + 1):
-        for a in range(-bound, bound + 1):
-            if math.gcd(abs(a), b) == 1:
-                out.append(ProjPointQ(a, b))
-    out.append(ProjPointQ(1, 0))
-    return out
+    return [ProjPointQ(a, b) for b in range(1, bound + 1)
+            for a in range(-bound, bound + 1)
+            if math.gcd(abs(a), b) == 1] + [ProjPointQ(1, 0)]
 
 
 def common_preperiodic_scan(S1: DynSystem, S2: DynSystem, H: float):
     """Rational points of height <= H preperiodic under both maps."""
-    out = []
-    for P in rational_points_up_to_height(H):
-        ok1, _ = is_preperiodic(S1, P)
-        if not ok1:
-            continue
-        ok2, _ = is_preperiodic(S2, P)
-        if ok2:
-            out.append(P)
-    return out
+    return [P for P in rational_points_up_to_height(H)
+            if is_preperiodic(S1, P)[0] and is_preperiodic(S2, P)[0]]

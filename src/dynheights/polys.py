@@ -416,10 +416,6 @@ class HomogPair:
             out = out.compose(self)
         return out
 
-    def to_str(self, var: str = "z") -> str:
-        p, q = self.dehomog()
-        return f"({p.to_str(var)})/({q.to_str(var)})"
-
 
 def resultant(F: HomogPair) -> int:
     """Resultant of the pair as binary forms of degree d (full padded

@@ -97,7 +97,7 @@ def prescale(coeffs):
     return scaled, m
 
 
-def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
+def aberth(coeffs, tol: float = 1e-12):
     """All roots of a complex-coefficient polynomial (ascending coeffs).
 
     Returns a list of complex roots with multiplicity (length = degree).
@@ -135,7 +135,7 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
     z = _newton_polygon_start(coeffs)
     best_corr = math.inf
     stagnant = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         max_corr = 0.0
         for j in range(n):
             zj = z[j]
@@ -176,7 +176,7 @@ def aberth(coeffs, tol: float = 1e-12, max_iter: int = _MAX_ITER):
                 break
     else:
         raise RootFindingError(
-            f"Aberth iteration did not reach tol={tol} in {max_iter} steps",
+            f"Aberth iteration did not reach tol={tol} in {_MAX_ITER} steps",
             best=zero_roots + z)
     # final Newton polish (helps simple roots to machine accuracy)
     moduli = [abs(c) for c in coeffs]
@@ -465,7 +465,7 @@ def _aberth_sweeps(A, tol):
     return Z, settled
 
 
-def complex_roots(P: Poly, tol: float = 1e-12):
+def complex_roots(P: Poly):
     """Roots of an exact-coefficient polynomial as ComplexApprox records.
 
     The residual is |P(z)| on the scaled polynomial (coefficients divided
@@ -482,7 +482,7 @@ def complex_roots(P: Poly, tol: float = 1e-12):
     if P.degree() < 1:
         raise ValueError("need degree >= 1")
     scaled, _ = prescale(P.coeffs)
-    zs = aberth(scaled, tol=tol)
+    zs = aberth(scaled)
     max_eta = _BACKWARD_ERROR_UNITS * P.degree() * sys.float_info.epsilon
     moduli = [abs(c) for c in scaled]
     out = []

@@ -105,9 +105,20 @@ CYCLO_PRODUCT = int_poly([1, 1, 1, 1, 1]) * int_poly([1, 0, -1, 0, 1])
 
 
 def _energy_full_grid(phi, psi, nodes):
-    """The level-curve sum with every node theta_k = (k + 1/2) 2 pi / nodes,
-    k < nodes, solved, mirror rows included, all in one `aberth_rows`
-    call."""
+    """(energy, rounding) of the level-curve sum with every node theta_k =
+    (k + 1/2) 2 pi / nodes, k < nodes, solved, mirror rows included, all
+    in one `aberth_rows` call.
+
+    rounding bounds the error of each log max(|psi(z)|, 1), summed with
+    the quadrature weights 2 m / nodes.  That log moves by at most the
+    error in |psi(z)| over max(|psi(z)|, 1).  Horner's rounding adds at
+    most 2 m eps sum_k |b_k| |z|^k to |psi(z)| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1).  The preimage z itself is a
+    root of phi - e^(i theta) to a backward error of the same form,
+    2 l eps sum_k |a_k| |z|^k, and moves psi by |psi'(z) / phi'(z)| times
+    that: a mirror row's roots are those of its own, independently
+    rounded e^(i theta), not the conjugates of the upper row's."""
+    l, m = phi.degree(), psi.degree()
     phic = np.array([complex(c) for c in phi.coeffs])
     psi_s, scale = roots.prescale(psi.coeffs)
     theta = (np.arange(nodes) + 0.5) * (2 * math.pi / nodes)
@@ -118,7 +129,14 @@ def _energy_full_grid(phi, psi, nodes):
     mod = np.abs(polys.horner(np.array(psi_s, dtype=complex), pre))
     mod *= float(scale)
     total = float(np.log(np.maximum(mod, 1.0)).sum())
-    return 2.0 * psi.degree() * total / nodes
+    psic = np.array([complex(c) for c in psi.coeffs])
+    size = np.abs(pre)
+    d_psi = np.abs(polys.horner(psic[1:] * np.arange(1, m + 1), pre))
+    d_phi = np.abs(polys.horner(phic[1:] * np.arange(1, l + 1), pre))
+    moved = (2 * m * EPS * polys.horner(np.abs(psic), size)
+             + d_psi / d_phi * 2 * l * EPS * polys.horner(np.abs(phic), size))
+    rounding = float((moved / np.maximum(mod, 1.0)).sum())
+    return 2.0 * m * total / nodes, 2.0 * m * rounding / nodes
 
 
 def _critical_values_off_circle(phi):
@@ -139,14 +157,17 @@ small_int_poly = st.lists(st.integers(-9, 9), min_size=2, max_size=5).map(
        st.sampled_from([64, 65, 600, 601]))
 @example(parse_poly("x^2"), LEHMER, 65)
 @example(parse_poly("-(x + 1)^4"), CYCLO_PRODUCT, 601)
+# psi = phi: every log|psi| on |phi| = 1 is rounding noise, 2.0e-14 in all
+@example(parse_poly("x^4 - 5*x^3 + x^2"), parse_poly("x^4 - 5*x^3 + x^2"), 64)
 def test_level_curve_matches_full_grid(phi, psi, nodes):
-    # the mirror row's preimages are the conjugates of the upper row's up
-    # to the rounding of the two solves, which these maps keep well
-    # conditioned (no critical value near the level curve): a few eps of
-    # each log|psi|, so a few eps of the total
-    ref = _energy_full_grid(phi, psi, nodes)
+    # the errors of the logs add in absolute terms: each side is off by at
+    # most the full grid's rounding bound (the upper rows count twice on
+    # the level-curve side), and each sum of up to l nodes nonnegative
+    # terms by l nodes eps of the total
+    ref, rounding = _energy_full_grid(phi, psi, nodes)
     got = energy_level_curve(phi, psi, nodes=nodes)
-    assert abs(got - ref) <= 64 * EPS * max(1.0, abs(ref))
+    summing = phi.degree() * nodes * EPS * abs(ref)
+    assert abs(got - ref) <= 2 * (rounding + summing)
 
 
 @pytest.mark.parametrize("nodes", [64, 65, 600, 601, 4096, 4097])

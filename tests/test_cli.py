@@ -243,6 +243,33 @@ def test_coefficient_span_beyond_double_range(capsys, argv):
     assert rec["outputs"]["error"] == "CoefficientRangeError"
 
 
+_CANHEIGHT = ["canheight", "--map", "x^2-2", "--point", "1/3", "--eps"]
+_SCAN = ["scan", "--ell", "1", "--psi", "1-x"]
+_SCAN_PAIR = ["scan-pair", "--phi", "x^2", "--psi", "x^2-1", "--max-height"]
+
+
+@pytest.mark.parametrize("argv", [
+    # a tolerance of 0 divided by zero, 1e-320 overflowed the step count,
+    # and -1, inf and nan failed inside math
+    _CANHEIGHT + ["0"], _CANHEIGHT + ["1e-320"], _CANHEIGHT + ["-1"],
+    _CANHEIGHT + ["inf"], _CANHEIGHT + ["nan"],
+    # a non-finite threshold was echoed into the record, and e^H or the
+    # quadratic box overflowed
+    _SCAN + ["--max-height", "1", "--threshold", "nan"],
+    _SCAN + ["--max-height", "1", "--threshold", "inf"],
+    _SCAN + ["--threshold", "1", "--max-height", "1000"],
+    _SCAN + ["--threshold", "1000", "--max-height", "1", "--quadratic"],
+    _SCAN_PAIR + ["1000"], _SCAN_PAIR + ["inf"],
+])
+def test_out_of_range_numbers_exit_1(capsys, argv):
+    code = dispatch(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    rec = json.loads(out)
+    assert rec["outputs"]["error"] == "ValueError"
+    assert rec["inputs"] == {}
+
+
 def test_selftest_filter(capsys):
     code = dispatch(["selftest", "--filter", "level-curve"])
     out = capsys.readouterr().out

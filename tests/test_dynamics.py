@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dynheights.bounds import preimage_measure_stats
 from dynheights.dynamics import (DynSystem, canonical_height,
                                  common_preperiodic_scan, escape_threshold,
-                                 green_finite, green_ledger, is_preperiodic,
-                                 local_green, rational_points_up_to_height)
+                                 green_ledger, is_preperiodic, local_green,
+                                 rational_points_up_to_height)
 from dynheights import dynamics, polys
 from dynheights.errors import DegenerateMapError
 from dynheights.places import ARCH, Place, ProjPointQ, valuation, weil_height
@@ -196,12 +196,22 @@ def test_local_global_sum(a, b):
     assert abs(total - canonical_height(S, P)) <= 1e-8
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+def test_eps_out_of_range_is_a_value_error(eps):
+    S = DynSystem.from_expr("x^2 - 29/16")
+    P = _pt(Fraction(1, 3))
+    with pytest.raises(ValueError, match="positive and finite"):
+        local_green(S, P, ARCH, eps)
+    with pytest.raises(ValueError, match="positive finite"):
+        green_ledger(S, P, eps)
+
+
 def test_finite_green_nonpositive_and_good_reduction():
     S = DynSystem.from_expr("x^2 - 29/16")
     for x in (Fraction(1, 4), Fraction(3, 2), 5):
         P = _pt(x)
-        assert green_finite(S, P, 2, 1e-9) <= 0.0
-        assert green_finite(S, P, 3, 1e-9) == 0.0  # good reduction
+        assert local_green(S, P, Place(2), 1e-9) <= 0.0
+        assert local_green(S, P, Place(3), 1e-9) == 0.0  # good reduction
 
 
 def test_finite_ledger_on_cycle():
@@ -213,7 +223,7 @@ def test_finite_ledger_on_cycle():
         P, g = homog_step(S.F, P)
         assert valuation(g, 2) == 6
     # geometric series: g_2 = -sum 6 * 2^-(k+1) log 2 = -6 log 2
-    g2 = green_finite(S, _pt(Fraction(1, 4)), 2, 1e-12)
+    g2 = local_green(S, _pt(Fraction(1, 4)), Place(2), 1e-12)
     assert abs(g2 + 6 * math.log(2)) <= 1e-10
 
 
@@ -341,7 +351,7 @@ def _assert_same_green(S, P, eps):
     (where it sums the exact ledger in closed form)."""
     preperiodic, _ = is_preperiodic(S, P)
     for p in S.bad_primes:
-        got = green_finite(S, P, p, eps)
+        got = local_green(S, P, Place(p), eps)
         want = _green_finite_full(S, P, p, eps)
         if preperiodic:
             assert abs(got - want) <= eps, (p, got, want)
@@ -391,7 +401,7 @@ def test_green_finite_matches_full_precision(S, ab, eps):
 def test_green_finite_within_eps_of_exact_reference(S, ab, eps):
     P = ProjPointQ.of(*ab)
     for p in S.bad_primes:
-        got = green_finite(S, P, p, eps)
+        got = local_green(S, P, Place(p), eps)
         want = _green_finite_reference(S, P, p)
         assert abs(got - want) <= eps, (p, got, want)
 
@@ -444,7 +454,7 @@ def test_green_finite_preperiodic_oracle(case):
         on_cycle = block / (1 - Fraction(1, d ** n))
         for x, exact in ((cycle[0], on_cycle),
                          (t, Fraction(c(t, p), d) + on_cycle / d)):
-            got = green_finite(S, _pt(x), p, 1e-9)
+            got = local_green(S, _pt(x), Place(p), 1e-9)
             want = -float(exact) * math.log(p)
             assert abs(got - want) <= 8 * math.ulp(want) + 1e-300, (p, x)
 
@@ -470,7 +480,7 @@ def test_green_finite_cycle_at_constant_extraction(monkeypatch):
     # point sums its exact ledger and runs no p-adic orbit
     S = DynSystem.from_expr("x^2 - 29/16")
     runs = _orbit_runs(monkeypatch)
-    g2 = green_finite(S, _pt(Fraction(1, 4)), 2, 1e-12)
+    g2 = local_green(S, _pt(Fraction(1, 4)), Place(2), 1e-12)
     assert runs == []
     assert abs(g2 + 6 * math.log(2)) <= 4 * math.ulp(6 * math.log(2))
     _assert_same_green(S, _pt(Fraction(1, 4)), 1e-12)
@@ -478,33 +488,38 @@ def test_green_finite_cycle_at_constant_extraction(monkeypatch):
 
 def test_green_finite_restarts_until_precision_suffices(monkeypatch):
     # a/4 with a odd maps to an odd numerator over 4: 9/4 extracts 2^6 at
-    # every step and escapes, so W = 106 and 212 run short of the 16
-    # digits a step reads
+    # every step and its walk escapes after 6 steps.  The K - 6 steps that
+    # follow run short of the 16 digits a step reads at W = 106, and at
+    # W = 212 too when eps = 1e-12
     S = DynSystem.from_expr("x^2 - 29/16")
     runs = _orbit_runs(monkeypatch)
-    for eps in (1e-9, 1e-12):
+    for eps, want in ((1e-9, [(106, "short"), (212, 29)]),
+                      (1e-12, [(106, "short"), (212, "short"), (424, 39)])):
         runs.clear()
         _assert_same_green(S, _pt(Fraction(9, 4)), eps)
-        K = _ledger_steps(S, 2, eps)[1]
-        assert runs == [(106, "short"), (212, "short"), (424, K)]
+        assert runs == want
+        assert want[-1][1] == _ledger_steps(S, 2, eps)[1] - 6
 
 
 @pytest.mark.parametrize("f0, f1, x, p, runs_at_p", [
-    # 18 of the K = 32 steps extract a digit, so W = 16 runs short of
-    # the m - 1 = 1 digit a step reads
-    ((4, 3, 2), (5, 7, 5), Fraction(19, 14), 3, [(16, "short"), (32, 32)]),
+    # the walk escapes after 2 of the K = 32 steps; 17 of the other 30
+    # extract a digit, so W = 16 runs short of the m - 1 = 1 digit a step
+    # reads
+    ((4, 3, 2), (5, 7, 5), Fraction(19, 14), 3, [(16, "short"), (32, 30)]),
     # the state of step 0 comes back modulo 3^6 at step 30, where a keyed
-    # closure would stop; 13 of the 32 steps extract, so W = 16 suffices
-    ((2, -1, 5), (1, 9, -1), Fraction(7, 16), 3, [(16, 32)]),
-    # W = 16 runs short here too; a run that went on to a step known to
-    # no digit would read the wrong c there, and a float 1.5e-9 off
+    # closure would stop; the walk escapes after 3 steps, and 12 of the
+    # other 29 extract, so W = 16 suffices
+    ((2, -1, 5), (1, 9, -1), Fraction(7, 16), 3, [(16, 29)]),
+    # W = 16 runs short here too (17 of the 29 steps after the walk
+    # extract); a run that went on to a step known to no digit would read
+    # the wrong c there, and a float 1.5e-9 off
     ((-19, -11, -3), (4, -20, -27), Fraction(41, 43), 3,
-     [(16, "short"), (32, 32)]),
+     [(16, "short"), (32, 29)]),
 ])
 def test_green_finite_paths(monkeypatch, f0, f1, x, p, runs_at_p):
     S = DynSystem.of(HomogPair.of(f0, f1))
     runs = _orbit_runs(monkeypatch)
-    green_finite(S, _pt(x), p, 1e-9)
+    local_green(S, _pt(x), Place(p), 1e-9)
     assert runs == runs_at_p
     _assert_same_green(S, _pt(x), 1e-9)
 
@@ -514,6 +529,45 @@ def test_green_finite_large_resultant_valuation():
     assert factorize(S.F.res) == {2: 80}
     for x in (Fraction(1, 3), Fraction(5, 2), Fraction(7, 1024), 3):
         _assert_same_green(S, _pt(x), 1e-9)
+
+
+def test_green_finite_walk_longer_than_ledger(monkeypatch):
+    # x -> 2^40 x conjugates x^2 - 29/16 to this map and raises the escape
+    # threshold to 196: the image 9 * 2^38 of 9/4 walks 9 steps before it
+    # escapes, more than the K = 8 an eps of 1 needs, so the ledger is the
+    # walk's first 8 entries and no p-adic orbit runs
+    S = DynSystem.from_expr("x^2/2^40 - 29*2^36")
+    P = _pt(9 * 2 ** 38)
+    assert len(dynamics._exact_orbit(S, P).gcds) == 9
+    assert _ledger_steps(S, 2, 1.0)[1] == 8
+    runs = _orbit_runs(monkeypatch)
+    _assert_same_green(S, P, 1.0)
+    assert runs == []
+
+
+def test_green_ledger_walks_the_orbit_once(monkeypatch):
+    # every bad prime reads its ledger off the same exact walk
+    S = DynSystem.from_expr("(x^2 - 29/16)/(3*x)")
+    assert S.bad_primes == (2, 3, 29)
+    walks, steps = [], []
+    walk, step = dynamics._exact_orbit, dynamics.homog_step
+
+    def walk_spy(S, P):
+        walks.append(walk(S, P))
+        return walks[-1]
+
+    def step_spy(F, P):
+        steps.append(P)
+        return step(F, P)
+
+    monkeypatch.setattr(dynamics, "_exact_orbit", walk_spy)
+    monkeypatch.setattr(dynamics, "homog_step", step_spy)
+    for x in (Fraction(1, 4), Fraction(9, 4), 0, 5):
+        walks.clear()
+        steps.clear()
+        green_ledger(S, _pt(x), 1e-9)
+        assert len(walks) == 1
+        assert len(steps) == len(walks[0].gcds) > 0
 
 
 LARGE_PRIME_MAP = "(x^3 + 1234567*x + 89)/(x^2 + 98765*x + 4321)"
@@ -528,5 +582,5 @@ def test_green_finite_large_prime(monkeypatch):
     assert "short" not in [out for _, out in runs]
     # 5242926998 is the common root of both forms modulo p
     P = _pt(5242926998)
-    assert green_finite(S, P, p, 1e-9) < 0.0
+    assert local_green(S, P, Place(p), 1e-9) < 0.0
     _assert_same_green(S, P, 1e-9)
