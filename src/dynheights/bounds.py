@@ -250,7 +250,9 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
                          f"quadratic scan: 2 e^(2 threshold / {ell}) must "
                          "be a finite float")
     out = []
-    for P in rational_points_up_to_height(H):
+    # a finite point with l h(x) >= threshold is skipped below, so the
+    # enumeration stops at height threshold / l
+    for P in rational_points_up_to_height(H, threshold / ell):
         if P.is_infinity:
             value = 0.0  # h(inf) = 0 and psi(inf) = inf
         else:

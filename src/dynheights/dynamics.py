@@ -27,13 +27,18 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .errors import DegenerateMapError
 from .places import (ARCH, Place, ProjPointQ, valuation, weil_height,
                      weil_height_exact)
 from .polys import HomogPair, factorize, homog_step, sylvester_matrix
+
+# the most map expressions whose systems `DynSystem.from_expr` keeps
+_MAPS_KEPT = 256
 
 
 def _cofactor_max(F: HomogPair) -> int:
@@ -85,11 +90,16 @@ class DynSystem:
     the primes of Res F, so bad_primes factors Res on its first read and
     keeps the primes; deciding preperiodicity or pulling orbits back never
     reads them.
+
+    A system holds invariants of the map only, and none of them can be
+    changed (c_formula is a read-only mapping), so one system may serve
+    every caller of the same map: `from_expr` hands out one per
+    expression text.
     """
 
     F: HomogPair
     c_arch: float
-    c_formula: dict = field(compare=False)
+    c_formula: Mapping = field(compare=False)
 
     @staticmethod
     def of(F: HomogPair) -> "DynSystem":
@@ -100,12 +110,19 @@ class DynSystem:
         upper = math.log((d + 1) * maxcoef)
         maxcof = _cofactor_max(F)
         lower = math.log(2 * d * maxcof) + math.log(abs(F.res))
-        formula = {"upper": upper, "lower": lower,
-                   "max_coeff": maxcoef, "max_cofactor": maxcof}
+        formula = MappingProxyType({"upper": upper, "lower": lower,
+                                    "max_coeff": maxcoef,
+                                    "max_cofactor": maxcof})
         return DynSystem(F, max(upper, lower), formula)
 
     @staticmethod
+    @lru_cache(maxsize=_MAPS_KEPT)
     def from_expr(text: str) -> "DynSystem":
+        """The system of a map expression, built once per text: the parse,
+        the resultant, the cofactor bound and (on first read) the bad
+        primes are paid once per process for the last _MAPS_KEPT texts.
+        A text that fails to parse or is degenerate raises anew on every
+        call, since raised errors are not kept."""
         from .polys import parse_map
         return DynSystem.of(parse_map(text))
 
@@ -178,9 +195,9 @@ def _padic_orbit(F: HomogPair, P: ProjPointQ, p: int, m: int, K: int,
 
 def green_finite(S: DynSystem, walk: Walk, p: int, eps: float) -> float:
     """Finite-place Green function of the coprime lift of walk.points[0],
-    read off its exact walk (`_exact_orbit`): an exact geometric series
-    when the point is preperiodic, otherwise a truncation within eps, and
-    0.0 at a prime of good reduction.  It never factors Res.
+    read off its exact walk (`_exact_orbit`) at a prime p dividing Res: an
+    exact geometric series when the point is preperiodic, otherwise a
+    truncation within eps.  It never factors Res.
 
     With m = v_p(Res) + 1, the ledger starts with c_k = v_p(walk.gcds[k]):
     every gcd divides Res, so this is the c_k = min(m - 1, v_p F0, v_p F1)
@@ -193,8 +210,6 @@ def green_finite(S: DynSystem, walk: Walk, p: int, eps: float) -> float:
     step reads.  So the ledger, and its float summed left to right, are
     those of W = digits."""
     m = valuation(S.F.res, p) + 1  # extracted valuations are < m
-    if m == 1:
-        return 0.0
     d = S.degree
     logp = math.log(p)
     dinv = 1.0 / d
@@ -254,11 +269,14 @@ def green_ledger(S: DynSystem, P: ProjPointQ, eps: float) -> GreenLedger:
 
 
 def local_green(S: DynSystem, P: ProjPointQ, v: Place, eps: float) -> float:
-    """Local Green value at one place (archimedean requires eps > 0)."""
+    """Local Green value at one place (archimedean requires eps > 0); 0.0
+    at a prime of good reduction, where no orbit is walked."""
     if v.is_archimedean:
         if not 0 < eps < math.inf:
             raise ValueError("archimedean eps must be positive and finite")
         return green_archimedean(S, P, eps)[0]
+    if S.F.res % v.prime:
+        return 0.0
     return green_finite(S, _exact_orbit(S, P), v.prime, eps)
 
 
@@ -321,19 +339,29 @@ def is_preperiodic(S: DynSystem, P: ProjPointQ):
                   "cycle": [str(x) for x in orbit[i:]]}
 
 
-def rational_points_up_to_height(H: float):
+def rational_points_up_to_height(H: float, clamp: float = math.inf):
     """All normalized points of P^1(Q) with Weil height <= H, in a fixed
-    deterministic order (finite points by (b, a), then infinity)."""
+    deterministic order (finite points by (b, a), then infinity).
+
+    A scan that can use no finite point of Weil height above clamp passes
+    it: the box then stops at the first integer past e^min(H, clamp), so
+    that float rounding at that boundary drops no point, and the list is
+    an ordered subset of the unclamped one."""
     if not H <= math.log(sys.float_info.max):
         raise ValueError(f"height bound {H} is out of range: e^H must be "
                          "a finite float")
-    bound = int(math.floor(math.exp(H) + 1e-12))
+    bound = min(int(math.floor(math.exp(H) + 1e-12)),
+                int(math.exp(min(H, clamp))) + 1)
     return [ProjPointQ(a, b) for b in range(1, bound + 1)
             for a in range(-bound, bound + 1)
             if math.gcd(abs(a), b) == 1] + [ProjPointQ(1, 0)]
 
 
 def common_preperiodic_scan(S1: DynSystem, S2: DynSystem, H: float):
-    """Rational points of height <= H preperiodic under both maps."""
-    return [P for P in rational_points_up_to_height(H)
+    """Rational points of height <= H preperiodic under both maps.  A
+    point above either escape threshold is not preperiodic under that map
+    (`is_preperiodic` certifies it escaped at once), so the enumeration
+    stops at the lower threshold."""
+    clamp = min(escape_threshold(S1), escape_threshold(S2))
+    return [P for P in rational_points_up_to_height(H, clamp)
             if is_preperiodic(S1, P)[0] and is_preperiodic(S2, P)[0]]

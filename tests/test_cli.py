@@ -170,6 +170,36 @@ def test_timing_flag_adds_field(capsys):
     assert "timing_ms" in rec
 
 
+def test_map_factored_once_across_dispatches(capsys, monkeypatch):
+    from dynheights import dynamics, polys
+    calls = []
+    real = polys.factorize
+    spy = lambda n: calls.append(n) or real(n)  # noqa: E731
+    monkeypatch.setattr(dynamics, "factorize", spy)
+    monkeypatch.setattr(polys, "factorize", spy)
+    argv = ["canheight", "--map=(x^2 - 29/16)/(3*x)", "--per-place"]
+    for point in ("1/4", "9/4"):
+        code, rec = run(capsys, *argv, "--point=" + point)
+        assert code == 0
+        assert set(rec["outputs"]["per_place"]) == {"inf", "2", "3", "29"}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x^^2", "ParseError"),
+    ("x + 1", "DegenerateMapError"),
+])
+def test_rejected_map_rejected_on_every_dispatch(capsys, text, error):
+    outs = []
+    for _ in range(2):
+        code = dispatch(["preperiodic", "--map", text, "--point", "0"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert json.loads(out)["outputs"]["error"] == error
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_usage_error_exit_2(capsys):
     assert dispatch(["no-such-command"]) == 2
     capsys.readouterr()
@@ -268,6 +298,20 @@ def test_out_of_range_numbers_exit_1(capsys, argv):
     rec = json.loads(out)
     assert rec["outputs"]["error"] == "ValueError"
     assert rec["inputs"] == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-pair", "--phi", "x^2", "--psi", "x^2-1"],
+    ["scan", "--ell", "2", "--psi", "1-x", "--threshold", "3"],
+])
+def test_scans_stop_at_their_height_certificates(capsys, argv):
+    # no point above an escape threshold is preperiodic, and no point with
+    # l h(x) >= threshold is an exception, so a larger box adds nothing
+    code, at_2 = run(capsys, *argv, "--max-height", "2")
+    assert code == 0
+    code, at_8 = run(capsys, *argv, "--max-height", "8")
+    assert code == 0
+    assert at_8["outputs"] == at_2["outputs"]
 
 
 def test_selftest_filter(capsys):

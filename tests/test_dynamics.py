@@ -65,6 +65,16 @@ def test_resultant_valuations_read_not_refactored(monkeypatch):
     assert S.bad_primes == tuple(factorize(S.F.res)) == (2, 3, 29)
 
 
+def test_from_expr_builds_each_map_once():
+    text = "(x^2 - 29/16)/(3*x)"
+    S = DynSystem.from_expr(text)
+    assert DynSystem.from_expr(text) is S
+    assert DynSystem.from_expr.cache_info().misses == 1
+    # a shared system cannot be changed by one caller for the next
+    with pytest.raises(TypeError):
+        S.c_formula["upper"] = 0.0
+
+
 def _cofactor_max_by_minors(F):
     """The Cramer route: each side's cofactor row as 2d signed minors of
     the transposed Sylvester matrix, one Bareiss determinant each."""
@@ -543,6 +553,20 @@ def test_green_finite_walk_longer_than_ledger(monkeypatch):
     runs = _orbit_runs(monkeypatch)
     _assert_same_green(S, P, 1.0)
     assert runs == []
+
+
+def test_local_green_walks_no_orbit_at_good_primes(monkeypatch):
+    S = DynSystem.from_expr("(x^2 - 29/16)/(3*x)")
+    steps = []
+    step = dynamics.homog_step
+    monkeypatch.setattr(dynamics, "homog_step",
+                        lambda F, P: steps.append(P) or step(F, P))
+    for x in (Fraction(1, 4), Fraction(9, 4), 0, 5):
+        for p in (5, 7, 31):
+            assert local_green(S, _pt(x), Place(p), 1e-9) == 0.0
+    assert steps == []
+    assert local_green(S, _pt(Fraction(9, 4)), Place(3), 1e-9) <= 0.0
+    assert steps  # a bad prime walks the orbit
 
 
 def test_green_ledger_walks_the_orbit_once(monkeypatch):
