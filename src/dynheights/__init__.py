@@ -13,7 +13,7 @@ from .dynamics import (DynSystem, GreenLedger, canonical_height,
                        rational_points_up_to_height)
 from .errors import (DegenerateMapError, DynheightsError, GraphShapeError,
                      InvalidPointError, ParseError, RootFindingError,
-                     UndefinedLogError)
+                     UndefinedLogError, WorkBudgetError)
 from .graphs import (DiscreteMeasure, MetrizedGraph, PLFunction,
                      VertexDivisor, circle_haar_measure, curvature,
                      dirichlet_energy, laplacian_pl, load_graph_json,

@@ -25,8 +25,13 @@ integer arithmetic and closed form: the image polynomial of psi(alpha)
 comes from an integer Horner reduction modulo a x^2 + b x + c, and the
 Mahler measure of a quadratic is max(|a|, |c|, |q|), with q = a times its
 larger root when the roots are real, so no root finder, Poly or Fraction
-is involved.  Only the reported exceptions are solved, for their
-approximate location.
+is involved.  Its box holds only candidates with max(a, |c|) < T and
+|b| < T + ac/T for T = e^(2 threshold / l), the others having M >= T.
+Only the reported exceptions are solved, for their approximate location.
+
+A scan, and a preimage run of `preimage_measure_stats`, first predicts
+its work (candidates scored, or degree-d solves) and refuses with
+WorkBudgetError beyond WORK_BUDGET.
 
 numpy is imported by `energy_level_curve` alone, so importing this module
 (and the CLI) does not load it.
@@ -40,8 +45,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import DynSystem, rational_points_up_to_height
-from .errors import CoefficientRangeError, RootFindingError
+from .dynamics import (DynSystem, rational_box_bound,
+                       rational_points_up_to_height)
+from .errors import CoefficientRangeError, RootFindingError, WorkBudgetError
 from .mahler import log_mahler_plus
 from .places import ARCH, log_abs_at, weil_height
 from .polys import Poly, horner, int_poly
@@ -49,6 +55,13 @@ from .roots import aberth, aberth_rows, complex_roots, prescale
 
 _CIRCLE_BAND = 1e-6  # |z| band for circle moments
 _BLOCK_ROWS = 2048  # level-curve rows solved together; bounds peak memory
+# The most units of work one `scan_exceptions` or `preimage_measure_stats`
+# call may do, predicted before it starts: candidates a scan scores (its
+# rational box and its quadratic box), or degree-d solves of a preimage
+# run.  A unit costs 1-10 us (a reported quadratic exception adds a root
+# solve); level 18 on x^2 + 1, 524 286 solves, takes about 5 s.  Every
+# golden, test, demo script and benchmark item needs at most about 6 000.
+WORK_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -213,6 +226,35 @@ def _minpoly_of_psi_image(a: int, b: int, c: int, psi: Poly) -> Poly:
     return int_poly(_psi_image_coeffs(a, b, c, *_psi_numerators(psi)))
 
 
+def _require_budget(work: int, exact: bool, what: str, unit: str):
+    """Raise WorkBudgetError when the predicted work is over WORK_BUDGET;
+    a prediction that stopped counting early (exact false) is a lower
+    bound."""
+    if work > WORK_BUDGET:
+        raise WorkBudgetError(
+            f"{what} needs {'' if exact else 'more than '}{work} {unit}, "
+            f"beyond the work budget of {WORK_BUDGET}")
+
+
+def _quadratic_box(ell: int, threshold: float, H: float):
+    """(a, c, bm) over the box of the quadratic scan, in scan order: the
+    candidates a x^2 + b x + c with |b| <= bm.
+
+    With T = e^(2 threshold / l), a candidate passes l h(x) < threshold
+    only if M = max(|a|, |c|, |q|) < T, so a, |c| < T.  Real roots have
+    q q' = ac with |q| >= |q'|, so |b| = |q + q'| < T + ac/T; complex
+    roots have b^2 < 4ac and 2 sqrt(ac) <= T + ac/T.  The margins
+    (1 + 1e-9 on T, + 1 on the b bound) absorb float rounding, and every
+    coefficient stays within e^H."""
+    bound = int(math.floor(math.exp(H) + 1e-12))
+    T = math.exp(2.0 * threshold / ell)
+    ac_max = min(bound, int(T * (1.0 + 1e-9)))
+    b_max = min(bound, int(2.0 * T) + 1)
+    for a in range(1, ac_max + 1):
+        for c in range(-ac_max, ac_max + 1):
+            yield a, c, min(b_max, math.floor(T + a * c / T) + 1)
+
+
 def _is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -229,11 +271,19 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
     a x^2 + b x + c with |a|,|b|,|c| <= e^H.  Returns a list of records
     {kind, point, value} in deterministic order.
 
+    Neither box holds a point that cannot pass l h(x) < threshold: the
+    rational one stops at height threshold / l, and the quadratic one
+    (`_quadratic_box`) at a, |c| <= T and |b| <= T + ac/T for
+    T = e^(2 threshold / l), so the records are an ordered subset of the
+    full boxes' candidates.  The candidates of both boxes are counted
+    first, and a scan of more than WORK_BUDGET raises WorkBudgetError.
+
     A quadratic candidate is scored without root finding: h(x) is half
     the closed-form log M of its minimal polynomial
-    (`_log_mahler_quadratic`), and h(psi(x)) half that of the image
-    polynomial, which `_psi_image_coeffs` builds in integer arithmetic.
-    Only the minimal polynomials of reported exceptions are solved
+    (`_log_mahler_quadratic`; log max(a, |c|) for complex roots, taken
+    once per (a, c)), and h(psi(x)) half that of the image polynomial,
+    which `_psi_image_coeffs` builds in integer arithmetic.  Only the
+    minimal polynomials of reported exceptions are solved
     (`complex_roots`), to place each root in its record.
     """
     if threshold < 0 or H < 0:
@@ -249,9 +299,18 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
         raise ValueError(f"threshold {threshold} is out of range for the "
                          f"quadratic scan: 2 e^(2 threshold / {ell}) must "
                          "be a finite float")
-    out = []
     # a finite point with l h(x) >= threshold is skipped below, so the
     # enumeration stops at height threshold / l
+    side = rational_box_bound(H, threshold / ell)
+    work, exact = side * (2 * side + 1) + 1, True
+    if include_quadratic:
+        for _, _, bm in _quadratic_box(ell, threshold, H):
+            work += max(0, 2 * bm + 1)
+            if work > WORK_BUDGET:
+                exact = False
+                break
+    _require_budget(work, exact, "scan", "candidates")
+    out = []
     for P in rational_points_up_to_height(H, threshold / ell):
         if P.is_infinity:
             value = 0.0  # h(inf) = 0 and psi(inf) = inf
@@ -268,34 +327,35 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
             out.append({"kind": "rational", "point": str(P), "value": value})
     if include_quadratic:
         num, den = _psi_numerators(psi)
-        bound = int(math.floor(math.exp(H) + 1e-12))
-        # M(P) >= max(|lead|, |const|) and M(P) >= |b|/2 prune the boxes
-        ac_max = min(bound, int(math.exp(2.0 * threshold / ell)) + 1)
-        b_max = min(bound, int(2.0 * math.exp(2.0 * threshold / ell)) + 1)
-        for a in range(1, ac_max + 1):
-            for c in range(-ac_max, ac_max + 1):
-                for b in range(-b_max, b_max + 1):
-                    if math.gcd(a, b, c) != 1:
-                        continue
-                    disc = b * b - 4 * a * c
-                    if disc == 0 or _is_perfect_square(disc):
-                        continue  # reducible over Q
+        for a, c, bm in _quadratic_box(ell, threshold, H):
+            g = math.gcd(a, c)
+            ac4 = 4 * a * c
+            h_conj = math.log(max(a, abs(c))) / 2  # h(x) if disc < 0
+            for b in range(-bm, bm + 1):
+                if g != 1 and math.gcd(g, b) != 1:
+                    continue
+                disc = b * b - ac4
+                if disc < 0:
+                    hx = h_conj
+                elif disc == 0 or _is_perfect_square(disc):
+                    continue  # reducible over Q
+                else:
                     hx = _log_mahler_quadratic(a, b, c) / 2
-                    if ell * hx >= threshold:
-                        continue
-                    c2, b2, a2 = _psi_image_coeffs(a, b, c, num, den)
-                    himg = _log_mahler_quadratic(a2, b2, c2) / 2
-                    value = ell * hx + himg
-                    if value < threshold:
-                        minpoly = int_poly([c, b, a])
-                        for r in complex_roots(minpoly):
-                            out.append({
-                                "kind": "quadratic",
-                                "point": f"root of {minpoly.to_str()} "
-                                         f"near {r.re:.6f}{r.im:+.6f}i",
-                                "minpoly": minpoly.to_str(),
-                                "value": value,
-                            })
+                if ell * hx >= threshold:
+                    continue
+                c2, b2, a2 = _psi_image_coeffs(a, b, c, num, den)
+                himg = _log_mahler_quadratic(a2, b2, c2) / 2
+                value = ell * hx + himg
+                if value < threshold:
+                    minpoly = int_poly([c, b, a])
+                    for r in complex_roots(minpoly):
+                        out.append({
+                            "kind": "quadratic",
+                            "point": f"root of {minpoly.to_str()} "
+                                     f"near {r.re:.6f}{r.im:+.6f}i",
+                            "minpoly": minpoly.to_str(),
+                            "value": value,
+                        })
     return out
 
 
@@ -337,7 +397,9 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
     Solves phi^n(z) = a, weights each root equally, and reports circle
     moments (restricted to roots with |z| within 1e-6 of 1) plus the
     angular star discrepancy of all nonzero roots.  The uniform-circle
-    reference is only meaningful for power maps.
+    reference is only meaningful for power maps.  A run of more than
+    WORK_BUDGET solves (d + d^2 + ... + d^level) raises WorkBudgetError
+    before the first solve.
 
     The preimages are pulled back one level at a time (each step a
     degree-d solve of p0(x) - w p1(x) = 0): backward steps contract
@@ -360,6 +422,10 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
         raise CoefficientRangeError(
             "a coefficient of the map, or the target, is beyond the double "
             "range") from None
+    # past 64 levels the count is far over any budget; it is not formed
+    solves = (d ** (min(level, 64) + 1) - d) // (d - 1)
+    _require_budget(solves, level <= 64, f"equidist to level {level}",
+                    f"degree-{d} solves")
     for _ in range(level):
         nxt = []
         for w in current:
@@ -369,13 +435,16 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
                                            round(z.imag, 12)))
     w = 1.0 / len(roots)
     measure = EmpiricalMeasure(tuple((z, w) for z in roots))
+    on_circle = []
+    for z in roots:
+        mod = abs(z)
+        if mod > 0 and abs(mod - 1.0) <= _CIRCLE_BAND:
+            on_circle.append(z / mod)
     moments = []
     for k in range(1, max_moment + 1):
         mk = 0j
-        for z in roots:
-            mod = abs(z)
-            if mod > 0 and abs(mod - 1.0) <= _CIRCLE_BAND:
-                mk += w * (z / mod) ** k
+        for u in on_circle:
+            mk += w * u ** k
         moments.append(mk)
     # atan2, not cmath.phase: phase raises OverflowError when the angle
     # of a subnormal imaginary part underflows

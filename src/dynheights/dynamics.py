@@ -339,22 +339,36 @@ def is_preperiodic(S: DynSystem, P: ProjPointQ):
                   "cycle": [str(x) for x in orbit[i:]]}
 
 
-def rational_points_up_to_height(H: float, clamp: float = math.inf):
-    """All normalized points of P^1(Q) with Weil height <= H, in a fixed
-    deterministic order (finite points by (b, a), then infinity).
-
-    A scan that can use no finite point of Weil height above clamp passes
-    it: the box then stops at the first integer past e^min(H, clamp), so
-    that float rounding at that boundary drops no point, and the list is
-    an ordered subset of the unclamped one."""
+def rational_box_bound(H: float, clamp: float = math.inf) -> int:
+    """The box |a| <= B, 1 <= b <= B that `rational_points_up_to_height`
+    walks: B = floor(e^H), cut to the first integer past e^min(H, clamp),
+    so that float rounding at that boundary drops no point.  It holds
+    B (2 B + 1) candidate pairs."""
     if not H <= math.log(sys.float_info.max):
         raise ValueError(f"height bound {H} is out of range: e^H must be "
                          "a finite float")
-    bound = min(int(math.floor(math.exp(H) + 1e-12)),
-                int(math.exp(min(H, clamp))) + 1)
-    return [ProjPointQ(a, b) for b in range(1, bound + 1)
-            for a in range(-bound, bound + 1)
-            if math.gcd(abs(a), b) == 1] + [ProjPointQ(1, 0)]
+    return min(int(math.floor(math.exp(H) + 1e-12)),
+               int(math.exp(min(H, clamp))) + 1)
+
+
+def rational_points_up_to_height(H: float, clamp: float = math.inf):
+    """All normalized points of P^1(Q) with Weil height <= H, in a fixed
+    deterministic order (finite points by (b, a), then infinity), as a
+    generator: no point is built before it is asked for.
+
+    A scan that can use no finite point of Weil height above clamp passes
+    it: the box then stops at `rational_box_bound(H, clamp)`, and the
+    points are an ordered subset of the unclamped ones.  H is checked
+    when the function is called, not on the first point."""
+    return _points_in_box(rational_box_bound(H, clamp))
+
+
+def _points_in_box(bound: int):
+    for b in range(1, bound + 1):
+        for a in range(-bound, bound + 1):
+            if math.gcd(abs(a), b) == 1:
+                yield ProjPointQ(a, b)
+    yield ProjPointQ(1, 0)
 
 
 def common_preperiodic_scan(S1: DynSystem, S2: DynSystem, H: float):

@@ -49,5 +49,10 @@ class RootFindingError(DynheightsError):
         self.best = best or []
 
 
+class WorkBudgetError(DynheightsError):
+    """The work a scan or an equidistribution run would do, predicted
+    before it starts, exceeds `bounds.WORK_BUDGET`."""
+
+
 class GraphShapeError(DynheightsError):
     """Graph does not have the shape required by the operation."""

@@ -10,8 +10,9 @@ each start near their own circle and repeated runs produce identical
 output.  Roots at the origin (trailing zero coefficients in the monomial
 basis) are split off exactly.  Quadratics use the cancellation-free
 formula (no iteration, so no convergence failure) and merge their two
-roots when they lie within 10*tol.  After the iteration, two roots merge
-to their centroid when they lie within 10*tol or their Weierstrass
+roots when they lie within 10*tol, in O(1) by `_merge_pair`, not through
+the union-find of `_merge_clusters`.  After the iteration, two roots
+merge to their centroid when they lie within 10*tol or their Weierstrass
 inclusion discs (Carstensen, Numer. Math. 59, 1991; radii from |P(z)|
 plus a bound on its rounding) overlap, which is how multiple roots are
 reported.  Of the three final Newton steps, one that raises |P| more
@@ -128,8 +129,8 @@ def aberth(coeffs, tol: float = 1e-12):
     if n == 1:
         return zero_roots + [-coeffs[0] / coeffs[1]]
     if n == 2:
-        return zero_roots + _merge_clusters(_quadratic_roots(*coeffs),
-                                            10.0 * tol, (0.0, 0.0))
+        return zero_roots + _merge_pair(*_quadratic_roots(*coeffs),
+                                        10.0 * tol)
 
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
     z = _newton_polygon_start(coeffs)
@@ -257,6 +258,22 @@ def _quadratic_roots(c, b, a):
         sq = -sq
     q = -0.5 * (b + sq)
     return [q / a, c / q]
+
+
+def _merge_pair(r0, r1, radius):
+    """`_merge_clusters(points, radius, (0.0, 0.0))` of two points, for
+    radius >= 0, in O(1): both become their centroid when they lie within
+    `radius`; otherwise each becomes (0 + r) / 1, as a singleton's
+    centroid does (a -0.0 part turns +0.0), and the pair is sorted by the
+    same rounded key."""
+    if abs(r0 - r1) <= radius:
+        centroid = (0 + r0 + r1) / 2
+        return [centroid, centroid]
+    r0, r1 = (0 + r0) / 1, (0 + r1) / 1
+    if ((round(r1.real, 12), round(r1.imag, 12))
+            < (round(r0.real, 12), round(r0.imag, 12))):
+        return [r1, r0]
+    return [r0, r1]
 
 
 def _merge_clusters(points, radius, discs):

@@ -1,6 +1,7 @@
 """Height lower bounds, Dirichlet energies, scans and equidistribution."""
 
 import cmath
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -445,10 +446,39 @@ def test_psi_image_integer_route_matches_fractions(a, b, c, psi):
     assert Q.content() == 1 and Q.leading() > 0
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_height(a, b, c):
+    """h(x) by root finding, and by the closed form."""
+    return (height_from_minpoly(int_poly([c, b, a])),
+            _log_mahler_quadratic(a, b, c) / 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_image_height(a, b, c, psi):
+    """h(psi(x)) of the Fraction image polynomial by root finding, and by
+    the closed form."""
+    image = _minpoly_by_trace_norm(a, b, c, psi)
+    c2, b2, a2 = (int(k) for k in image.coeffs)
+    return (height_from_minpoly(image),
+            _log_mahler_quadratic(a2, b2, c2) / 2)
+
+
+def _below(value, closed, threshold):
+    """value < threshold, where value comes by root finding.  Within
+    1e-13 of the threshold, where the two routes can round a tie (such as
+    h(x) = log(3)/2 against threshold log(3)/2) to opposite sides, the
+    closed-form value decides."""
+    if abs(value - threshold) <= 1e-13:
+        return closed < threshold
+    return value < threshold
+
+
 def _quadratic_scan_reference(ell, psi, threshold, H):
     """The quadratic records of `scan_exceptions` as the root-finding
     route computed them: `height_from_minpoly` of the minimal polynomial
-    and of the Fraction image polynomial for every box point."""
+    and of the Fraction image polynomial for every point of the full box
+    (not cut to the Mahler bound), memoized across thresholds; ties are
+    settled by `_below`."""
     bound = int(math.floor(math.exp(H) + 1e-12))
     ac_max = min(bound, int(math.exp(2.0 * threshold / ell)) + 1)
     b_max = min(bound, int(2.0 * math.exp(2.0 * threshold / ell)) + 1)
@@ -462,13 +492,12 @@ def _quadratic_scan_reference(ell, psi, threshold, H):
                 if disc == 0 or math.isqrt(max(disc, 0)) ** 2 == disc:
                     continue
                 minpoly = int_poly([c, b, a])
-                hx = height_from_minpoly(minpoly)
-                if ell * hx >= threshold:
+                hx, hx_closed = _reference_height(a, b, c)
+                if not _below(ell * hx, ell * hx_closed, threshold):
                     continue
-                himg = height_from_minpoly(
-                    _minpoly_by_trace_norm(a, b, c, psi))
+                himg, himg_closed = _reference_image_height(a, b, c, psi)
                 value = ell * hx + himg
-                if value < threshold:
+                if _below(value, ell * hx_closed + himg_closed, threshold):
                     for r in roots.complex_roots(minpoly):
                         out.append({
                             "kind": "quadratic",
@@ -480,18 +509,35 @@ def _quadratic_scan_reference(ell, psi, threshold, H):
     return out
 
 
-# (psi, threshold / ell): each threshold lets some quadratic points in
-SCAN_CASES = (("1 - x", 0.8), ("3*x + 2", 0.8), ("x^2 + 2*x + 1", 0.8),
-              ("x/2 - 1/3", 0.8), ("3*x^3 - x/5 + 7/4", 1.2))
+def _box_edge(k, step):
+    """threshold(l) = l log(k) / 2, moved `step` floats: T = e^(2 threshold
+    / l) is then the integer k, where the cut box's bounds a, |c| <= T and
+    |b| <= T + ac/T fall on integers."""
+    def threshold(ell):
+        t = ell * math.log(k) / 2
+        return math.nextafter(t, step * math.inf) if step else t
+    return threshold
 
 
-@pytest.mark.parametrize("text, level", SCAN_CASES)
-def test_quadratic_scan_matches_root_finding_route(text, level):
+# (psi, threshold(l)): each threshold lets some quadratic points in
+SCAN_CASES = [pytest.param(text, lambda ell, level=level: level * ell,
+                           id=f"{text}-{level}")
+              for text, level in (("1 - x", 0.8), ("3*x + 2", 0.8),
+                                  ("x^2 + 2*x + 1", 0.8), ("x/2 - 1/3", 0.8),
+                                  ("3*x^3 - x/5 + 7/4", 1.2))]
+SCAN_CASES += [pytest.param(text, _box_edge(k, step),
+                            id=f"{text}-T={k}{step:+d}")
+               for text in ("x/2 + 1/2", "x^2 + x - 1") for k in (3, 7, 8)
+               for step in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("text, threshold_of", SCAN_CASES)
+def test_quadratic_scan_matches_root_finding_route(text, threshold_of):
     psi = parse_poly(text)
     found = 0
     for ell in (1, 2, 3):
         for H in (2.0, 3.0):
-            threshold = level * ell
+            threshold = threshold_of(ell)
             got = [r for r in scan_exceptions(ell, psi, threshold, H,
                                               include_quadratic=True)
                    if r["kind"] == "quadratic"]
@@ -503,6 +549,33 @@ def test_quadratic_scan_matches_root_finding_route(text, level):
                 assert abs(g["value"] - r["value"]) <= 1e-13
             found += len(got)
     assert found > 0
+
+
+@pytest.mark.parametrize("k", [3, 7, 8])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_quadratic_box_holds_every_candidate_below_threshold(k, step):
+    # every candidate of the uncut box (a, |c| <= T + 1, |b| <= 2 T + 1)
+    # with l h(x) < threshold has |b| <= bm of its (a, c) in the cut box
+    for ell in (1, 2, 3):
+        threshold = _box_edge(k, step)(ell)
+        T = math.exp(2.0 * threshold / ell)
+        for H in (2.0, 3.0):
+            bound = int(math.floor(math.exp(H) + 1e-12))
+            ac_max = min(bound, int(T) + 1)
+            b_max = min(bound, int(2.0 * T) + 1)
+            box = {(a, c): bm
+                   for a, c, bm in bounds._quadratic_box(ell, threshold, H)}
+            kept = 0
+            for a in range(1, ac_max + 1):
+                for c in range(-ac_max, ac_max + 1):
+                    for b in range(-b_max, b_max + 1):
+                        if b * b == 4 * a * c:
+                            continue
+                        hx = _log_mahler_quadratic(a, b, c) / 2
+                        if ell * hx < threshold:
+                            assert abs(b) <= box.get((a, c), -1), (a, b, c)
+                            kept += 1
+            assert kept > 0
 
 
 def test_quadratic_scan_solves_only_reported_exceptions(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,25 @@ def test_scans_stop_at_their_height_certificates(capsys, argv):
     code, at_8 = run(capsys, *argv, "--max-height", "8")
     assert code == 0
     assert at_8["outputs"] == at_2["outputs"]
+
+
+@pytest.mark.parametrize("argv, count", [
+    # 2 + 4 + ... + 2^40 solves, and the box of e^10 (2 e^10 + 1) pairs
+    (["equidist", "--map", "x^2+1", "--target", "3", "--level", "40"],
+     "2199023255550"),
+    (["scan", "--ell", "1", "--psi", "1-x", "--threshold", "10",
+      "--max-height", "10"], "970311379"),
+])
+def test_work_beyond_budget_refused_before_it_starts(capsys, argv, count):
+    start = time.perf_counter()
+    code = dispatch(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    rec = json.loads(out)
+    assert rec["outputs"]["error"] == "WorkBudgetError"
+    assert f" {count} " in rec["outputs"]["message"]
+    assert elapsed < 0.5
 
 
 def test_selftest_filter(capsys):

@@ -266,7 +266,7 @@ def test_preperiodic_certificates():
 
 
 def test_point_enumeration():
-    pts = rational_points_up_to_height(math.log(2) + 1e-12)
+    pts = list(rational_points_up_to_height(math.log(2) + 1e-12))
     as_str = {str(P) for P in pts}
     assert as_str == {"-2", "-1", "0", "1", "2", "-1/2", "1/2", "inf"}
     assert all(weil_height(P) <= math.log(2) + 1e-9 for P in pts)

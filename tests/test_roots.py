@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dynheights.errors import CoefficientRangeError, RootFindingError
 from dynheights.polys import int_poly, rat_poly
+from dynheights import roots
 from dynheights.roots import aberth, aberth_rows, complex_roots, prescale
 
 
@@ -197,6 +198,37 @@ def test_quadratic_closed_form(cba):
     # a double root moves by about sqrt(eps) under rounding of the input
     assert best <= 1e-6 * max(1.0, max(abs(r) for r in ref))
 
+
+
+def _hex(roots):
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+# pairs of roots r and r + delta: exact double roots at delta = 0, and
+# pairs the merge radius 10 tol takes in or leaves apart as tol varies
+near_double = st.tuples(nonzero, cplx, st.sampled_from(
+    (0.0, 1e-13, 1e-11, 1e-9, 1e-7))).map(
+    lambda ard: (ard[0] * ard[1] * (ard[1] + ard[2]),
+                 -ard[0] * (2 * ard[1] + ard[2]), ard[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(quadratics, near_double).filter(
+    lambda cba: cba[0] != 0 and cba[2] != 0),
+    st.sampled_from((1e-12, 1e-10, 1e-8, 1e-6)))
+@example((1.0, 0.0, 1.0), 1e-12)     # roots +-i, with a -0.0 real part
+@example((1.0, -0.0, 1.0), 1e-12)
+@example((3.0, -6.0, 3.0), 1e-12)    # exact double root 1
+@example((1.0, -2.0, 1.0 + 1e-15), 1e-8)
+def test_quadratic_merge_matches_cluster_merge(cba, tol):
+    # the two-root merge of `aberth` returns, bit for bit and with the sign
+    # of each zero part, what the general cluster merge returned
+    coeffs = [complex(c) for c in cba]
+    scale = max(abs(c) for c in coeffs)
+    scaled = [c / scale for c in coeffs]
+    ref = roots._merge_clusters(roots._quadratic_roots(*scaled),
+                                10.0 * tol, (0.0, 0.0))
+    assert _hex(aberth(list(cba), tol=tol)) == _hex(ref)
 
 def _backward_error(coeffs, z):
     res = abs(sum(c * z ** k for k, c in enumerate(coeffs)))
