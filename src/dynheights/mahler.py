@@ -36,8 +36,9 @@ them between the two routes, and `log_mahler_plus` between its two
 grids; each quadrature scales P to floats once for both of its grids.
 The offset half grid of the circle average is built once per node count,
 on the first quadrature that needs it, and the last two counts are kept
-read-only (`_offset_circle`).  numpy is imported by the quadratures alone;
-the roots route (and `height_from_minpoly`) runs without it.
+read-only (`_offset_circle`).  numpy is imported by the quadratures and,
+at degree 8 and above, by the eigenvalue start of `roots.aberth`; below
+degree 8 the roots route (and `height_from_minpoly`) runs without it.
 """
 
 from __future__ import annotations

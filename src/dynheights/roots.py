@@ -7,7 +7,10 @@ of the points (k, log|a_k|) puts k1 - k0 points on the circle of radius
 (|a_k0| / |a_k1|)^(1/(k1 - k0)), at equal angles rotated by a fixed
 irrational angle and by 2 pi k0 / n, so roots of very different moduli
 each start near their own circle and repeated runs produce identical
-output.  Roots at the origin (trailing zero coefficients in the monomial
+output.  At degree n >= 8, when those radii span at most 10^4, it starts
+instead from the eigenvalues of the companion matrix, which are already
+at the roots: one or two sweeps where the circles take 5-12.  Roots at
+the origin (trailing zero coefficients in the monomial
 basis) are split off exactly.  Quadratics use the cancellation-free
 formula (no iteration, so no convergence failure) and merge their two
 roots when they lie within 10*tol, in O(1) by `_merge_pair`, not through
@@ -24,8 +27,8 @@ off.  P is evaluated by `polys.horner`.
 `aberth_rows` solves many polynomials of one degree at once in numpy,
 vectorised over the rows (as in Bini's MPSolve), and hands every row it
 cannot settle cleanly to `aberth`.  numpy is imported inside
-`aberth_rows` and its helpers only, so `aberth` and `complex_roots` run
-without it.
+`aberth_rows`, its helpers and the companion start only, so `aberth` and
+`complex_roots` run without it below degree 8.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ _START_ANGLE = 0.437  # fixed irrational-ish rotation of the start circles
 _MAX_ITER = 400
 _BACKWARD_ERROR_UNITS = 8.0  # reliability threshold in units of n * eps
 _POLISH_GROWTH = 4.0  # largest factor by which a polish step may raise |P|
+# `aberth` starts from companion eigenvalues at degree >= _EIGEN_MIN_DEGREE
+# when its Newton-polygon radii span at most _EIGEN_MAX_SPAN (see `aberth`)
+_EIGEN_MIN_DEGREE = 8
+_EIGEN_MAX_SPAN = 1e4
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,19 @@ def aberth(coeffs, tol: float = 1e-12):
     Raises RootFindingError on non-convergence, carrying the best iterate,
     and CoefficientRangeError when the leading coefficient underflows once
     the coefficients are divided by their largest modulus (the test of
-    `prescale`).
+    `prescale`).  A correction that is not finite (P or P' overflowed at
+    an iterate) is non-convergence.
+
+    The iteration starts from the Newton-polygon circles, or, at degree
+    n >= _EIGEN_MIN_DEGREE when the circle radii span at most
+    _EIGEN_MAX_SPAN, from the companion eigenvalues (`_companion_start`;
+    numpy.linalg.eigvals, about 0.3 ms at n = 36).  The eigenvalues are
+    accurate only to about eps times the span of the root moduli, hence
+    the span gate.  The degree gate keeps numpy out of the small solves:
+    below degree 8 a solve from the circles costs under about 0.3 ms, so
+    the eigenvalues would save tens of microseconds where importing numpy
+    costs a one-shot process about 0.1 s.  Should LAPACK fail or an
+    eigenvalue not be finite, the circles are used.
     """
     coeffs = [complex(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -133,7 +152,14 @@ def aberth(coeffs, tol: float = 1e-12):
                                         10.0 * tol)
 
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
-    z = _newton_polygon_start(coeffs)
+    edges = _newton_polygon(coeffs)
+    z = None
+    if (n >= _EIGEN_MIN_DEGREE
+            and max(r for _, _, r in edges) <= _EIGEN_MAX_SPAN
+            * min(r for _, _, r in edges)):
+        z = _companion_start(coeffs)
+    if z is None:
+        z = _circle_start(edges, n)
     best_corr = math.inf
     stagnant = 0
     for _ in range(_MAX_ITER):
@@ -158,7 +184,11 @@ def aberth(coeffs, tol: float = 1e-12):
             corr = w / denom if denom != 0 else w
             z[j] = zj - corr
             size = abs(corr)
-            if size > max_corr:
+            if not size <= max_corr:
+                if not size < math.inf:  # P or P' overflowed: NaN or inf
+                    raise RootFindingError(
+                        "Aberth iteration left the double range",
+                        best=zero_roots + z)
                 max_corr = size
         if max_corr < tol:
             break
@@ -196,13 +226,10 @@ def aberth(coeffs, tol: float = 1e-12):
                                         _inclusion_radii(coeffs, z, p))
 
 
-def _newton_polygon_start(coeffs):
-    """Bini's start (Numer. Algorithms 13, 1996) for coefficients with
-    a_0 != 0 != a_n: each edge k0 -> k1 of the upper convex hull of the
-    points (k, log|a_k|) gets k1 - k0 points on the circle of radius
-    (|a_k0| / |a_k1|)^(1/(k1 - k0)), at angles 2 pi j / (k1 - k0) +
-    _START_ANGLE + 2 pi k0 / n."""
-    n = len(coeffs) - 1
+def _newton_polygon(coeffs):
+    """The edges (k0, m, radius) of the upper convex hull of the points
+    (k, log|a_k|), for coefficients with a_0 != 0 != a_n: the edge k0 ->
+    k0 + m holds m roots near modulus (|a_k0| / |a_(k0+m)|)^(1/m)."""
     hull = []
     for k, c in enumerate(coeffs):
         if c:
@@ -214,16 +241,40 @@ def _newton_polygon_start(coeffs):
                                      * (hull[-1][0] - hull[-2][0])):
                 hull.pop()
             hull.append((k, y))
+    return [(k0, k1 - k0, math.exp((y0 - y1) / (k1 - k0)))
+            for (k0, y0), (k1, y1) in zip(hull, hull[1:])]
+
+
+def _circle_start(edges, n):
+    """Bini's start (Numer. Algorithms 13, 1996): the m points of each
+    Newton-polygon edge (k0, m, radius) on the circle of that radius, at
+    angles 2 pi j / m + _START_ANGLE + 2 pi k0 / n."""
     z = []
-    k0, y0 = hull[0]
-    for k1, y1 in hull[1:]:
-        m = k1 - k0
-        radius = math.exp((y0 - y1) / m)
+    for k0, m, radius in edges:
         turn = _START_ANGLE + 2 * math.pi * k0 / n
         z += [cmath.rect(radius, 2 * math.pi * j / m + turn)
               for j in range(m)]
-        k0, y0 = k1, y1
     return z
+
+
+def _companion_start(coeffs):
+    """The eigenvalues of the companion matrix of the monic a / a_n,
+    real when every a_k is (Edelman & Murakami, Math. Comp. 64, 1995:
+    backward stable for a well-scaled polynomial), as a list of Python
+    complex; None when LAPACK fails or an eigenvalue is not finite."""
+    import numpy as np
+
+    if all(c.imag == 0 for c in coeffs):
+        coeffs = [c.real for c in coeffs]
+    M = np.eye(len(coeffs) - 1, k=-1, dtype=type(coeffs[0]))
+    M[:, -1] = [-c / coeffs[-1] for c in coeffs[:-1]]
+    try:
+        z = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(z).all():
+        return None
+    return z.astype(complex).tolist()
 
 
 def _inclusion_radii(coeffs, z, p):

@@ -274,6 +274,21 @@ def test_coefficient_span_beyond_double_range(capsys, argv):
     assert rec["outputs"]["error"] == "CoefficientRangeError"
 
 
+@pytest.mark.parametrize("argv", [
+    # near |z| = 10^40 (10^60) P(z) overflows to NaN, which passed the
+    # convergence test, and the NaN roots reached the JSON writer
+    ["mahler", "--poly", "(x - 10^40)*(x^8 + 1)"],
+    ["mahler", "--poly", "(x - 10^40)*(x^8 + 1)", "--method", "both"],
+    ["mahler", "--poly", "(x - 10^60)*(x^9 - 3)"],
+])
+def test_overflowing_iterate_is_root_finding_error(capsys, argv):
+    code = dispatch(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    rec = json.loads(out)
+    assert rec["outputs"]["error"] == "RootFindingError"
+
+
 _CANHEIGHT = ["canheight", "--map", "x^2-2", "--point", "1/3", "--eps"]
 _SCAN = ["scan", "--ell", "1", "--psi", "1-x"]
 _SCAN_PAIR = ["scan-pair", "--phi", "x^2", "--psi", "x^2-1", "--max-height"]
@@ -372,7 +387,8 @@ def test_parser_kept_across_dispatches(capsys):
 
 def test_cli_runs_without_numpy():
     """Importing the CLI, and the subcommands that need no quadrature,
-    leave numpy unloaded."""
+    leave numpy unloaded; so does a roots-only Mahler measure below the
+    degree of the eigenvalue start."""
     script = "\n".join([
         "import sys",
         "import dynheights.cli",
@@ -383,7 +399,8 @@ def test_cli_runs_without_numpy():
         "              '--threshold', '0.99', '--quadratic'],",
         "             ['equidist', '--map', 'x^2 - 1', '--target', '2',",
         "              '--level', '4'],",
-        "             ['mahler', '--poly', 'x^3 - x - 1', '--method', 'roots']):",
+        "             ['mahler', '--poly', 'x^3 - x - 1', '--method', 'roots'],",
+        "             ['mahler', '--poly', 'x^7 - x - 1', '--method', 'roots']):",
         "    assert dynheights.cli.dispatch(argv) == 0, argv",
         "    assert 'numpy' not in sys.modules, argv",
     ])

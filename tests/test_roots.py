@@ -1,5 +1,6 @@
 """Simultaneous complex root finding: accuracy, Vieta identities, scaling."""
 
+import functools
 import importlib.util
 import math
 import sys
@@ -322,19 +323,57 @@ def test_aberth_rows_rejects_bad_shapes():
 # Phi_1, Phi_2, Phi_3, Phi_4, Phi_6, Phi_5, Phi_12 and Phi_7, ascending
 CYCLOTOMIC = ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1],
               [1, 1, 1, 1, 1], [1, 0, -1, 0, 1], [1] * 7)
+
+
+def _root_factors(moduli):
+    """Linear and quadratic factors whose roots have modulus in `moduli`."""
+    return st.one_of(
+        # x - s rho
+        st.builds(lambda rho, s: [-s * rho, 1], moduli,
+                  st.sampled_from([1, -1])),
+        # (x - rho e^{i theta})(x - rho e^{-i theta}) with cos theta = c
+        st.builds(lambda rho, c: [rho * rho, -2 * rho * c, 1], moduli,
+                  st.fractions(-1, 1, max_denominator=64).filter(
+                      lambda c: abs(c) < 1)))
+
+
 # moduli m 10^e from 1e-6 to 9e6, so the Newton polygon has several
 # edges; not 1, so that no root repeats a root of the cyclotomic factor
 root_moduli = st.builds(lambda m, e: m * Fraction(10) ** e,
                         st.integers(1, 9), st.integers(-6, 6)).filter(
                             lambda rho: rho != 1)
-root_factors = st.one_of(
-    # x - s rho
-    st.builds(lambda rho, s: [-s * rho, 1], root_moduli,
-              st.sampled_from([1, -1])),
-    # (x - rho e^{i theta})(x - rho e^{-i theta}) with cos theta = c
-    st.builds(lambda rho, c: [rho * rho, -2 * rho * c, 1], root_moduli,
-              st.fractions(-1, 1, max_denominator=64).filter(
-                  lambda c: abs(c) < 1)))
+root_factors = _root_factors(root_moduli)
+
+
+def _assert_matches_mpmath(factors):
+    """Every root of `complex_roots(P)`, P the product of `factors` (with
+    simple roots), is reliable and lies within the first-order bound of
+    the nearest mpmath root of a factor (as in
+    test_aberth_rows_matches_aberth), and the other way round, so no merge
+    swallows a distinct root."""
+    import mpmath
+
+    P = rat_poly([1])
+    ref = []
+    for f in factors:
+        f = rat_poly(f)
+        P = P * f
+        with mpmath.workdps(40):
+            exact = [mpmath.mpf(c.numerator) / c.denominator
+                     for c in f.to_fraction_coeffs()]
+            ref += [complex(r) for r in mpmath.polyroots(
+                exact[::-1], maxsteps=500, extraprec=400)]
+    roots = complex_roots(P)
+    assert all(r.reliable for r in roots)
+    got = [r.value for r in roots]
+    scaled, _ = prescale(P.coeffs)
+    max_eta = 8 * P.degree() * sys.float_info.epsilon
+    for z in got:
+        r = min(ref, key=lambda r: abs(r - z))
+        assert abs(r - z) <= 2 * max_eta * _condition(scaled, r)
+    for r in ref:
+        assert (min(abs(r - z) for z in got)
+                <= 2 * max_eta * _condition(scaled, r))
 
 
 @pytest.mark.skipif(importlib.util.find_spec("mpmath") is None,
@@ -349,27 +388,72 @@ root_factors = st.one_of(
 def test_complex_roots_against_mpmath(factors, cyclotomic):
     # distinct factors, so every root is simple: repeated roots are the
     # known defect of `aberth` that this test does not cover
-    import mpmath
+    _assert_matches_mpmath([cyclotomic] + factors)
 
-    P = int_poly(cyclotomic)
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(n):
+    """Phi_n, ascending: x^n - 1 divided by every Phi_d with d | n, d < n."""
+    q = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            b = _cyclotomic(d)  # monic: divide from the top down
+            out = [0] * (len(q) - len(b) + 1)
+            for k in range(len(out) - 1, -1, -1):
+                out[k] = q[k + len(b) - 1]
+                for i, c in enumerate(b):
+                    q[k + i] -= out[k] * c
+            q = out
+    return tuple(q)
+
+
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+# moduli m 10^e from 1/100 to 100, so the root moduli span at most 10^4
+near_moduli = st.builds(lambda m, e: m * Fraction(10) ** e,
+                        st.integers(1, 10), st.integers(-2, 1)).filter(
+                            lambda rho: rho != 1)
+
+
+def _degree(ns, factors):
+    return sum(len(_cyclotomic(n)) - 1 for n in ns) + sum(
+        len(f) - 1 for f in factors)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("mpmath") is None,
+                    reason="needs mpmath")
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(
+    st.sets(st.integers(1, 30), min_size=1, max_size=4),
+    st.lists(_root_factors(near_moduli), min_size=1, max_size=3,
+             unique_by=tuple)).filter(lambda t: 8 <= _degree(*t) <= 40))
+@example(({16, 24}, [LEHMER]))  # degree 26
+# degree 38, a `mahler` item of the benchmark's large stratum
+@example(({15, 16, 24}, [[2, 0, 5, 0, 1], LEHMER]))
+def test_eigenvalue_start_against_mpmath(case):
+    """Products of distinct Phi_n (n <= 30) and factors with root moduli
+    in [1/100, 100], degree 8-40: `aberth` starts from the companion
+    eigenvalues wherever its Newton-polygon radii span at most 10^4, and
+    the roots it returns pass the test of the circle start."""
+    ns, factors = case
+    factors = [list(_cyclotomic(n)) for n in sorted(ns)] + factors
+    P = rat_poly([1])
     for f in factors:
         P = P * rat_poly(f)
-    with mpmath.workdps(40):
-        exact = [mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
-                 for c in P.coeffs]
-        ref = [complex(r) for r in mpmath.polyroots(
-            exact[::-1], maxsteps=500, extraprec=400)]
-    roots = complex_roots(P)
-    assert all(r.reliable for r in roots)
-    got = [r.value for r in roots]
-    scaled, _ = prescale(P.coeffs)
-    # each root within the first-order bound of the nearest reference root
-    # (as in test_aberth_rows_matches_aberth), and the other way round, so
-    # no merge swallows a distinct root
-    max_eta = 8 * P.degree() * sys.float_info.epsilon
-    for z in got:
-        r = min(ref, key=lambda r: abs(r - z))
-        assert abs(r - z) <= 2 * max_eta * _condition(scaled, r)
-    for r in ref:
-        assert (min(abs(r - z) for z in got)
-                <= 2 * max_eta * _condition(scaled, r))
+    radii = [r for _, _, r in roots._newton_polygon(prescale(P.coeffs)[0])]
+    calls = []
+    start = roots._companion_start
+    roots._companion_start = lambda c: calls.append(c) or start(c)
+    try:
+        _assert_matches_mpmath(factors)
+    finally:
+        roots._companion_start = start
+    assert len(calls) == (max(radii) <= roots._EIGEN_MAX_SPAN * min(radii))
+
+
+def test_wide_newton_polygon_keeps_circle_start():
+    # Newton-polygon radii 1 and 10^20: companion eigenvalues are accurate
+    # only to about eps 10^20, and started from them the iteration divided
+    # by zero; the circles give log M = 20 log 10
+    P = rat_poly([-(10 ** 20), 1]) * int_poly([1] + [0] * 7 + [1])
+    log_m = sum(math.log(max(1.0, abs(r.value))) for r in complex_roots(P))
+    assert abs(log_m - 20 * math.log(10)) <= 1e-14
