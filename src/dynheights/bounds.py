@@ -31,7 +31,7 @@ Only the reported exceptions are solved, for their approximate location.
 
 A scan, and a preimage run of `preimage_measure_stats`, first predicts
 its work (candidates scored, or degree-d solves) and refuses with
-WorkBudgetError beyond WORK_BUDGET.
+WorkBudgetError beyond `dynamics.WORK_BUDGET`.
 
 numpy is imported by `energy_level_curve` alone, so importing this module
 (and the CLI) does not load it.
@@ -45,8 +45,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import (DynSystem, rational_box_bound,
-                       rational_points_up_to_height)
+from .dynamics import (WORK_BUDGET, DynSystem, _require_budget,
+                       rational_box_bound, rational_points_up_to_height)
 from .errors import CoefficientRangeError, RootFindingError, WorkBudgetError
 from .mahler import log_mahler_plus
 from .places import ARCH, log_abs_at, weil_height
@@ -55,13 +55,6 @@ from .roots import aberth, aberth_rows, complex_roots, prescale
 
 _CIRCLE_BAND = 1e-6  # |z| band for circle moments
 _BLOCK_ROWS = 2048  # level-curve rows solved together; bounds peak memory
-# The most units of work one `scan_exceptions` or `preimage_measure_stats`
-# call may do, predicted before it starts: candidates a scan scores (its
-# rational box and its quadratic box), or degree-d solves of a preimage
-# run.  A unit costs 1-10 us (a reported quadratic exception adds a root
-# solve); level 18 on x^2 + 1, 524 286 solves, takes about 5 s.  Every
-# golden, test, demo script and benchmark item needs at most about 6 000.
-WORK_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -224,16 +217,6 @@ def _minpoly_of_psi_image(a: int, b: int, c: int, psi: Poly) -> Poly:
     Res_x(a x^2 + b x + c, psi(x) - y) divided by its content, with
     positive leading coefficient (see `_psi_image_coeffs`)."""
     return int_poly(_psi_image_coeffs(a, b, c, *_psi_numerators(psi)))
-
-
-def _require_budget(work: int, exact: bool, what: str, unit: str):
-    """Raise WorkBudgetError when the predicted work is over WORK_BUDGET;
-    a prediction that stopped counting early (exact false) is a lower
-    bound."""
-    if work > WORK_BUDGET:
-        raise WorkBudgetError(
-            f"{what} needs {'' if exact else 'more than '}{work} {unit}, "
-            f"beyond the work budget of {WORK_BUDGET}")
 
 
 def _quadratic_box(ell: int, threshold: float, H: float):

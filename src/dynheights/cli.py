@@ -10,6 +10,7 @@ import functools
 import sys
 import time
 from fractions import Fraction
+from operator import itemgetter
 
 from . import __version__
 from .acceptance import run_all
@@ -43,31 +44,43 @@ _ESCAPES = {0x22: '\\"', 0x5C: "\\\\",
             **{c: "\\u%04x" % c for c in range(0x20)}}
 
 
+def _json_dict(obj) -> str:
+    items = sorted([(str(k), v) for k, v in obj.items()], key=itemgetter(0))
+    return "{%s}" % ", ".join(
+        '"%s": %s' % (k.translate(_ESCAPES), to_json(v)) for k, v in items)
+
+
+def _json_list(obj) -> str:
+    return "[%s]" % ", ".join(to_json(v) for v in obj)
+
+
+# one encoder per exact type; a subclass (numpy's float64, say) takes the
+# encoder of its nearest listed base (`to_json`)
+_ENCODERS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    Fraction: lambda obj: '"%s"' % obj,
+    int: str,
+    float: _fmt_float,
+    str: lambda obj: '"%s"' % obj.translate(_ESCAPES),
+    complex: lambda obj: to_json({"re": obj.real, "im": obj.imag}),
+    dict: _json_dict,
+    list: _json_list,
+    tuple: _json_list,
+}
+
+
 def to_json(obj) -> str:
-    """Serialize to JSON with sorted keys and pinned number formatting."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, Fraction):
-        return '"%s"' % obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return '"%s"' % obj.translate(_ESCAPES)
-    if isinstance(obj, complex):
-        return to_json({"re": obj.real, "im": obj.imag})
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{%s}" % ", ".join(
-            f"{to_json(str(k))}: {to_json(v)}" for k, v in items)
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ", ".join(to_json(v) for v in obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Serialize to JSON with sorted keys and pinned number formatting.
+    The encoder is looked up by type(obj), which is cheaper than a chain
+    of isinstance tests (a Fraction test goes through ABCMeta)."""
+    encode = _ENCODERS.get(type(obj))
+    if encode is None:
+        encode = next((_ENCODERS[t] for t in type(obj).__mro__
+                       if t in _ENCODERS), None)
+        if encode is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return encode(obj)
 
 
 def _emit(command: str, inputs: dict, outputs: dict, timing_ms=None):

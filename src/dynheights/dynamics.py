@@ -15,6 +15,19 @@ lift (a,b):
   Q: a preperiodic point sums it as a geometric series over the exact
   cycle, and any other point truncates it after enough steps for the
   requested tolerance, going on p-adically past the walk (green_finite).
+  That p-adic part stops early where the reduction of the map proves
+  the rest of the ledger is 0.  Let B_p be the points of P^1(F_p) where
+  F0 and F1 both vanish mod p, and Sigma_p those whose orbit under F
+  mod p never meets B_p.  A primitive state reducing into Sigma_p
+  extracts nothing (F0, F1 are not both 0 mod p there), and its image
+  is primitive again and reduces to the image under F mod p, which is
+  again in Sigma_p; so every later c_k is 0 and no further digit is
+  read (Silverman, The Arithmetic of Dynamical Systems, GTM 241,
+  sections 2.3-2.5 and 3.5; Call & Goldstine, J. Number Theory 63
+  (1997)).  Unlike a closure on a repeated state modulo a power of p,
+  this stop never repeats a block that extracts digits.  Sigma_p costs
+  p + 1 evaluations mod p, so it is built, once per map and prime and
+  kept on the system, only for a ledger of at least p + 1 steps.
 
 With this normalization sum_v g_v equals the canonical height exactly
 (finite places contribute non-positive amounts; good primes contribute 0).
@@ -32,13 +45,22 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .errors import DegenerateMapError
+from .errors import DegenerateMapError, WorkBudgetError
 from .places import (ARCH, Place, ProjPointQ, valuation, weil_height,
                      weil_height_exact)
 from .polys import HomogPair, factorize, homog_step, sylvester_matrix
 
 # the most map expressions whose systems `DynSystem.from_expr` keeps
 _MAPS_KEPT = 256
+# The most units of work one scan or preimage run may do, predicted before
+# it starts: candidate points of `common_preperiodic_scan`, candidates a
+# `bounds.scan_exceptions` scores (its rational box and its quadratic box),
+# or degree-d solves of `bounds.preimage_measure_stats`.  A unit costs
+# 1-10 us (a reported quadratic exception adds a root solve, a scan-pair
+# candidate two orbit walks); level 18 on x^2 + 1, 524 286 solves, takes
+# about 5 s.  Every golden, test, demo script and benchmark item needs at
+# most about 6 000.
+WORK_BUDGET = 10 ** 6
 
 
 def _cofactor_max(F: HomogPair) -> int:
@@ -89,17 +111,21 @@ class DynSystem:
     needed for a requested height accuracy.  Only the finite places sum
     the primes of Res F, so bad_primes factors Res on its first read and
     keeps the primes; deciding preperiodicity or pulling orbits back never
-    reads them.
+    reads them.  good_orbits keeps Sigma_p the same way, for each prime a
+    ledger asks for.
 
     A system holds invariants of the map only, and none of them can be
-    changed (c_formula is a read-only mapping), so one system may serve
-    every caller of the same map: `from_expr` hands out one per
-    expression text.
+    changed (c_formula is a read-only mapping; the Sigma_p kept are
+    added, never replaced), so one system may serve every caller of the
+    same map: `from_expr` hands out one per expression text.
     """
 
     F: HomogPair
     c_arch: float
     c_formula: Mapping = field(compare=False)
+    # Sigma_p of each prime asked for, built on first use (good_orbits)
+    _good_orbits: dict = field(default_factory=dict, compare=False,
+                               repr=False)
 
     @staticmethod
     def of(F: HomogPair) -> "DynSystem":
@@ -135,6 +161,14 @@ class DynSystem:
         """The primes dividing Res F, in ascending order."""
         return tuple(factorize(self.F.res))
 
+    def good_orbits(self, p: int) -> frozenset:
+        """Sigma_p (`_good_orbit_set`), built on the first call for p and
+        kept with the map."""
+        kept = self._good_orbits
+        if p not in kept:
+            kept[p] = _good_orbit_set(self.F, p)
+        return kept[p]
+
 
 def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
     """(value, tail_bound) for the archimedean homogeneous Green function
@@ -163,19 +197,64 @@ def _tail_steps(c: float, d: int, eps: float) -> int:
     return math.ceil(math.log(ratio) / math.log(d))
 
 
+def _reduction(a: int, b: int, p: int):
+    """The point [a:b] of P^1(F_p) as an index: a/b mod p, or p for
+    infinity; None when p divides both."""
+    b %= p
+    if b:
+        return a * pow(b, -1, p) % p
+    return p if a % p else None
+
+
+def _good_orbit_set(F: HomogPair, p: int) -> frozenset:
+    """Sigma_p, as `_reduction` indices: the points of P^1(F_p) whose
+    orbit under F mod p never meets B_p, the points where F0 and F1 both
+    vanish mod p.  Off B_p, F mod p is a map of P^1(F_p), built here with
+    p + 1 evaluations; each point then follows it until it meets B_p, a
+    point already decided, or its own path again (a cycle that avoids
+    B_p)."""
+    image = [_reduction(*F.evaluate(x, 1), p) for x in range(p)]
+    image.append(_reduction(F.f0[-1], F.f1[-1], p))  # the image of [1:0]
+    good = {}
+    for x in range(p + 1):
+        path = []
+        y = x
+        while y is not None and y not in good and y not in path:
+            path.append(y)
+            y = image[y]
+        ok = y is not None and good.get(y, True)
+        for z in path:
+            good[z] = ok
+    return frozenset(x for x, ok in good.items() if ok)
+
+
 def _padic_orbit(F: HomogPair, P: ProjPointQ, p: int, m: int, K: int,
-                 W: int):
+                 W: int, good: frozenset | None):
     """The ledger c_0, ..., c_(K-1) of the orbit of P tracked modulo p^W,
     or None as soon as p^W no longer carries what the next step reads.
 
     The integers of step k are known modulo p^w, w = W - sum(c), and
     c_k = min(m - 1, v_p F0, v_p F1) reads them modulo p^(m-1) only.
+
+    good, when given, is Sigma_p (`_good_orbit_set`).  A primitive state
+    whose reduction lies in it extracts c = 0, since F0 and F1 do not
+    both vanish there; its image is again primitive and reduces to the
+    image of its reduction under F mod p, again in Sigma_p.  So every
+    later c is 0, and the ledger is filled with zeros without reading a
+    digit more.
+    The reduction is tested at the start and after each step with c > 0
+    only: after a step with c = 0 the reduction moved along F mod p, and
+    a point outside Sigma_p maps outside it.  A state known to no digit
+    (w = 0) is not tested.
     """
     mod = p ** W
     A, B = P.a % mod, P.b % mod
     w = W
     ledger = []
-    for _ in range(K):
+    c = 1  # the starting state is tested
+    for k in range(K):
+        if c and good is not None and w and _reduction(A, B, p) in good:
+            return ledger + [0] * (K - k)
         if w < m - 1:
             return None
         v0, v1 = F.evaluate(A, B)
@@ -207,8 +286,9 @@ def green_finite(S: DynSystem, walk: Walk, p: int, eps: float) -> float:
     to a unit) modulo p^W.  W starts at min(digits, 6m + 4), where
     digits = (K - n) m + 2m + 8, and doubles (up to digits, where no step
     runs short) when a state is known to fewer than the m - 1 digits a
-    step reads.  So the ledger, and its float summed left to right, are
-    those of W = digits."""
+    step reads.  When p + 1 <= K it also stops, with zeros, at a state
+    that reduces into Sigma_p (`DynSystem.good_orbits`).  So the ledger,
+    and its float summed left to right, are those of W = digits."""
     m = valuation(S.F.res, p) + 1  # extracted valuations are < m
     d = S.degree
     logp = math.log(p)
@@ -228,8 +308,11 @@ def green_finite(S: DynSystem, walk: Walk, p: int, eps: float) -> float:
     if (n := len(ledger)) < K:
         digits = (K - n) * m + 2 * m + 8
         W = min(digits, 6 * m + 4)
+        # Sigma_p costs p + 1 evaluations, once per map and prime: never
+        # more than this ledger's K steps
+        good = S.good_orbits(p) if p + 1 <= K else None
         while (rest := _padic_orbit(S.F, walk.points[-1], p, m, K - n,
-                                    W)) is None:
+                                    W, good)) is None:
             W = min(digits, 2 * W)
         ledger += rest
     for k in range(K):
@@ -371,11 +454,26 @@ def _points_in_box(bound: int):
     yield ProjPointQ(1, 0)
 
 
+def _require_budget(work: int, exact: bool, what: str, unit: str):
+    """Raise WorkBudgetError when the predicted work is over WORK_BUDGET;
+    a prediction that stopped counting early (exact false) is a lower
+    bound."""
+    if work > WORK_BUDGET:
+        raise WorkBudgetError(
+            f"{what} needs {'' if exact else 'more than '}{work} {unit}, "
+            f"beyond the work budget of {WORK_BUDGET}")
+
+
 def common_preperiodic_scan(S1: DynSystem, S2: DynSystem, H: float):
     """Rational points of height <= H preperiodic under both maps.  A
     point above either escape threshold is not preperiodic under that map
     (`is_preperiodic` certifies it escaped at once), so the enumeration
-    stops at the lower threshold."""
+    stops at the lower threshold.  The box of B (2B + 1) + 1 candidates
+    is counted first, and one of more than WORK_BUDGET raises
+    WorkBudgetError."""
     clamp = min(escape_threshold(S1), escape_threshold(S2))
-    return [P for P in rational_points_up_to_height(H, clamp)
+    side = rational_box_bound(H, clamp)
+    _require_budget(side * (2 * side + 1) + 1, True, "scan-pair",
+                    "candidates")
+    return [P for P in _points_in_box(side)
             if is_preperiodic(S1, P)[0] and is_preperiodic(S2, P)[0]]

@@ -51,7 +51,7 @@ class RootFindingError(DynheightsError):
 
 class WorkBudgetError(DynheightsError):
     """The work a scan or an equidistribution run would do, predicted
-    before it starts, exceeds `bounds.WORK_BUDGET`."""
+    before it starts, exceeds `dynamics.WORK_BUDGET`."""
 
 
 class GraphShapeError(DynheightsError):

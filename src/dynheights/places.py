@@ -78,16 +78,15 @@ ARCH = Place()
 
 
 def valuation(x: Fraction | int, p: int) -> int:
-    """p-adic valuation v_p(x) of a nonzero rational, as an exact integer."""
+    """p-adic valuation v_p(x) of a nonzero rational, as an exact integer;
+    an int is read as it is, with no Fraction built."""
     if x == 0:
         raise UndefinedLogError("valuation of zero is undefined")
-    x = Fraction(x)
+    n, d = (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1

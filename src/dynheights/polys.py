@@ -16,9 +16,18 @@ vectors are padded to full length d+1.  With this convention
 Res(X^2, 2 Y^2) = +4 and Res(X^2 - Y^2, Y^2) = +1.
 
 `horner` and `HomogPair.evaluate` are the package's one polynomial and
-one binary-form evaluator.  `factorize` reports only proven primes: the
-Miller-Rabin test of `places` is a proof below places._MR_PROVEN (about
-3.3e24) and a probable-prime test above, so larger ones are trial-divided.
+one binary-form evaluator, both Horner schemes.  On ints they are exact.
+On floats, `HomogPair.evaluate` rounds each term f_i a^i b^(d-i) at most
+2d times: f_d passes d products and d sums, and a term i < d is rounded
+d + i + 1 times (d - i - 1 for the carried power of b, a product with
+f_i and a sum where it enters, a product and a sum at each of the i
+steps after that).  So its error is at most
+gamma_2d sum |f_i| |a|^i |b|^(d-i), gamma_n = n u / (1 - n u) with
+u = 2^-53, when no intermediate underflows and every f_i is a double.
+
+`factorize` reports only proven primes: the Miller-Rabin test of
+`places` is a proof below places._MR_PROVEN (about 3.3e24) and a
+probable-prime test above, so larger ones are trial-divided.
 """
 
 from __future__ import annotations
@@ -361,15 +370,18 @@ class HomogPair:
         return HomogPair.of(f0, f1)
 
     def evaluate(self, a, b):
-        """(F0(a,b), F1(a,b)): exact for ints, rounded term by term in
-        order of ascending i for floats (an explicit loop, as sum() of
-        floats is compensated since Python 3.12)."""
-        d = self.degree
-        v0 = v1 = 0
-        for i in range(d + 1):
-            mono = a ** i * b ** (d - i)
-            v0 += self.f0[i] * mono
-            v1 += self.f1[i] * mono
+        """(F0(a,b), F1(a,b)) by homogeneous Horner, v <- v a + f_i b^(d-i)
+        for i = d-1, ..., 0 from v = f_d, with the power of b carried
+        along: exact for ints, and within the module docstring's bound
+        gamma_2d sum |f_i| |a|^i |b|^(d-i) for floats (Higham, Accuracy
+        and Stability of Numerical Algorithms, ch. 5)."""
+        f0, f1 = self.f0, self.f1
+        v0, v1 = f0[-1], f1[-1]
+        bi = 1
+        for c0, c1 in zip(f0[-2::-1], f1[-2::-1]):
+            bi *= b
+            v0 = v0 * a + c0 * bi
+            v1 = v1 * a + c1 * bi
         return v0, v1
 
     def dehomog(self):

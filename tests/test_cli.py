@@ -54,6 +54,12 @@ def test_to_json_formatting():
     assert to_json([True, None, "x\"y"]) == '[true, null, "x\\"y"]'
     with pytest.raises(ValueError):
         to_json(float("nan"))
+    # a subclass is encoded as its nearest base (numpy's float64 is one of
+    # float); a type with no base in the table is refused
+    assert to_json({1: type("F", (float,), {})(0.1), (2,): (-3, 2j)}) == \
+        '{"(2,)": [-3, {"im": 2, "re": 0}], "1": 0.10000000000000001}'
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        to_json({1})
 
 
 def test_height(capsys):
@@ -335,6 +341,9 @@ def test_scans_stop_at_their_height_certificates(capsys, argv):
     (["equidist", "--map", "x^2+1", "--target", "3", "--level", "40"],
      "2199023255550"),
     (["scan", "--ell", "1", "--psi", "1-x", "--threshold", "10",
+      "--max-height", "10"], "970311379"),
+    # the lower escape threshold, 15.2, is above H: the box of e^10
+    (["scan-pair", "--phi", "x^2 - 1000000", "--psi", "x^2 - 1000000",
       "--max-height", "10"], "970311379"),
 ])
 def test_work_beyond_budget_refused_before_it_starts(capsys, argv, count):

@@ -476,8 +476,8 @@ def _orbit_runs(monkeypatch):
     runs = []
     orbit = dynamics._padic_orbit
 
-    def spy(F, P, p, m, K, W):
-        out = orbit(F, P, p, m, K, W)
+    def spy(F, P, p, m, K, W, good):
+        out = orbit(F, P, p, m, K, W, good)
         runs.append((W, "short" if out is None else len(out)))
         return out
 
@@ -592,6 +592,108 @@ def test_green_ledger_walks_the_orbit_once(monkeypatch):
         green_ledger(S, _pt(x), 1e-9)
         assert len(walks) == 1
         assert len(steps) == len(walks[0].gcds) > 0
+
+
+def _good_orbits_brute(f0, f1, p):
+    """Sigma_p by brute force: the points [x:1] (index x) and [1:0]
+    (index p) of P^1(F_p) whose first p + 2 iterates under (F0, F1) mod p
+    all avoid the common zeros of F0 and F1 mod p; an orbit in P^1(F_p)
+    repeats within p + 1 steps, so that decides it."""
+    d = len(f0) - 1
+
+    def step(a, b):
+        v = [sum(c * a ** i * b ** (d - i) for i, c in enumerate(f)) % p
+             for f in (f0, f1)]
+        if v == [0, 0]:
+            return None
+        return (v[0] * pow(v[1], -1, p) % p, 1) if v[1] else (1, 0)
+
+    good = set()
+    for start in [(x, 1) for x in range(p)] + [(1, 0)]:
+        pt = start
+        for _ in range(p + 2):
+            pt = step(*pt)
+            if pt is None:
+                break
+        else:
+            good.add(start[0] if start[1] else p)
+    return good
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+           st.lists(st.integers(-30, 30), min_size=d + 1, max_size=d + 1),
+           st.lists(st.integers(-30, 30), min_size=d + 1, max_size=d + 1))),
+       st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_good_orbit_set_matches_brute_force(forms, p):
+    f0, f1 = forms
+    assert dynamics._good_orbit_set(HomogPair(tuple(f0), tuple(f1)), p) \
+        == _good_orbits_brute(f0, f1, p)
+
+
+def test_good_orbit_set_examples():
+    # (x^2 + 2)/(2x) mod 2 is [X^2 : 0]: B_2 = {0}, and 1 and inf map to
+    # inf; x^2 - 29/16 mod 2 is [Y^2 : 0], which sends 0 and 1 to inf,
+    # a common zero
+    F = DynSystem.from_expr("(x^2 + 2)/(2*x)").F
+    assert dynamics._good_orbit_set(F, 2) == {1, 2}
+    F = DynSystem.from_expr("x^2 - 29/16").F
+    assert dynamics._good_orbit_set(F, 2) == frozenset()
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    evaluate = HomogPair.evaluate
+    monkeypatch.setattr(HomogPair, "evaluate",
+                        lambda F, a, b: calls.append((a, b)) or
+                        evaluate(F, a, b))
+    return calls
+
+
+def test_padic_orbit_stops_on_good_reduction(monkeypatch):
+    # Newton's map for sqrt 2 has Res 8.  From 2 the first step extracts
+    # one digit and lands on 3/2, which reduces to inf, in Sigma_2: the
+    # stop reads no further step, and the ledger is that of the full run
+    S = DynSystem.from_expr("(x^2 + 2)/(2*x)")
+    good = S.good_orbits(2)
+    calls = _count_evaluations(monkeypatch)
+    stopped = dynamics._padic_orbit(S.F, _pt(2), 2, 4, 30, 40, good)
+    assert len(calls) == 1
+    full = dynamics._padic_orbit(S.F, _pt(2), 2, 4, 30, 40, None)
+    assert len(calls) == 31
+    assert stopped == full == [1] + [0] * 29
+    # through green_finite: the walk 2, 3/2, 17/12, 577/408, 665857/470832
+    # escapes, and the p-adic run from its last point (reducing to inf)
+    # stops at once
+    runs = _orbit_runs(monkeypatch)
+    calls.clear()
+    g2 = local_green(S, _pt(2), Place(2), 1e-9)
+    assert g2 == -math.log(2) / 2
+    assert len(calls) == 4 and runs == [(28, _ledger_steps(S, 2, 1e-9)[1] - 4)]
+    _assert_same_green(S, _pt(2), 1e-9)
+
+
+def test_good_orbits_built_only_for_ledgers_of_p_plus_1_steps(monkeypatch):
+    # a ledger of K steps builds Sigma_p (p + 1 evaluations) only when
+    # p + 1 <= K: at eps 1e-3, K is 15, 13 and 13 at the bad primes 2, 3
+    # and 29 of this map, so 29 gets none; at 1e-9, K is 34, 33 and 33,
+    # and it does.  Each is built once, for both points.
+    built = []
+    build = dynamics._good_orbit_set
+    monkeypatch.setattr(dynamics, "_good_orbit_set",
+                        lambda F, p: built.append(p) or build(F, p))
+    F = parse_map("(x^2 - 29/16)/(3*x)")
+    for eps, K, want in ((1e-3, [15, 13, 13], [2, 3]),
+                         (1e-9, [34, 33, 33], [2, 3, 29])):
+        S = DynSystem.of(F)  # a system with no Sigma_p kept yet
+        assert S.bad_primes == (2, 3, 29)
+        assert [_ledger_steps(S, p, eps)[1] for p in S.bad_primes] == K
+        built.clear()
+        for x in (Fraction(9, 4), 5):
+            for p in S.bad_primes:
+                local_green(S, _pt(x), Place(p), eps)
+                _assert_same_green(S, _pt(x), eps)
+        assert built == want
 
 
 LARGE_PRIME_MAP = "(x^3 + 1234567*x + 89)/(x^2 + 98765*x + 4321)"

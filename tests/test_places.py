@@ -52,6 +52,9 @@ def test_valuation_examples():
     assert valuation(12, 2) == 2
     assert valuation(12, 3) == 1
     assert valuation(Fraction(5, 8), 2) == -3
+    # ints, negative and beyond a double, are read with no Fraction
+    assert valuation(-48, 2) == 4
+    assert valuation(-7 * 3 ** 200, 3) == 200
     with pytest.raises(UndefinedLogError):
         valuation(0, 2)
 

@@ -118,16 +118,24 @@ def test_evaluate_and_dehomog():
 @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=7),
        st.lists(st.integers(-10**6, 10**6), min_size=7, max_size=7),
        st.floats(-2, 2), st.floats(-2, 2))
-def test_evaluate_floats_match_monomial_loop(f0, f1, a, b):
+def test_evaluate_floats_within_horner_bound(f0, f1, a, b):
+    # Horner's forward error against exact rational evaluation: each term
+    # is rounded at most 2d times, so |error| <= gamma_2d sum |f_i| |a^i
+    # b^(d-i)|; an underflow adds at most 2^-1074 at each of the 3d
+    # products, carried by at most 4^d (|a|, |b| <= 2) and max |f_i|
     F = HomogPair(tuple(f0), tuple(f1[:len(f0)]))
     d = F.degree
-    v0 = v1 = 0.0
-    for i in range(d + 1):  # the float evaluator this one replaced
-        mono = a ** i * b ** (d - i)
-        v0 += F.f0[i] * mono
-        v1 += F.f1[i] * mono
+    fa, fb = Fraction(a), Fraction(b)
+    u = Fraction(1, 2 ** 53)
+    gamma = 2 * d * u / (1 - 2 * d * u)
     got = F.evaluate(a, b)
-    assert [v.hex() for v in got] == [v0.hex(), v1.hex()]
+    for f, v in zip((F.f0, F.f1), got):
+        exact = sum(c * fa ** i * fb ** (d - i) for i, c in enumerate(f))
+        bound = gamma * sum(abs(c * fa ** i * fb ** (d - i))
+                            for i, c in enumerate(f))
+        tiny = 3 * d * 4 ** d * (max(map(abs, f)) + 1) * Fraction(2) ** -1074
+        assert type(v) is float
+        assert abs(Fraction(v) - exact) <= bound + tiny
 
 
 @settings(max_examples=100, deadline=None)
