@@ -24,9 +24,10 @@ The quadratic exception scan scores each candidate a x^2 + b x + c in
 integer arithmetic and closed form: the image polynomial of psi(alpha)
 comes from an integer Horner reduction modulo a x^2 + b x + c, and the
 Mahler measure of a quadratic is max(|a|, |c|, |q|), with q = a times its
-larger root when the roots are real, so no root finder, Poly or Fraction
-is involved.  Its box holds only candidates with max(a, |c|) < T and
-|b| < T + ac/T for T = e^(2 threshold / l), the others having M >= T.
+larger root when the roots are real, so no root finder or Fraction is
+involved: it reads psi's integer coefficients and denominator.  Its box
+holds only candidates with max(a, |c|) < T and |b| < T + ac/T for
+T = e^(2 threshold / l), the others having M >= T.
 Only the reported exceptions are solved, for their approximate location.
 
 A scan, and a preimage run of `preimage_measure_stats`, first predicts
@@ -115,7 +116,7 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
     if nodes < 64:
         raise ValueError("need at least 64 nodes")
     try:
-        phic = np.array([complex(c) for c in phi.coeffs])
+        phic = np.array([complex(c / phi.den) for c in phi.coeffs])
     except OverflowError:
         raise CoefficientRangeError(
             "a coefficient of phi is beyond the double range") from None
@@ -123,9 +124,9 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
         raise CoefficientRangeError(
             "the leading coefficient of phi is below the double range")
     # psi = scale * psi_s: |psi| > 1 and log|psi| are taken in log space
-    psi_s, scale = prescale(psi.coeffs)
+    psi_s, scale = prescale(psi)
     psi_c = np.array(psi_s, dtype=complex)
-    floor, log_scale = float(Fraction(1) / scale), log_abs_at(scale, ARCH)
+    floor, log_scale = float(1 / scale), log_abs_at(scale, ARCH)
     total = 0.0
     skipped = 0
     step = 2 * math.pi / nodes
@@ -180,13 +181,6 @@ def _log_mahler_quadratic(a: int, b: int, c: int) -> float:
     return math.log(max(abs(a), abs(c), q))
 
 
-def _psi_numerators(psi: Poly):
-    """(num, den) with den * psi = sum num[k] x^k: den is the lcm of the
-    denominators of psi's coefficients and num are integers."""
-    den = math.lcm(*(Fraction(cf).denominator for cf in psi.coeffs))
-    return [int(Fraction(cf) * den) for cf in psi.coeffs], den
-
-
 def _psi_image_coeffs(a: int, b: int, c: int, num, den: int):
     """Ascending coefficients of the primitive integer polynomial, with
     positive leading coefficient, vanishing at psi(alpha) for the roots
@@ -216,7 +210,7 @@ def _minpoly_of_psi_image(a: int, b: int, c: int, psi: Poly) -> Poly:
     alpha of a x^2 + b x + c (a != 0): the resultant
     Res_x(a x^2 + b x + c, psi(x) - y) divided by its content, with
     positive leading coefficient (see `_psi_image_coeffs`)."""
-    return int_poly(_psi_image_coeffs(a, b, c, *_psi_numerators(psi)))
+    return int_poly(_psi_image_coeffs(a, b, c, psi.coeffs, psi.den))
 
 
 def _quadratic_box(ell: int, threshold: float, H: float):
@@ -302,14 +296,13 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
             hx = weil_height(P)
             if ell * hx >= threshold:
                 continue
-            img = horner(psi.coeffs, x)
+            img = psi(x)
             himg = (0.0 if img == 0 else
                     math.log(max(abs(img.numerator), img.denominator)))
             value = ell * hx + himg
         if value < threshold:
             out.append({"kind": "rational", "point": str(P), "value": value})
     if include_quadratic:
-        num, den = _psi_numerators(psi)
         for a, c, bm in _quadratic_box(ell, threshold, H):
             g = math.gcd(a, c)
             ac4 = 4 * a * c
@@ -326,7 +319,7 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
                     hx = _log_mahler_quadratic(a, b, c) / 2
                 if ell * hx >= threshold:
                     continue
-                c2, b2, a2 = _psi_image_coeffs(a, b, c, num, den)
+                c2, b2, a2 = _psi_image_coeffs(a, b, c, psi.coeffs, psi.den)
                 himg = _log_mahler_quadratic(a2, b2, c2) / 2
                 value = ell * hx + himg
                 if value < threshold:
@@ -348,7 +341,7 @@ def roots_of_unity_height_sequence(psi: Poly, n: int) -> float:
     contribute nothing)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = [complex(c) for c in psi.coeffs]
+    coeffs = [complex(c / psi.den) for c in psi.coeffs]
     total = 0.0
     count = 0
     for k in range(n):

@@ -79,7 +79,7 @@ class MahlerResult:
 def _float_coeffs(P: Poly):
     import numpy as np
 
-    scaled, m = prescale(P.coeffs)
+    scaled, m = prescale(P)
     return np.array(scaled), m
 
 
@@ -88,8 +88,8 @@ def _constant_result(P: Poly, method: str):
     if P.is_zero:
         raise ValueError("Mahler measure of the zero polynomial")
     if P.degree() == 0:
-        return MahlerResult(log_abs_at(Fraction(P.coeffs[0]), ARCH), method,
-                            0.0)
+        return MahlerResult(log_abs_at(Fraction(P.coeffs[0], P.den), ARCH),
+                            method, 0.0)
     return None
 
 
@@ -108,7 +108,7 @@ def mahler_via_roots(P: Poly) -> MahlerResult:
 
 def _roots_result(P: Poly, roots) -> MahlerResult:
     """Jensen's formula on P's roots (ComplexApprox records)."""
-    log_m = log_abs_at(Fraction(P.leading()), ARCH)
+    log_m = log_abs_at(Fraction(P.leading(), P.den), ARCH)
     for r in roots:
         mod = abs(r.value)
         if mod > 1.0:
@@ -279,7 +279,7 @@ def log_mahler_plus(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
     # run halves every coarse panel, so the two differ on every arc
     fine, g_min = _log_mahler_plus_value(g, log_abs, log_m, 2)
     coarse, _ = _log_mahler_plus_value(g[::2], log_abs, log_m, 1)
-    log_norm = log_abs_at(sum(abs(Fraction(c)) for c in psi.coeffs), ARCH)
+    log_norm = log_abs_at(Fraction(sum(map(abs, psi.coeffs)), psi.den), ARCH)
     rounding = 2 * psi.degree() * _EPS * math.exp(min(log_norm - g_min, 700.0))
     return MahlerResult(fine, "quadrature",
                         abs(fine - coarse) + rounding + _EPS * abs(fine))

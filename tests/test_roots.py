@@ -135,9 +135,9 @@ def test_prescale_matches_fraction_route(coeffs):
     ref, m = _prescale_by_fractions(coeffs)
     if abs(ref[-1]) < sys.float_info.min:
         with pytest.raises(CoefficientRangeError):
-            prescale(coeffs)
+            prescale(rat_poly(coeffs))
         return
-    scaled, scale = prescale(coeffs)
+    scaled, scale = prescale(rat_poly(coeffs))
     assert [x.hex() for x in scaled] == [x.hex() for x in ref]
     assert scale == m
 
@@ -366,7 +366,7 @@ def _assert_matches_mpmath(factors):
     roots = complex_roots(P)
     assert all(r.reliable for r in roots)
     got = [r.value for r in roots]
-    scaled, _ = prescale(P.coeffs)
+    scaled, _ = prescale(P)
     max_eta = 8 * P.degree() * sys.float_info.epsilon
     for z in got:
         r = min(ref, key=lambda r: abs(r - z))
@@ -439,7 +439,7 @@ def test_eigenvalue_start_against_mpmath(case):
     P = rat_poly([1])
     for f in factors:
         P = P * rat_poly(f)
-    radii = [r for _, _, r in roots._newton_polygon(prescale(P.coeffs)[0])]
+    radii = [r for _, _, r in roots._newton_polygon(prescale(P)[0])]
     calls = []
     start = roots._companion_start
     roots._companion_start = lambda c: calls.append(c) or start(c)
