@@ -27,7 +27,10 @@ Mahler measure of a quadratic is max(|a|, |c|, |q|), with q = a times its
 larger root when the roots are real, so no root finder or Fraction is
 involved: it reads psi's integer coefficients and denominator.  Its box
 holds only candidates with max(a, |c|) < T and |b| < T + ac/T for
-T = e^(2 threshold / l), the others having M >= T.
+T = e^(2 threshold / l), the others having M >= T.  Most of the
+remaining candidates fail on h(psi(x)) and are dropped before their
+image polynomial is built, by a float lower bound on h(psi(x)) from
+psi at the two roots with a rounding allowance.
 Only the reported exceptions are solved, for their approximate location.
 
 A scan, and a preimage run of `preimage_measure_stats`, first predicts
@@ -205,12 +208,46 @@ def _psi_image_coeffs(a: int, b: int, c: int, num, den: int):
     return tuple(k // g for k in coeffs)
 
 
-def _minpoly_of_psi_image(a: int, b: int, c: int, psi: Poly) -> Poly:
-    """Primitive integer polynomial vanishing at psi(alpha) for the roots
-    alpha of a x^2 + b x + c (a != 0): the resultant
-    Res_x(a x^2 + b x + c, psi(x) - y) divided by its content, with
-    positive leading coefficient (see `_psi_image_coeffs`)."""
-    return int_poly(_psi_image_coeffs(a, b, c, psi.coeffs, psi.den))
+def _psi_image_height_floor(cf, norm: float, a: int, b: int, c: int,
+                            disc: int) -> float:
+    """A lower bound on h(psi(alpha)) for the roots alpha of the
+    irreducible a x^2 + b x + c (discriminant disc), in floats and without
+    the image polynomial: h(y) >= (1/2) sum log^+|psi(alpha_i)| over the
+    two conjugates, as h(y) is half the log M of y's minimal polynomial
+    when y has degree 2, and h(p/q) = log max(|p|, |q|) >= log^+|p/q| when
+    psi(alpha) is rational.  cf holds psi's ascending coefficients as
+    floats, and norm the sum of their absolute values.
+
+    Each |psi(alpha_i)| is lowered by 32 (m + 1) u norm max(1, |alpha_i|)^m
+    (u = 2^-53, m = deg psi), at least 32 (m + 1) u sum |cf_k| |alpha_i|^k.
+    That covers the rounding of the coefficients (u per term), of the
+    root (a few u relative, so a few k u on alpha^k) and of Horner's rule
+    in real or complex arithmetic (about 4 m u; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 5).  A term whose value or
+    allowance overflows counts 0, and the terms are summed as logs, so the
+    floor is finite."""
+    if disc < 0:
+        # conjugate roots, at which the real psi has the same modulus
+        roots = (complex(-b / (2 * a), math.sqrt(-disc) / (2 * a)),)
+        weight = 1.0
+    else:
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+        roots = (q / a, c / q)
+        weight = 0.5
+    m = len(cf) - 1
+    slack = (m + 1) * 2.0 ** -48 * norm
+    total = 0.0
+    for x in roots:
+        y = 0.0
+        for k in reversed(cf):
+            y = y * x + k
+        try:
+            low = abs(y) - slack * max(1.0, abs(x)) ** m
+        except OverflowError:
+            continue
+        if 1.0 < low < math.inf:
+            total += math.log(low)
+    return weight * total
 
 
 def _quadratic_box(ell: int, threshold: float, H: float):
@@ -259,9 +296,13 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
     the closed-form log M of its minimal polynomial
     (`_log_mahler_quadratic`; log max(a, |c|) for complex roots, taken
     once per (a, c)), and h(psi(x)) half that of the image polynomial,
-    which `_psi_image_coeffs` builds in integer arithmetic.  Only the
-    minimal polynomials of reported exceptions are solved
-    (`complex_roots`), to place each root in its record.
+    which `_psi_image_coeffs` builds in integer arithmetic.  Most
+    candidates that pass l h(x) < threshold fail on h(psi(x)); the float
+    floor `_psi_image_height_floor` drops those whose value reaches
+    threshold + 1e-9 (1 + |threshold|) before the image polynomial is
+    built, so the records are those of the exact test.  Only the minimal
+    polynomials of reported exceptions are solved (`complex_roots`), to
+    place each root in its record.
     """
     if threshold < 0 or H < 0:
         raise ValueError("threshold and H must be >= 0")
@@ -303,6 +344,15 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
         if value < threshold:
             out.append({"kind": "rational", "point": str(P), "value": value})
     if include_quadratic:
+        # a candidate whose value provably reaches threshold is dropped
+        # before its image polynomial is built
+        cut = threshold + 1e-9 * (1.0 + abs(threshold))
+        try:
+            cf = [k / psi.den for k in psi.coeffs]
+        except OverflowError:           # beyond doubles: no floor
+            cf = None
+        else:
+            norm = sum(abs(k) for k in cf)
         for a, c, bm in _quadratic_box(ell, threshold, H):
             g = math.gcd(a, c)
             ac4 = 4 * a * c
@@ -318,6 +368,9 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
                 else:
                     hx = _log_mahler_quadratic(a, b, c) / 2
                 if ell * hx >= threshold:
+                    continue
+                if cf is not None and ell * hx + _psi_image_height_floor(
+                        cf, norm, a, b, c, disc) >= cut:
                     continue
                 c2, b2, a2 = _psi_image_coeffs(a, b, c, psi.coeffs, psi.den)
                 himg = _log_mahler_quadratic(a2, b2, c2) / 2

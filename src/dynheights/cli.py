@@ -1,6 +1,13 @@
 """Command-line front end: every subcommand prints one deterministic JSON
 run record (sorted keys, 17-significant-digit reals, rationals as "a/b")
 and exits 0 on success, 1 on computational failure, 2 on usage errors.
+
+The options are declared once, in the argparse parser (`_build_parser`).
+`dispatch` reads argv through a table taken off that parser's actions
+(`_argv_table`): exact subcommand and option names, `--opt value` and
+`--opt=value`, flags, positionals within their choices, the last of a
+repeated option.  Anything else, help and every usage error among it,
+goes to argparse itself, so their text and exit codes are argparse's.
 """
 
 from __future__ import annotations
@@ -10,7 +17,6 @@ import functools
 import sys
 import time
 from fractions import Fraction
-from operator import itemgetter
 
 from . import __version__
 from .acceptance import run_all
@@ -32,7 +38,7 @@ FORMAT_VERSION = 1
 # deterministic JSON
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if x - x != 0.0:                        # inf - inf and nan are nan
         raise ValueError(f"non-finite real in output: {x}")
     s = "%.17g" % x
     # normalize negative zero for byte-identical reruns
@@ -44,43 +50,51 @@ _ESCAPES = {0x22: '\\"', 0x5C: "\\\\",
             **{c: "\\u%04x" % c for c in range(0x20)}}
 
 
-def _json_dict(obj) -> str:
-    items = sorted([(str(k), v) for k, v in obj.items()], key=itemgetter(0))
-    return "{%s}" % ", ".join(
-        '"%s": %s' % (k.translate(_ESCAPES), to_json(v)) for k, v in items)
+def _quote(s: str) -> str:
+    """s as a JSON string.  A printable string holds no control character,
+    so without a quote or a backslash it needs no `translate` pass, which
+    costs several times these tests."""
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return '"%s"' % s
+    return '"%s"' % s.translate(_ESCAPES)
 
 
-def _json_list(obj) -> str:
-    return "[%s]" % ", ".join(to_json(v) for v in obj)
-
-
-# one encoder per exact type; a subclass (numpy's float64, say) takes the
-# encoder of its nearest listed base (`to_json`)
-_ENCODERS = {
-    type(None): lambda obj: "null",
-    bool: lambda obj: "true" if obj else "false",
-    Fraction: lambda obj: '"%s"' % obj,
-    int: str,
-    float: _fmt_float,
-    str: lambda obj: '"%s"' % obj.translate(_ESCAPES),
-    complex: lambda obj: to_json({"re": obj.real, "im": obj.imag}),
-    dict: _json_dict,
-    list: _json_list,
-    tuple: _json_list,
-}
+# the encoded types a subclass can derive from (bool and None have none)
+_BASES = (float, str, dict, int, list, tuple, Fraction, complex)
 
 
 def to_json(obj) -> str:
     """Serialize to JSON with sorted keys and pinned number formatting.
-    The encoder is looked up by type(obj), which is cheaper than a chain
-    of isinstance tests (a Fraction test goes through ABCMeta)."""
-    encode = _ENCODERS.get(type(obj))
-    if encode is None:
-        encode = next((_ENCODERS[t] for t in type(obj).__mro__
-                       if t in _ENCODERS), None)
-        if encode is None:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return encode(obj)
+    The exact type is tested with `is`, in the order of frequency in the
+    records, which is cheaper than isinstance (a Fraction test goes
+    through ABCMeta); a subclass (numpy's float64, say) is converted to
+    its nearest encoded base first."""
+    t = type(obj)
+    if t is float:
+        return _fmt_float(obj)
+    if t is str:
+        return _quote(obj)
+    if t is dict:
+        # a stable sort on str(k), as the keys are written
+        return "{%s}" % ", ".join([
+            "%s: %s" % (_quote(str(k)), to_json(obj[k]))
+            for k in sorted(obj, key=str)])
+    if t is int:
+        return str(obj)
+    if t is list or t is tuple:
+        return "[%s]" % ", ".join([to_json(v) for v in obj])
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if t is Fraction:
+        return '"%s"' % obj
+    if t is complex:
+        return to_json({"re": obj.real, "im": obj.imag})
+    base = next((b for b in t.__mro__ if b in _BASES), None)
+    if base is None:
+        raise TypeError(f"cannot serialize {t.__name__}")
+    return to_json(base(obj))
 
 
 def _emit(command: str, inputs: dict, outputs: dict, timing_ms=None):
@@ -319,12 +333,113 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def dispatch(argv) -> int:
+def _table_reads(action) -> bool:
+    """Whether `_parse_argv` parses this action as argparse does: a
+    store_true flag, or a store of one value whose default argparse
+    leaves as it is (it converts a str default with a type)."""
+    if type(action) is argparse._StoreTrueAction:
+        return True
+    return (type(action) is argparse._StoreAction and action.nargs is None
+            and not (action.type and isinstance(action.default, str)))
+
+
+@functools.cache
+def _argv_table():
+    """The parser's declarations as a table for `_parse_argv`, read off the
+    actions of `_build_parser()`, so the options are declared once:
+    (top-level flag -> dest, {subcommand: (defaults, option string ->
+    action, positional actions, required dests)}).  A subcommand with an
+    action that `_table_reads` refuses, or with a mutually exclusive
+    group, is left out, and argparse parses it; a top-level action other
+    than help, a flag or the subcommands empties the table."""
     ap = _build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    flags, top = {}, dict(ap._defaults)
+    for action in ap._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            sub_dest, parsers = action.dest, action.choices
+        elif type(action) is argparse._StoreTrueAction:
+            flags.update(dict.fromkeys(action.option_strings, action.dest))
+            top[action.dest] = action.default
+        elif type(action) is not argparse._HelpAction:
+            return {}, {}
+    commands = {}
+    for name, sub in parsers.items():
+        actions = [a for a in sub._actions
+                   if type(a) is not argparse._HelpAction]
+        if sub._mutually_exclusive_groups or not all(map(_table_reads,
+                                                         actions)):
+            continue
+        defaults = {**top, sub_dest: name, **sub._defaults,
+                    **{a.dest: a.default for a in actions}}
+        options = {s: a for a in actions for s in a.option_strings}
+        positionals = [a for a in actions if not a.option_strings]
+        required = {a.dest for a in actions if a.required}
+        commands[name] = (defaults, options, positionals, required)
+    return flags, commands
+
+
+def _parse_argv(argv):
+    """The Namespace argparse returns for argv, read through `_argv_table`,
+    or None when argv is not one the table reads: help, `--` (also as the
+    value of `--opt=--`), an abbreviation, an unknown option, a separate
+    value that starts with `-`, an empty value, a failed type or choice,
+    a missing or extra argument, `=` on a flag.  Those go to argparse,
+    which alone prints help and usage errors."""
+    flags, commands = _argv_table()
+    i = 0
+    while i < len(argv) and argv[i] in flags:
+        i += 1
+    entry = commands.get(argv[i]) if i < len(argv) else None
+    if entry is None:
+        return None
+    defaults, options, positionals, required = entry
+    args = dict(defaults)
+    for flag in argv[:i]:
+        args[flags[flag]] = True
+    seen, npos = set(), 0
+    rest = iter(argv[i + 1:])
+    for token in rest:
+        if token[:1] == "-":
+            option, eq, value = token.partition("=")
+            action = options.get(option)
+            if action is None:
+                return None
+            if action.nargs == 0:           # a store_true flag
+                if eq:
+                    return None
+                value = True
+            elif not eq:
+                value = next(rest, "")
+                if value[:1] in ("", "-"):
+                    return None
+            elif value in ("", "--"):           # argparse drops a "--"
+                return None
+        elif npos < len(positionals):
+            action, value = positionals[npos], token
+            npos += 1
+        else:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        args[action.dest] = value
+        seen.add(action.dest)
+    if npos < len(positionals) or not required <= seen:
+        return None
+    return argparse.Namespace(**args)
+
+
+def dispatch(argv) -> int:
+    args = _parse_argv(argv) if argv else None
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     t0 = time.perf_counter()
     try:
         inputs, outputs = args.handler(args)

@@ -156,18 +156,6 @@ class Poly:
         return horner(self.coeffs if self.den == 1
                       else self.to_fraction_coeffs(), x)
 
-    def content(self) -> int:
-        """gcd of the integer coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self.coeffs)
-
-    def primitive_int(self) -> "Poly":
-        """The integer coefficients divided by their content, with the sign
-        of the leading coefficient kept."""
-        if self.is_zero:
-            return self
-        g = self.content()
-        return Poly(tuple(c // g for c in self.coeffs))
-
     def to_fraction_coeffs(self):
         """The rational coefficients coeffs[k] / den."""
         return tuple(Fraction(c, self.den) for c in self.coeffs)
@@ -197,10 +185,6 @@ class Poly:
 
 def int_poly(seq) -> Poly:
     return Poly.of([int(c) for c in seq])
-
-
-def rat_poly(seq) -> Poly:
-    return Poly.of([Fraction(c) for c in seq])
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

@@ -43,6 +43,7 @@ from .errors import CoefficientRangeError, RootFindingError
 from .polys import Poly, horner
 
 _START_ANGLE = 0.437  # fixed irrational-ish rotation of the start circles
+_COLLINEAR = 1e-9  # slope tolerance of a Newton-polygon vertex (log radius)
 _MAX_ITER = 400
 _BACKWARD_ERROR_UNITS = 8.0  # reliability threshold in units of n * eps
 _POLISH_GROWTH = 4.0  # largest factor by which a polish step may raise |P|
@@ -219,15 +220,24 @@ def aberth(coeffs, tol: float = 1e-12):
 def _newton_polygon(coeffs):
     """The edges (k0, m, radius) of the upper convex hull of the points
     (k, log|a_k|), for coefficients with a_0 != 0 != a_n: the edge k0 ->
-    k0 + m holds m roots near modulus (|a_k0| / |a_(k0+m)|)^(1/m)."""
+    k0 + m holds m roots near modulus (|a_k0| / |a_(k0+m)|)^(1/m).
+
+    A vertex within _COLLINEAR in slope of the chord past it is dropped,
+    so edges whose radii differ by rounding alone are one edge: two edges
+    of one radius could put start points of `_circle_start` on top of
+    each other (for 225 x^4 + 45 x^3 + 270 x^2 + 54 x + 324, whose
+    log|a_2| rounds just above the chord, the edges 0 -> 2 and 2 -> 4
+    gave the same two points, and Aberth merged all four iterates)."""
     hull = []
     for k, c in enumerate(coeffs):
         if c:
             y = math.log(abs(c))
-            # drop the last vertex while it is on or below the chord to k
+            # drop the last vertex while it is below the chord to k, or
+            # above it by at most _COLLINEAR in slope
             while len(hull) > 1 and ((hull[-1][1] - hull[-2][1])
                                      * (k - hull[-2][0])
-                                     <= (y - hull[-2][1])
+                                     <= ((y - hull[-2][1]) + _COLLINEAR
+                                         * (k - hull[-2][0]))
                                      * (hull[-1][0] - hull[-2][0])):
                 hull.pop()
             hull.append((k, y))

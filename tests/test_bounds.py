@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dynheights import bounds, polys, roots
 from dynheights.bounds import (EmpiricalMeasure, _log_mahler_quadratic,
-                               _minpoly_of_psi_image, energy_arch_power,
+                               _psi_image_coeffs, _psi_image_height_floor,
+                               energy_arch_power,
                                energy_level_curve, pair_bound_power,
                                preimage_measure_stats,
                                roots_of_unity_height_sequence,
@@ -21,8 +22,8 @@ from dynheights.dynamics import DynSystem
 from dynheights.errors import RootFindingError
 from dynheights.mahler import (height_from_minpoly, log_mahler_plus,
                                mahler_via_roots)
-from dynheights.polys import (HomogPair, Poly, int_poly, parse_poly,
-                              rat_poly, resultant_univ)
+from dynheights.polys import (HomogPair, Poly, horner, int_poly,
+                              parse_poly, resultant_univ)
 from dynheights.roots import aberth
 
 PSI = parse_poly("1 - x")
@@ -324,6 +325,17 @@ def test_preimage_stats_builds_no_iterate(monkeypatch):
     assert calls == []
 
 
+def _minpoly_of_psi_image(a, b, c, psi):
+    """The image polynomial of the scan (`_psi_image_coeffs`) as a Poly."""
+    return Poly.of(_psi_image_coeffs(a, b, c, psi.coeffs, psi.den))
+
+
+def _primitive(P):
+    """P's integer coefficients divided by their gcd, sign kept."""
+    g = math.gcd(*P.coeffs)
+    return Poly.of([k // g for k in P.coeffs])
+
+
 def _minpoly_by_resultant(a, b, c, psi):
     """Res_x(a x^2 + b x + c, psi(x) - y) interpolated in y at 0, 1, 2."""
     P = int_poly([c, b, a])
@@ -334,7 +346,7 @@ def _minpoly_by_resultant(a, b, c, psi):
         vals.append(Fraction(resultant_univ(P, Poly.of(shifted))))
     v0, v1, v2 = vals
     c2 = (v0 - 2 * v1 + v2) / 2
-    return Poly.of([v0, v1 - v0 - c2, c2]).primitive_int()
+    return _primitive(Poly.of([v0, v1 - v0 - c2, c2]))
 
 
 def test_psi_image_minpoly_matches_resultant_route():
@@ -348,7 +360,7 @@ def test_psi_image_minpoly_matches_resultant_route():
                     if c == 0:
                         continue
                     Q = _minpoly_of_psi_image(a, b, c, psi)
-                    assert Q.content() == 1 and Q.leading() > 0
+                    assert math.gcd(*Q.coeffs) == 1 and Q.leading() > 0
                     assert Q == _minpoly_by_resultant(a, b, c, psi), (
                         a, b, c, psi)
     # Bareiss floor-divided Fractions and gave y^2 - 1 here
@@ -429,11 +441,11 @@ def _minpoly_by_trace_norm(a, b, c, psi):
         u, v = cf - v * p, u + v * s
     trace = 2 * u + v * s
     norm = u * u + u * v * s + v * v * p
-    return Poly.of([norm, -trace, 1]).primitive_int()
+    return _primitive(Poly.of([norm, -trace, 1]))
 
 
 fractional_psi = st.lists(st.fractions(-50, 50, max_denominator=12),
-                          min_size=2, max_size=7).map(rat_poly).filter(
+                          min_size=2, max_size=7).map(Poly.of).filter(
                               lambda P: P.degree() >= 1)
 small = st.integers(-20, 20)
 
@@ -443,7 +455,97 @@ small = st.integers(-20, 20)
 def test_psi_image_integer_route_matches_fractions(a, b, c, psi):
     Q = _minpoly_of_psi_image(a, b, c, psi)
     assert Q == _minpoly_by_trace_norm(a, b, c, psi)
-    assert Q.content() == 1 and Q.leading() > 0
+    assert math.gcd(*Q.coeffs) == 1 and Q.leading() > 0
+
+
+@st.composite
+def quadratics_and_psis(draw):
+    """(a, b, c, psi): a x^2 + b x + c irreducible, psi with coefficients
+    up to 10^6 over denominators up to 1000; half the time psi is the
+    minimal polynomial times such a psi plus a constant, often a small
+    integer, so psi(x) is rational of small height and its float value
+    cancels."""
+    a, b, c = draw(st.integers(1, 60)), draw(st.integers(-60, 60)), \
+        draw(st.integers(-60, 60).filter(bool))
+    disc = b * b - 4 * a * c
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    coeff = st.fractions(-10 ** 6, 10 ** 6, max_denominator=1000)
+    psi = Poly.of(draw(st.lists(coeff, min_size=2, max_size=6)))
+    if draw(st.booleans()):
+        psi = int_poly([c, b, a]) * psi + Poly.of(
+            [draw(st.integers(-3, 3) | coeff)])
+    assume(psi.degree() >= 1)
+    return a, b, c, psi
+
+
+@settings(max_examples=500, deadline=None)
+@given(quadratics_and_psis())
+def test_psi_image_height_floor_below_exact_height(case):
+    """The float floor never exceeds h(psi(x)) from the exact image
+    polynomial (up to the closed form's own rounding)."""
+    a, b, c, psi = case
+    cf = [k / psi.den for k in psi.coeffs]
+    floor = _psi_image_height_floor(cf, sum(abs(k) for k in cf), a, b, c,
+                                    b * b - 4 * a * c)
+    c2, b2, a2 = _psi_image_coeffs(a, b, c, psi.coeffs, psi.den)
+    exact = _log_mahler_quadratic(a2, b2, c2) / 2
+    assert 0.0 <= floor <= exact * (1 + 1e-13) + 1e-13
+
+
+def test_psi_image_height_floor_skips_image_polynomials(monkeypatch):
+    """The floor drops most candidates before their image polynomial is
+    built, and the records stay those of the exact test alone."""
+    psi = parse_poly("x^2/2 - 3*x + 1/3")
+    calls = []
+    image = bounds._psi_image_coeffs
+    monkeypatch.setattr(bounds, "_psi_image_coeffs",
+                        lambda *args: calls.append(1) or image(*args))
+    with_floor = scan_exceptions(2, psi, 3.0, 3.0, include_quadratic=True)
+    n_floor = len(calls)
+    monkeypatch.setattr(bounds, "_psi_image_height_floor",
+                        lambda *args: 0.0)
+    calls.clear()
+    exact_only = scan_exceptions(2, psi, 3.0, 3.0, include_quadratic=True)
+    assert with_floor == exact_only
+    assert any(r["kind"] == "quadratic" for r in with_floor)
+    assert n_floor < len(calls) / 2
+
+
+def test_quadratic_scan_of_psi_beyond_doubles():
+    """psi's coefficients overflow a float, so no floor is taken and
+    every candidate gets the exact test; only 0 and inf have psi(x) of
+    small height."""
+    out = scan_exceptions(1, parse_poly("10^400*x^2 + 1"), 3.0, 2.0,
+                          include_quadratic=True)
+    assert out == [{"kind": "rational", "point": "0", "value": 0.0},
+                   {"kind": "rational", "point": "inf", "value": 0.0}]
+
+
+@pytest.mark.parametrize("ell, psi, threshold, H, abc", [
+    # |x|^400 at a root of x^2 - 7 x + 1 is beyond doubles
+    (1, "x^400", 1.0, 3.0, (1, -7, 1)),
+    # psi(x) itself overflows at the golden ratio, but its h is 709
+    (10000, "10^308*x^2", 4000.0, 3.0, (1, -1, -1)),
+])
+def test_psi_image_height_floor_past_float_range(monkeypatch, ell, psi,
+                                                 threshold, H, abc):
+    """A value or allowance that overflows a float gives the floor no
+    term, never an exception or an infinite floor, so the records stay
+    those of the exact test."""
+    psi = parse_poly(psi)
+    a, b, c = abc
+    cf = [k / psi.den for k in psi.coeffs]
+    floor = _psi_image_height_floor(cf, sum(abs(k) for k in cf), a, b, c,
+                                    b * b - 4 * a * c)
+    c2, b2, a2 = _psi_image_coeffs(a, b, c, psi.coeffs, psi.den)
+    assert 0.0 <= floor <= _log_mahler_quadratic(a2, b2, c2) / 2
+    with_floor = scan_exceptions(ell, psi, threshold, H,
+                                 include_quadratic=True)
+    monkeypatch.setattr(bounds, "_psi_image_height_floor",
+                        lambda *args: 0.0)
+    assert with_floor == scan_exceptions(ell, psi, threshold, H,
+                                         include_quadratic=True)
+    assert any(r["kind"] == "quadratic" for r in with_floor)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,15 +1,20 @@
 """CLI dispatch: JSON shape, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import types
+from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dynheights
 
@@ -38,6 +43,202 @@ def _escape_by_character(s):
 def test_to_json_string_escapes(s):
     assert to_json(s) == _escape_by_character(s)
     assert json.loads(to_json(s)) == s
+
+
+# the encoder before its single-function form, kept as the reference
+_REF_ESCAPES = {0x22: '\\"', 0x5C: "\\\\",
+                **{c: "\\u%04x" % c for c in range(0x20)}}
+
+
+def _ref_float(x):
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite real in output: {x}")
+    s = "%.17g" % x
+    return "0" if s == "-0" else s
+
+
+def _ref_dict(obj):
+    items = sorted([(str(k), v) for k, v in obj.items()], key=itemgetter(0))
+    return "{%s}" % ", ".join(
+        '"%s": %s' % (k.translate(_REF_ESCAPES), _ref_to_json(v))
+        for k, v in items)
+
+
+def _ref_list(obj):
+    return "[%s]" % ", ".join(_ref_to_json(v) for v in obj)
+
+
+_REF_ENCODERS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    Fraction: lambda obj: '"%s"' % obj,
+    int: str,
+    float: _ref_float,
+    str: lambda obj: '"%s"' % obj.translate(_REF_ESCAPES),
+    complex: lambda obj: _ref_to_json({"re": obj.real, "im": obj.imag}),
+    dict: _ref_dict,
+    list: _ref_list,
+    tuple: _ref_list,
+}
+
+
+def _ref_to_json(obj):
+    encode = _REF_ENCODERS.get(type(obj))
+    if encode is None:
+        encode = next((_REF_ENCODERS[t] for t in type(obj).__mro__
+                       if t in _REF_ENCODERS), None)
+        if encode is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return encode(obj)
+
+
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(
+    _reals, st.sampled_from([0.0, -0.0, 1e-320, -1.5e308]),
+    _reals.map(np.float64), st.just(np.float64(-0.0)),
+    st.text(), st.integers(), st.booleans(), st.none(),
+    st.fractions(), st.complex_numbers(allow_nan=False,
+                                       allow_infinity=False))
+_records = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4) | st.integers(-3, 3)
+                    | st.sampled_from(["1", "-1", "inf", "2"]),
+                    inner, max_size=5)), max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_records)
+def test_to_json_matches_reference_encoder(obj):
+    assert to_json(obj) == _ref_to_json(obj)
+
+
+def _echo(args):
+    """A handler that writes the parsed arguments back as the record
+    (with the flag `dispatch` reads from a selftest record)."""
+    return {}, {"all_passed": True, **{
+        k: repr(v) for k, v in vars(args).items() if k != "handler"}}
+
+
+@pytest.fixture
+def echo_parser(monkeypatch):
+    """The CLI's parser with every handler replaced by `_echo`, for the
+    table and argparse alike; the clock is stopped at 0, so a timing
+    record is reproducible.  Yields the subparsers action."""
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    saved = {name: dict(p._defaults)
+             for name, p in subparsers.choices.items()}
+    for p in subparsers.choices.values():
+        p._defaults["handler"] = _echo
+    monkeypatch.setattr(cli, "time",
+                        types.SimpleNamespace(perf_counter=lambda: 0.0))
+    cli._argv_table.cache_clear()
+    yield subparsers
+    for name, p in subparsers.choices.items():
+        p._defaults.update(saved[name])
+    cli._argv_table.cache_clear()
+
+
+_VALUES = ["1/2", "-5/7", "-3", "2", "0", "1e-3", "nan", "abc", "1.5", " 7",
+           "3_0", "", "x^2 - 1", "x^2-2", "roots", "quad", "both", "nope",
+           "curvature", "laplacian", "energy", "tests/golden/graph.json",
+           "--point", "-", "--", "-h", "a--b", "=", "---"]
+_NOISE = ["--", "-h", "--help", "--timing", "--po", "--per", "--meth",
+          "--bogus", "-x", "heig", "height", "selftest", "-1"]
+
+
+def _good_values(action):
+    """Values that pass the action's type and choices."""
+    if action.choices is not None:
+        return sorted(action.choices)
+    if action.type is float:
+        return ["0.5", "1e-3", "2", "nan", "inf", " 3 "]
+    if action.type is int:
+        return ["1", "2", "64", "1_0"]
+    return ["1/2", "x^2 - 1", "a=b", "x y"]
+
+
+@st.composite
+def _argv(draw, subparsers):
+    """An argv around one subcommand: its required arguments and some
+    others with values that pass, in either form, in any order, repeats
+    among them, and sometimes noise: bad values, abbreviations, help,
+    `--`, values that start with `-`, unknown words."""
+    names = sorted(subparsers.choices)
+    argv = ["--timing"] * draw(st.integers(0, 2))
+    name = draw(st.sampled_from(names + ["heig", "--help"]))
+    argv.append(name)
+    parser = subparsers.choices.get(name, subparsers.choices["height"])
+    actions = [a for a in parser._actions
+               if not isinstance(a, argparse._HelpAction)]
+
+    def good(action):
+        value = draw(st.sampled_from(_good_values(action)))
+        if not action.option_strings:
+            return [value]
+        option = draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:
+            return [option]
+        return draw(st.sampled_from([[option, value],
+                                     [option + "=" + value]]))
+
+    pieces = [good(a) for a in actions if a.required]
+    pieces += [good(draw(st.sampled_from(actions)))
+               for _ in range(draw(st.integers(0, 3)))]
+    options = sorted(s for a in actions for s in a.option_strings)
+    noise = st.one_of(
+        st.tuples(st.sampled_from(options), st.sampled_from(_VALUES)),
+        st.builds(lambda o, v: (o + "=" + v,), st.sampled_from(options),
+                  st.sampled_from(_VALUES)),
+        st.tuples(st.sampled_from(_NOISE + _VALUES)))
+    pieces += draw(st.lists(noise, max_size=2))
+    for piece in draw(st.permutations(pieces)):
+        argv.extend(piece)
+    return argv
+
+
+def _outcome(capsys, argv):
+    code = dispatch(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# the fixtures hold no state that one example could leave to the next:
+# the echo parser is fixed, and each outcome reads capsys empty
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_table_parse_matches_argparse(echo_parser, capsys, monkeypatch,
+                                      data):
+    """Random argv, valid and invalid, give the same exit code, stdout and
+    stderr through `dispatch` as through argparse alone."""
+    argv = data.draw(_argv(echo_parser))
+    got = _outcome(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_argv", lambda argv: None)
+        want = _outcome(capsys, argv)
+    assert got == want
+
+
+def test_leading_timing_takes_the_table_path(echo_parser, capsys):
+    argv = ["--timing", "height", "--point=1/2"]
+    args = cli._parse_argv(argv)
+    assert vars(args) == vars(cli._build_parser().parse_args(argv))
+    assert args.timing is True and args.point == "1/2"
+    code, out, _ = _outcome(capsys, argv)
+    assert code == 0 and json.loads(out)["timing_ms"] == 0
+
+
+def test_repeated_option_last_wins(capsys):
+    argv = ["mahler", "--poly", "x - 2", "--nodes", "64", "--method=quad",
+            "--poly=x - 3", "--method", "roots"]
+    args = cli._parse_argv(argv)
+    assert vars(args) == vars(cli._build_parser().parse_args(argv))
+    assert args.poly == "x - 3" and args.method == "roots"
+    code, rec = run(capsys, *argv)
+    assert code == 0 and rec["inputs"]["poly"] == "x - 3"
+    assert abs(rec["outputs"]["log_value"] - math.log(3)) < 1e-12
 
 
 def run(capsys, *argv):

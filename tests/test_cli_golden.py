@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from dynheights.cli import dispatch
+from dynheights.cli import _build_parser, _parse_argv, dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -121,6 +121,15 @@ def test_cli_golden(name):
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert code == expected_code(name)
     assert out == expected
+
+
+def test_golden_argv_take_the_table_path():
+    """Every golden argv is read through the table, to the Namespace that
+    argparse returns."""
+    for argv in CASES.values():
+        args = _parse_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

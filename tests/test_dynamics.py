@@ -15,8 +15,8 @@ from dynheights.dynamics import (DynSystem, canonical_height,
 from dynheights import dynamics, polys
 from dynheights.errors import DegenerateMapError
 from dynheights.places import ARCH, Place, ProjPointQ, valuation, weil_height
-from dynheights.polys import (HomogPair, bareiss_det, factorize, homog_step,
-                              parse_map, rat_poly, sylvester_matrix)
+from dynheights.polys import (HomogPair, Poly, bareiss_det, factorize,
+                              homog_step, parse_map, sylvester_matrix)
 
 # canonical height of 0 under z^2 + 1, frozen from the exact recursion
 # a_{n+1} = a_n^2 + 1 evaluated in 40-digit log arithmetic to n = 221
@@ -382,7 +382,7 @@ def maps_of_degree_2_to_4(draw):
                          st.lists(coeff, min_size=1, max_size=d + 1)))
     assume(num[-1] != 0)
     try:
-        F = HomogPair.from_polys(rat_poly(num), rat_poly(den))
+        F = HomogPair.from_polys(Poly.of(num), Poly.of(den))
     except DegenerateMapError:
         assume(False)
     assume(abs(F.res) < 10 ** 24)
@@ -428,17 +428,17 @@ def maps_with_rational_cycle(draw):
         st.integers(-12, 12), min_size=n + 1, max_size=n + 1, unique=True))]
     t, cycle = nodes[0], nodes[1:]
     images = cycle + [cycle[0]]
-    f = rat_poly([draw(st.sampled_from([1, -1, 2, Fraction(1, 2), 3,
+    f = Poly.of([draw(st.sampled_from([1, -1, 2, Fraction(1, 2), 3,
                                         Fraction(-1, 3)]))])
     for x in nodes:
-        f = f * rat_poly([-x, 1])
+        f = f * Poly.of([-x, 1])
     for x, y in zip(nodes, images):
-        basis = rat_poly([y])
+        basis = Poly.of([y])
         for z in nodes:
             if z != x:
-                basis = basis * rat_poly([-z / (x - z), 1 / (x - z)])
+                basis = basis * Poly.of([-z / (x - z), 1 / (x - z)])
         f = f + basis
-    F = HomogPair.from_polys(f, rat_poly([1]))
+    F = HomogPair.from_polys(f, Poly.of([1]))
     assume(abs(F.res) < 10 ** 24)
     return DynSystem.of(F), t, cycle
 

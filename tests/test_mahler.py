@@ -15,7 +15,7 @@ from dynheights.errors import RootFindingError
 from dynheights.mahler import (height_from_minpoly, log_mahler_plus,
                                mahler_via_quadrature, mahler_via_roots,
                                two_variable_grid_oracle)
-from dynheights.polys import horner, int_poly, parse_poly, rat_poly
+from dynheights.polys import Poly, horner, int_poly, parse_poly
 from dynheights.roots import complex_roots
 
 # log M^+(1 - x) = m(1 - x - y) = m(1 + x + y) (substitute -x, -y), and
@@ -144,7 +144,7 @@ def test_log_mahler_plus_large_polynomial():
 
 def test_log_mahler_plus_dominated():
     # |x/3| < 1 on the whole circle (rational coefficients allowed)
-    P = rat_poly([0, Fraction(1, 3)])
+    P = Poly.of([0, Fraction(1, 3)])
     assert log_mahler_plus(P).log_value == 0.0
 
 
@@ -261,7 +261,7 @@ def _random_psi(rng):
                             [Fraction(-1, 3), 2, Fraction(3, 7), -1]])
 def test_log_mahler_plus_against_mpmath(coeffs):
     ref = _mp_log_mahler_plus(coeffs)
-    res = log_mahler_plus(rat_poly(coeffs))
+    res = log_mahler_plus(Poly.of(coeffs))
     err = abs(res.log_value - ref)
     assert err <= 1e-13
     assert err <= res.error_estimate
@@ -485,5 +485,5 @@ def test_log_mahler_plus_crossings_next_to_pi():
     coeffs = [Fraction(199999999, 100000000), 1]
     ref = _mp_log_mahler_plus(coeffs)
     for nodes in (16384, 4096, 16):
-        res = log_mahler_plus(rat_poly(coeffs), nodes)
+        res = log_mahler_plus(Poly.of(coeffs), nodes)
         assert abs(res.log_value - ref) <= min(1e-14, res.error_estimate)

@@ -12,7 +12,7 @@ from dynheights import polys
 from dynheights.places import ProjPointQ
 from dynheights.polys import (HomogPair, Poly, bareiss_det, factorize,
                               homog_step, int_poly, parse_expr, parse_map,
-                              parse_poly, poly_gcd, rat_poly, resultant,
+                              parse_poly, poly_gcd, resultant,
                               resultant_univ, sylvester_matrix)
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(int_poly)
@@ -51,13 +51,6 @@ def test_poly_trim_and_zero():
     assert int_poly([0, 0]).is_zero
     assert int_poly([1, 0, 0]).degree() == 0
     assert int_poly([3, 0]).coeffs == (3,)
-
-
-def test_content_and_primitive():
-    f = int_poly([-6, 0, 9])
-    assert f.content() == 3
-    assert f.primitive_int().coeffs == (-2, 0, 3)
-    assert int_poly([0, -4]).primitive_int().coeffs == (0, -1)  # sign kept
 
 
 rational_lists = st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
@@ -324,7 +317,7 @@ def test_parse_expr_dispatch():
     assert isinstance(parse_expr("x^2 + 1"), Poly)
     assert isinstance(parse_expr("(x^2 + 1)/x"), HomogPair)
     assert isinstance(parse_expr("(x^2 - 1)/(x - 1)"), Poly)  # reduces
-    assert parse_expr("((x + 1/2)^3 - 1/8)/x") == rat_poly(
+    assert parse_expr("((x + 1/2)^3 - 1/8)/x") == Poly.of(
         [Fraction(3, 4), Fraction(3, 2), 1])
 
 
@@ -340,7 +333,7 @@ def test_coprime_maps_parse_without_gcd(monkeypatch):
     assert parse_expr("(3*x^4 - 7*x + 11)/(5*x^3 + 2*x^2 - 13)/2") == \
         HomogPair((11, -7, 0, 0, 3), (-26, 0, 4, 10, 0))
     assert calls == []
-    assert parse_expr("(x^2 - 1)/(1 - x)") == rat_poly([-1, -1])
+    assert parse_expr("(x^2 - 1)/(1 - x)") == Poly.of([-1, -1])
     assert parse_expr("(x^3 - x)/(x^3 - x^2)") == HomogPair((1, 1), (0, 1))
     assert len(calls) == 2
 
@@ -359,13 +352,13 @@ def test_negative_exponent():
 
 def test_resultant_univ_clears_denominators():
     f = int_poly([-3, -4, 1])                             # x^2 - 4x - 3
-    psi = rat_poly([Fraction(-1, 3), Fraction(1, 2)])     # x/2 - 1/3
+    psi = Poly.of([Fraction(-1, 3), Fraction(1, 2)])     # x/2 - 1/3
     # psi(2 + sqrt 7) psi(2 - sqrt 7) = 4/9 - 7/4
     assert resultant_univ(f, psi) == Fraction(-47, 36)
 
 
 small_rat_polys = st.lists(st.fractions(-9, 9, max_denominator=12),
-                           min_size=2, max_size=5).map(rat_poly)
+                           min_size=2, max_size=5).map(Poly.of)
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,7 +373,7 @@ def test_resultant_univ_fractions_match_lu(f, g):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.fractions(-50, 50, max_denominator=30), max_size=40))
 def test_parse_round_trip_random_coefficients(coeffs):
-    f = rat_poly(coeffs)
+    f = Poly.of(coeffs)
     assert parse_poly(f.to_str()) == f
 
 

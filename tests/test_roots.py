@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dynheights.errors import CoefficientRangeError, RootFindingError
-from dynheights.polys import int_poly, rat_poly
+from dynheights.polys import Poly, int_poly
 from dynheights import roots
 from dynheights.roots import aberth, aberth_rows, complex_roots, prescale
 
@@ -58,20 +58,20 @@ def test_close_simple_roots_stay_apart():
     # (radius about 4e-8 each) do not overlap, so the pair is not merged
     d = Fraction(1, 10 ** 7)
     roots = sorted(r.value.real for r in complex_roots(
-        rat_poly([2 + 2 * d, -3 - d, -d, 1])))
+        Poly.of([2 + 2 * d, -3 - d, -d, 1])))
     assert roots[1] != roots[2]
     assert abs(roots[1] - 1) <= 1e-8 and abs(roots[2] - 1 - 1e-7) <= 1e-8
 
 
 def test_huge_coefficients_prescaled():
     # far beyond float range before rescaling
-    f = rat_poly([Fraction(10) ** 400, 0, -(Fraction(10) ** 400)])
+    f = Poly.of([Fraction(10) ** 400, 0, -(Fraction(10) ** 400)])
     roots = complex_roots(f)
     assert sorted(round(r.value.real, 9) for r in roots) == [-1.0, 1.0]
 
 
 def test_tiny_rational_coefficients():
-    f = rat_poly([Fraction(-1, 10 ** 200), 0, Fraction(1, 10 ** 200)])
+    f = Poly.of([Fraction(-1, 10 ** 200), 0, Fraction(1, 10 ** 200)])
     vals = sorted(r.value.real for r in complex_roots(f))
     assert max(abs(v - e) for v, e in zip(vals, (-1, 1))) < 1e-10
 
@@ -135,9 +135,9 @@ def test_prescale_matches_fraction_route(coeffs):
     ref, m = _prescale_by_fractions(coeffs)
     if abs(ref[-1]) < sys.float_info.min:
         with pytest.raises(CoefficientRangeError):
-            prescale(rat_poly(coeffs))
+            prescale(Poly.of(coeffs))
         return
-    scaled, scale = prescale(rat_poly(coeffs))
+    scaled, scale = prescale(Poly.of(coeffs))
     assert [x.hex() for x in scaled] == [x.hex() for x in ref]
     assert scale == m
 
@@ -353,10 +353,10 @@ def _assert_matches_mpmath(factors):
     swallows a distinct root."""
     import mpmath
 
-    P = rat_poly([1])
+    P = Poly.of([1])
     ref = []
     for f in factors:
-        f = rat_poly(f)
+        f = Poly.of(f)
         P = P * f
         with mpmath.workdps(40):
             exact = [mpmath.mpf(c.numerator) / c.denominator
@@ -436,9 +436,9 @@ def test_eigenvalue_start_against_mpmath(case):
     the roots it returns pass the test of the circle start."""
     ns, factors = case
     factors = [list(_cyclotomic(n)) for n in sorted(ns)] + factors
-    P = rat_poly([1])
+    P = Poly.of([1])
     for f in factors:
-        P = P * rat_poly(f)
+        P = P * Poly.of(f)
     radii = [r for _, _, r in roots._newton_polygon(prescale(P)[0])]
     calls = []
     start = roots._companion_start
@@ -454,6 +454,24 @@ def test_wide_newton_polygon_keeps_circle_start():
     # Newton-polygon radii 1 and 10^20: companion eigenvalues are accurate
     # only to about eps 10^20, and started from them the iteration divided
     # by zero; the circles give log M = 20 log 10
-    P = rat_poly([-(10 ** 20), 1]) * int_poly([1] + [0] * 7 + [1])
+    P = Poly.of([-(10 ** 20), 1]) * int_poly([1] + [0] * 7 + [1])
     log_m = sum(math.log(max(1.0, abs(r.value))) for r in complex_roots(P))
     assert abs(log_m - 20 * math.log(10)) <= 1e-14
+
+
+def test_collinear_newton_polygon_vertex_is_one_edge():
+    # log|a_2| = log 270 lies on the chord from log 324 to log 225 but
+    # rounds just above it; two edges of radius sqrt(6/5) put the start
+    # points on top of each other, and all four iterates met at one
+    # point with residual 1.03 (log M 5.416 against 2 log 18 = 5.781)
+    P = int_poly([-18, 15, -15]) * int_poly([-18, -18, -15])
+    assert roots._newton_polygon(prescale(P)[0]) == [
+        (0, 4, pytest.approx(math.sqrt(1.2)))]
+    found = complex_roots(P)
+    assert all(r.reliable for r in found)
+    assert sorted((r.value for r in found),
+                  key=lambda z: (z.real, z.imag)) == [
+        pytest.approx(z, abs=1e-14) for z in sorted(
+            [complex(-0.6, s * math.sqrt(0.84)) for s in (-1, 1)]
+            + [complex(0.5, s * math.sqrt(0.95)) for s in (-1, 1)],
+            key=lambda z: (z.real, z.imag))]
