@@ -433,11 +433,33 @@ def _parse_argv(argv):
     return argparse.Namespace(**args)
 
 
+def _parse_args(argv):
+    """argparse's Namespace for argv.  Before Python 3.13 argparse stores
+    the value of `--opt=--` as [] and skips its type and choices; here the
+    option gets the literal "--" through its type and choices instead, as
+    3.13 does, so a str option reaches its handler as "--" and an int,
+    float or choice option is a usage error."""
+    ap = _build_parser()
+    args = ap.parse_args(argv)
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parser = sub.choices[args.subcommand]
+    for action in parser._actions:
+        if type(getattr(args, action.dest, None)) is list:
+            try:
+                value = parser._get_value(action, "--")
+                parser._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                parser.error(str(exc))
+            setattr(args, action.dest, value)
+    return args
+
+
 def dispatch(argv) -> int:
     args = _parse_argv(argv) if argv else None
     if args is None:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     t0 = time.perf_counter()

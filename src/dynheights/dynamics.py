@@ -58,8 +58,8 @@ _MAPS_KEPT = 256
 # or degree-d solves of `bounds.preimage_measure_stats`.  A unit costs
 # 1-10 us (a reported quadratic exception adds a root solve, a scan-pair
 # candidate two orbit walks); level 18 on x^2 + 1, 524 286 solves, takes
-# about 5 s.  Every golden, test, demo script and benchmark item needs at
-# most about 6 000.
+# about 2.5 s from the shell on a 2-vCPU x86 VM.  Every golden, test, demo
+# script and benchmark item needs at most about 6 000.
 WORK_BUDGET = 10 ** 6
 
 

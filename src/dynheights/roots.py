@@ -1,5 +1,5 @@
-"""Complex root finding: closed form for n <= 2, otherwise the
-simultaneous Aberth-Ehrlich iteration.
+"""Complex root finding: closed forms for n <= 2 and for binomials
+a x^n + b, otherwise the simultaneous Aberth-Ehrlich iteration.
 
 Deterministic setup: `aberth` starts from Bini's Newton-polygon circles
 (Numer. Algorithms 13, 1996).  Each edge k0 -> k1 of the upper convex hull
@@ -10,18 +10,24 @@ each start near their own circle and repeated runs produce identical
 output.  At degree n >= 8, when those radii span at most 10^4, it starts
 instead from the eigenvalues of the companion matrix, which are already
 at the roots: one or two sweeps where the circles take 5-12.  Roots at
-the origin (trailing zero coefficients in the monomial
-basis) are split off exactly.  Quadratics use the cancellation-free
-formula (no iteration, so no convergence failure) and merge their two
-roots when they lie within 10*tol, in O(1) by `_merge_pair`, not through
-the union-find of `_merge_clusters`.  After the iteration, two roots
-merge to their centroid when they lie within 10*tol or their Weierstrass
-inclusion discs (Carstensen, Numer. Math. 59, 1991; radii from |P(z)|
-plus a bound on its rounding) overlap, which is how multiple roots are
-reported.  Of the three final Newton steps, one that raises |P| more
-than _POLISH_GROWTH-fold to a backward error above the threshold of
-`complex_roots` is dropped: at a cluster Newton can throw one member far
-off.  P is evaluated by `polys.horner`.
+the origin (trailing zero coefficients in the monomial basis) are split
+off exactly.  Two closed forms need no iteration, so cannot fail to
+converge:
+
+* a quadratic (`solve_quadratic`) by the cancellation-free formula, its
+  two roots merged when they lie within 10*tol, in O(1) by `_merge_pair`,
+  not through the union-find of `_merge_clusters`;
+* a binomial a x^n + b, n >= 3 (`_binomial_roots`), whose roots are the
+  n-th roots of -b/a, their common modulus carried beyond double
+  precision so that each root's modulus rounds on its own.
+
+After the iteration, two roots merge to their centroid when they lie
+within 10*tol or their Weierstrass inclusion discs (Carstensen, Numer.
+Math. 59, 1991; radii from |P(z)| plus a bound on its rounding) overlap,
+which is how multiple roots are reported.  Of the three final Newton
+steps, one that raises |P| more than _POLISH_GROWTH-fold to a backward
+error above the threshold of `complex_roots` is dropped: at a cluster
+Newton can throw one member far off.  P is evaluated by `polys.horner`.
 
 `aberth` solves one polynomial in Python complex arithmetic;
 `aberth_rows` solves many polynomials of one degree at once in numpy,
@@ -51,6 +57,8 @@ _POLISH_GROWTH = 4.0  # largest factor by which a polish step may raise |P|
 # when its Newton-polygon radii span at most _EIGEN_MAX_SPAN (see `aberth`)
 _EIGEN_MIN_DEGREE = 8
 _EIGEN_MAX_SPAN = 1e4
+# real parts this far apart keep their order under `_root_key` (`_merge_pair`)
+_KEY_GAP = 4e-12
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,10 @@ def aberth(coeffs, tol: float = 1e-12):
     `prescale`).  A correction that is not finite (P or P' overflowed at
     an iterate) is non-convergence.
 
+    Two cases are solved in closed form, with no iteration: degree 2 by
+    `solve_quadratic`, and a binomial a x^n + b (n >= 3, once the zero
+    roots are split off) by `_binomial_roots`.
+
     The iteration starts from the Newton-polygon circles, or, at degree
     n >= _EIGEN_MIN_DEGREE when the circle radii span at most
     _EIGEN_MAX_SPAN, from the companion eigenvalues (`_companion_start`;
@@ -131,6 +143,8 @@ def aberth(coeffs, tol: float = 1e-12):
     n = len(coeffs) - 1
     if n == 0:
         return zero_roots
+    if n == 2:  # a != 0 != c here, so no way back to `aberth`
+        return zero_roots + solve_quadratic(*coeffs, tol=tol)
     scale = max(abs(c) for c in coeffs)
     lead = coeffs[-1]
     coeffs = [c / scale for c in coeffs]
@@ -138,9 +152,8 @@ def aberth(coeffs, tol: float = 1e-12):
         raise _range_error(math.log10(abs(lead)), math.log10(scale))
     if n == 1:
         return zero_roots + [-coeffs[0] / coeffs[1]]
-    if n == 2:
-        return zero_roots + _merge_pair(*_quadratic_roots(*coeffs),
-                                        10.0 * tol)
+    if coeffs[0] and not any(coeffs[1:n]):
+        return zero_roots + _binomial_roots(coeffs[0], coeffs[n], n, tol)
 
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
     edges = _newton_polygon(coeffs)
@@ -299,6 +312,81 @@ def _inclusion_radii(coeffs, z, p):
     return radii
 
 
+def solve_quadratic(c, b, a, tol: float = 1e-12):
+    """`aberth([c, b, a], tol)` for complex c, b, a, bit for bit, without
+    its general setup: the coefficients divided by their largest modulus,
+    then `_quadratic_roots` and `_merge_pair`.  A zero a or c (a degree
+    drop, or a root at 0) goes to `aberth`; a leading coefficient that
+    underflows once divided raises its CoefficientRangeError."""
+    if a == 0 or c == 0:
+        return aberth([c, b, a], tol)
+    scale = max(abs(c), abs(b), abs(a))
+    lead = a / scale
+    if abs(lead) < sys.float_info.min:  # as in `prescale`
+        raise _range_error(math.log10(abs(a)), math.log10(scale))
+    return _merge_pair(*_quadratic_roots(c / scale, b / scale, lead),
+                       10.0 * tol)
+
+
+def _binomial_roots(b, a, n, tol):
+    """The n roots of a x^n + b (a, b != 0, n >= 3), the n-th roots of
+    -b/a: modulus r = |b/a|^(1/n), angles 2 pi (arg(-b/a) / 2 pi + k) / n.
+
+    r is carried as r_hi + r_lo: r_hi = t^(1/n) in doubles for t = |b|/|a|
+    as rounded, and r_lo = r_hi (t / r_hi^n - 1) / n from one exact
+    correction on r_hi's dyadic value.  Each part of a root is r_hi times
+    cos or sin, exact by Dekker's product, plus r_lo times it, rounded
+    once.  So the rounding of r is not shared by all n moduli, where it
+    would add up in a Mahler measure (1e-13 off log 2 at x^1000 - 2).
+    The roots merge to their centroid when neighbours lie within 10 tol
+    (a gap of 2 r sin(pi / n)); otherwise each stands alone, sorted as
+    `_merge_clusters` sorts."""
+    t = abs(b) / abs(a)
+    r_hi = t ** (1.0 / n)
+    (tm, tq), (rm, rq) = t.as_integer_ratio(), r_hi.as_integer_ratio()
+    rn = rm ** n
+    r_lo = r_hi * ((tm * rq ** n - tq * rn) / (tq * rn)) / n
+    h1, h2 = _split(r_hi)
+    # arg(-b/a) in turns; a real -b/a gives 0 or -1/2 exactly, and then
+    # every root's turn (turn + k) / n is rounded once
+    turn = (math.atan2(-b.imag, -b.real)
+            - math.atan2(a.imag, a.real)) / (2 * math.pi)
+    z = []
+    for k in range(n):
+        u = (turn + k) / n
+        # q quarter turns and an angle within pi/4 (u - q/4 is exact, by
+        # Sterbenz), so a root on an axis is exactly real or imaginary
+        q = round(4 * u)
+        angle = 2 * math.pi * (u - q / 4)
+        c, s = math.cos(angle), math.sin(angle)
+        part = []
+        for x in ((c, s), (-s, c), (-c, -s), (s, -c))[q % 4]:
+            p = r_hi * x
+            x1, x2 = _split(x)
+            part.append(p + ((((h1 * x1 - p) + h1 * x2 + h2 * x1) + h2 * x2)
+                             + r_lo * x))
+        z.append(complex(*part))
+    if 2.0 * r_hi * math.sin(math.pi / n) <= 10.0 * tol:
+        return _merge_clusters(z, 10.0 * tol, [0.0] * n)
+    z = [(0 + w) / 1 for w in z]  # a singleton centroid: -0.0 turns +0.0
+    z.sort(key=_root_key)
+    return z
+
+
+def _split(x):
+    """Veltkamp's split of a double x = hi + lo, each of at most 26
+    significant bits, so that products of halves are exact."""
+    t = 134217729.0 * x  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _root_key(w):
+    """The order of merged roots: by real, then imaginary part, rounded
+    to 12 decimals."""
+    return (round(w.real, 12), round(w.imag, 12))
+
+
 def _quadratic_roots(c, b, a):
     """Both roots of a x^2 + b x + c (a, c != 0) without cancellation:
     q = -(b + s sqrt(b^2 - 4ac)) / 2 with the sign s making
@@ -316,13 +404,18 @@ def _merge_pair(r0, r1, radius):
     radius >= 0, in O(1): both become their centroid when they lie within
     `radius`; otherwise each becomes (0 + r) / 1, as a singleton's
     centroid does (a -0.0 part turns +0.0), and the pair is sorted by the
-    same rounded key."""
+    same rounded key.  Real parts more than _KEY_GAP apart keep their
+    order when rounded to 12 decimals, which moves each by less than
+    1e-12, so the key is rounded only for closer pairs: `round` costs more
+    than the rest of a quadratic solve."""
     if abs(r0 - r1) <= radius:
         centroid = (0 + r0 + r1) / 2
         return [centroid, centroid]
     r0, r1 = (0 + r0) / 1, (0 + r1) / 1
-    if ((round(r1.real, 12), round(r1.imag, 12))
-            < (round(r0.real, 12), round(r0.imag, 12))):
+    gap = r1.real - r0.real
+    if gap > _KEY_GAP:
+        return [r0, r1]
+    if gap < -_KEY_GAP or _root_key(r1) < _root_key(r0):
         return [r1, r0]
     return [r0, r1]
 
@@ -353,7 +446,7 @@ def _merge_clusters(points, radius, discs):
     for members in groups.values():
         centroid = sum(members) / len(members)
         out.extend([centroid] * len(members))
-    out.sort(key=lambda w: (round(w.real, 12), round(w.imag, 12)))
+    out.sort(key=_root_key)
     return out
 
 

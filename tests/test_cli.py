@@ -241,6 +241,33 @@ def test_repeated_option_last_wins(capsys):
     assert abs(rec["outputs"]["log_value"] - math.log(3)) < 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["canheight", "--map=--", "--point", "1"],
+    ["equidist", "--map=--", "--target", "1", "--level", "2"],
+    ["height", "--point=--"],
+])
+def test_double_dash_value_is_a_parse_error_record(capsys, argv):
+    """`--opt=--` gives a str option the literal "--" on every Python, as
+    argparse does from 3.13 (before, it stored [] and the handler raised
+    TypeError or AttributeError): a ParseError record, nothing on stderr."""
+    code, out, err = _outcome(capsys, argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["outputs"]["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["equidist", "--map=x^2", "--target=1", "--level=--"],
+     "argument --level: invalid int value: '--'"),
+    (["mahler", "--poly=x", "--method=--"],
+     "argument --method: invalid choice: '--'"),
+])
+def test_double_dash_value_of_a_typed_option_is_a_usage_error(capsys, argv,
+                                                              message):
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def run(capsys, *argv):
     code = dispatch(list(argv))
     out = capsys.readouterr().out

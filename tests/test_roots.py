@@ -475,3 +475,118 @@ def test_collinear_newton_polygon_vertex_is_one_edge():
             [complex(-0.6, s * math.sqrt(0.84)) for s in (-1, 1)]
             + [complex(0.5, s * math.sqrt(0.95)) for s in (-1, 1)],
             key=lambda z: (z.real, z.imag))]
+
+
+# complex parts of either sign, zero among them, at moduli from the
+# subnormal range to near overflow, so some triples underflow once scaled
+_part = st.one_of(st.just(0.0), st.just(-0.0),
+                  st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3),
+                  st.sampled_from((5e-324, 1e-300, 1e-150, 1e150, 1e300,
+                                   -1e-300, -1e300)))
+_wide_cplx = st.builds(complex, _part, _part)
+
+
+def _solve_outcome(solve):
+    """The roots in hex, or the error raised: a leading coefficient that
+    underflows once scaled is refused, and a constant one that does
+    divides by zero, in `aberth` as in `solve_quadratic`."""
+    try:
+        return _hex(solve())
+    except (CoefficientRangeError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(_wide_cplx, _wide_cplx, _wide_cplx),
+       st.sampled_from((1e-12, 1e-8)))
+@example((1 + 0j, 0j, 0j), 1e-12)                       # a = 0: degree 0
+@example((0j, 1 + 0j, 2 + 0j), 1e-12)                   # c = 0: a zero root
+@example((1e300 + 0j, 0j, 1e-300 + 0j), 1e-12)         # a underflows
+@example((complex(1, -0.0), complex(-0.0, 0), 1 + 0j), 1e-12)  # -0.0 parts
+@example((3 + 0j, -6 + 0j, 3 + 0j), 1e-12)              # a double root
+def test_solve_quadratic_is_aberth_bit_for_bit(cba, tol):
+    c, b, a = cba
+    if a == 0 and b == 0 and c == 0:
+        return
+    if a == 0 and b == 0:  # a constant: both refuse it
+        with pytest.raises(ValueError):
+            roots.solve_quadratic(c, b, a, tol)
+        return
+    assert (_solve_outcome(lambda: roots.solve_quadratic(c, b, a, tol))
+            == _solve_outcome(lambda: aberth([c, b, a], tol)))
+
+
+@pytest.mark.parametrize("r0, r1", [
+    (1.0 + 2j, 1.0 + 1j),                       # equal real parts
+    (1.0 + 2j, 1.0000000000000002 + 1j),        # rounding to 12 decimals
+    (1 + 5e-13 + 1j, 1.0 + 2j),                 # ties them on the real part
+    (0.3 + 4e-12 + 1j, 0.3 + 2j),               # just at _KEY_GAP
+    (0.3 + 4.1e-12 + 1j, 0.3 + 2j),             # just past it
+    (12345.678 + 1j, 12345.678 - 3e-12 + 2j),   # doubles spaced 1.8e-12
+    (-0.0 - 1j, 0.0 + 1j),
+])
+def test_merge_pair_orders_as_cluster_merge(r0, r1):
+    for p, q in ((r0, r1), (r1, r0)):
+        assert _hex(roots._merge_pair(p, q, 0.0)) == _hex(
+            roots._merge_clusters([p, q], 0.0, (0.0, 0.0)))
+
+
+def _binomial_reference(a, b, n):
+    """The n roots of a x^n + b to 40 digits: the n-th roots of -b/a."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w = -mpmath.mpmathify(b) / mpmath.mpmathify(a)
+        r = abs(w) ** (mpmath.mpf(1) / n)
+        phase = mpmath.arg(w)
+        return [r * mpmath.expjpi((phase / mpmath.pi + 2 * k) / n)
+                for k in range(n)]
+
+
+_big = st.integers(-10 ** 12, 10 ** 12).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 64),
+       st.one_of(st.tuples(_big, _big),
+                 st.tuples(st.fractions(max_denominator=10 ** 6),
+                           st.fractions(max_denominator=10 ** 6)).filter(
+                     lambda ab: ab[0] != 0 and ab[1] != 0)),
+       st.integers(0, 2))
+@example(3, (1, -8), 0)
+@example(64, (1, 1), 1)
+@example(7, (10 ** 12, -1), 0)
+def test_binomial_roots_match_mpmath(n, ab, zeros):
+    """a x^n + b (times x^zeros) against its roots to 40 digits: each root
+    within 8 eps of the radius (the worst of 400 draws was 3.2 eps), the
+    moduli within 2 eps (0.7), sorted, and no Aberth iteration."""
+    mpmath = pytest.importorskip("mpmath")
+    a, b = (Fraction(v) for v in ab)
+    P = Poly.of([0] * zeros + [b] + [0] * (n - 1) + [a])
+    calls = []
+    newton = roots._newton_polygon
+    roots._newton_polygon = lambda c: calls.append(c) or newton(c)
+    try:
+        found = complex_roots(P)
+    finally:
+        roots._newton_polygon = newton
+    assert calls == []
+    assert [r.value for r in found[:zeros]] == [0j] * zeros
+    got = [r.value for r in found[zeros:]]
+    assert got == sorted(got, key=roots._root_key)
+    assert all(r.reliable for r in found)
+    ref = _binomial_reference(float(a), float(b), n)
+    radius = float(abs(ref[0]))
+    eps = sys.float_info.epsilon
+    for z in got:
+        near = min(ref, key=lambda w: abs(mpmath.mpc(z) - w))
+        assert float(abs(mpmath.mpc(z) - near)) <= 8 * eps * radius
+        assert abs(abs(z) - radius) <= 2 * eps * radius
+
+
+def test_binomial_roots_within_merge_radius_merge():
+    # x^3 + 1e-40: roots of modulus 4.6e-14, all within 10 tol of each
+    # other, merge to one centroid as the iteration's clusters do
+    found = aberth([1e-40, 0, 0, 1])
+    assert len(set(found)) == 1 and abs(found[0]) < 1e-25
+    # x^3 - 8: three roots 2 sqrt(3) apart stay apart
+    assert len(set(aberth([-8, 0, 0, 1]))) == 3
