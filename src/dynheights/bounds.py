@@ -33,12 +33,15 @@ image polynomial is built, by a float lower bound on h(psi(x)) from
 psi at the two roots with a rounding allowance.
 Only the reported exceptions are solved, for their approximate location.
 
-A scan, and a preimage run of `preimage_measure_stats`, first predicts
-its work (candidates scored, or degree-d solves) and refuses with
+A scan, a preimage run of `preimage_measure_stats` and a level-curve
+energy first predict their work (candidates scored, deg psi units for a
+quadratic one; degree-d solves; grid nodes) and refuse with
 WorkBudgetError beyond `dynamics.WORK_BUDGET`.
 
-numpy is imported by `energy_level_curve` alone, so importing this module
-(and the CLI) does not load it.
+Exact values become doubles by `polys.to_floats` (or `roots.prescale`),
+beyond whose range they are a CoefficientRangeError (the scan's psi then
+goes without its float floor).  numpy is imported by `energy_level_curve`
+alone, so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .dynamics import (WORK_BUDGET, DynSystem, _require_budget,
 from .errors import CoefficientRangeError, RootFindingError, WorkBudgetError
 from .mahler import log_mahler_plus
 from .places import ARCH, log_abs_at, weil_height
-from .polys import Poly, horner, int_poly
+from .polys import Poly, horner, int_poly, to_floats
 from .roots import (aberth, aberth_rows, complex_roots, prescale,
                     solve_quadratic)
 
@@ -119,18 +122,17 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
         raise ValueError("degrees must be >= 1")
     if nodes < 64:
         raise ValueError("need at least 64 nodes")
-    try:
-        phic = np.array([complex(c / phi.den) for c in phi.coeffs])
-    except OverflowError:
-        raise CoefficientRangeError(
-            "a coefficient of phi is beyond the double range") from None
+    _require_budget(nodes, True, "energy", "nodes")
+    phic = np.array(to_floats(phi.coeffs, phi.den), dtype=complex)
     if abs(phic[-1]) < sys.float_info.min:
         raise CoefficientRangeError(
             "the leading coefficient of phi is below the double range")
-    # psi = scale * psi_s: |psi| > 1 and log|psi| are taken in log space
+    # psi = scale * psi_s: |psi| > 1 and log|psi| are taken in log space (a
+    # floor 1/scale beyond the doubles is inf: no double |psi_s| passes it)
     psi_s, scale = prescale(psi)
     psi_c = np.array(psi_s, dtype=complex)
-    floor, log_scale = float(1 / scale), log_abs_at(scale, ARCH)
+    floor = float(1 / scale) if 1 / scale <= sys.float_info.max else math.inf
+    log_scale = log_abs_at(scale, ARCH)
     total = 0.0
     skipped = 0
     step = 2 * math.pi / nodes
@@ -242,10 +244,11 @@ def _psi_image_height_floor(cf, norm: float, a: int, b: int, c: int,
         y = 0.0
         for k in reversed(cf):
             y = y * x + k
-        try:
-            low = abs(y) - slack * max(1.0, abs(x)) ** m
-        except OverflowError:
-            continue
+        # inf past the double range, where abs(complex) and ** raise
+        size = abs(x)
+        power = (1.0 if size <= 1.0 else size ** m
+                 if m * math.log2(size) < 1023 else math.inf)
+        low = math.hypot(y.real, y.imag) - slack * power
         if 1.0 < low < math.inf:
             total += math.log(low)
     return weight * total
@@ -291,7 +294,9 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
     (`_quadratic_box`) at a, |c| <= T and |b| <= T + ac/T for
     T = e^(2 threshold / l), so the records are an ordered subset of the
     full boxes' candidates.  The candidates of both boxes are counted
-    first, and a scan of more than WORK_BUDGET raises WorkBudgetError.
+    first, a quadratic one as deg psi units (its image polynomial takes m
+    Horner steps on integers that grow with each), and a scan of more than
+    WORK_BUDGET units raises WorkBudgetError.
 
     A quadratic candidate is scored without root finding: h(x) is half
     the closed-form log M of its minimal polynomial
@@ -324,11 +329,12 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
     work, exact = side * (2 * side + 1) + 1, True
     if include_quadratic:
         for _, _, bm in _quadratic_box(ell, threshold, H):
-            work += max(0, 2 * bm + 1)
+            work += m * max(0, 2 * bm + 1)
             if work > WORK_BUDGET:
                 exact = False
                 break
-    _require_budget(work, exact, "scan", "candidates")
+    _require_budget(work, exact, "scan",
+                    "units (1 a rational candidate, deg psi a quadratic one)")
     out = []
     for P in rational_points_up_to_height(H, threshold / ell):
         if P.is_infinity:
@@ -349,8 +355,8 @@ def scan_exceptions(ell: int, psi: Poly, threshold: float, H: float,
         # before its image polynomial is built
         cut = threshold + 1e-9 * (1.0 + abs(threshold))
         try:
-            cf = [k / psi.den for k in psi.coeffs]
-        except OverflowError:           # beyond doubles: no floor
+            cf = to_floats(psi.coeffs, psi.den)
+        except CoefficientRangeError:   # beyond doubles: no floor
             cf = None
         else:
             norm = sum(abs(k) for k in cf)
@@ -395,7 +401,7 @@ def roots_of_unity_height_sequence(psi: Poly, n: int) -> float:
     contribute nothing)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = [complex(c / psi.den) for c in psi.coeffs]
+    coeffs = to_floats(psi.coeffs, psi.den)
     total = 0.0
     count = 0
     for k in range(n):
@@ -450,16 +456,9 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
     if level < 1 or max_moment < 1:
         raise ValueError("level and max_moment must be >= 1")
     a = Fraction(a)
-    p0, p1 = S.F.dehomog()
     d = S.degree
-    try:
-        c0 = [float(c) for c in p0.coeffs] + [0.0] * (d + 1 - len(p0.coeffs))
-        c1 = [float(c) for c in p1.coeffs] + [0.0] * (d + 1 - len(p1.coeffs))
-        current = [complex(float(a))]
-    except OverflowError:
-        raise CoefficientRangeError(
-            "a coefficient of the map, or the target, is beyond the double "
-            "range") from None
+    c0, c1 = to_floats(S.F.f0), to_floats(S.F.f1)  # p0, p1 at x^0 ... x^d
+    current = [complex(w) for w in to_floats([a.numerator], a.denominator)]
     # past 64 levels the count is far over any budget; it is not formed
     solves = (d ** (min(level, 64) + 1) - d) // (d - 1)
     _require_budget(solves, level <= 64, f"equidist to level {level}",

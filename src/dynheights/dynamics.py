@@ -48,18 +48,22 @@ from types import MappingProxyType
 from .errors import DegenerateMapError, WorkBudgetError
 from .places import (ARCH, Place, ProjPointQ, valuation, weil_height,
                      weil_height_exact)
-from .polys import HomogPair, factorize, homog_step, sylvester_matrix
+from .polys import (HomogPair, factorize, homog_step, sylvester_matrix,
+                    to_floats)
 
 # the most map expressions whose systems `DynSystem.from_expr` keeps
 _MAPS_KEPT = 256
-# The most units of work one scan or preimage run may do, predicted before
-# it starts: candidate points of `common_preperiodic_scan`, candidates a
-# `bounds.scan_exceptions` scores (its rational box and its quadratic box),
-# or degree-d solves of `bounds.preimage_measure_stats`.  A unit costs
-# 1-10 us (a reported quadratic exception adds a root solve, a scan-pair
-# candidate two orbit walks); level 18 on x^2 + 1, 524 286 solves, takes
-# about 2.5 s from the shell on a 2-vCPU x86 VM.  Every golden, test, demo
-# script and benchmark item needs at most about 6 000.
+# The most units of work one scan, preimage run or quadrature may do,
+# predicted before it starts: candidate points of `common_preperiodic_scan`,
+# candidates a `bounds.scan_exceptions` scores (each of its rational box,
+# and deg psi for each of its quadratic box, whose image polynomials grow
+# with deg psi), degree-d solves of `bounds.preimage_measure_stats`, or
+# grid nodes of `bounds.energy_level_curve` and of the `mahler`
+# quadratures.  A unit costs 1-10 us (a reported quadratic exception adds a
+# root solve, a scan-pair candidate two orbit walks); level 18 on x^2 + 1,
+# 524 286 solves, takes about 2.5 s from the shell on a 2-vCPU x86 VM.
+# Every golden, test, demo script and benchmark item needs at most about
+# 16 384 (the largest node count).
 WORK_BUDGET = 10 ** 6
 
 
@@ -112,7 +116,7 @@ class DynSystem:
     the primes of Res F, so bad_primes factors Res on its first read and
     keeps the primes; deciding preperiodicity or pulling orbits back never
     reads them.  good_orbits keeps Sigma_p the same way, for each prime a
-    ledger asks for.
+    ledger asks for, and float_forms keeps F in doubles.
 
     A system holds invariants of the map only, and none of them can be
     changed (c_formula is a read-only mapping; the Sigma_p kept are
@@ -157,6 +161,12 @@ class DynSystem:
         return self.F.degree
 
     @cached_property
+    def float_forms(self) -> HomogPair:
+        """F in doubles (`polys.to_floats`), built on first use."""
+        F = self.F
+        return HomogPair(tuple(to_floats(F.f0)), tuple(to_floats(F.f1)))
+
+    @cached_property
     def bad_primes(self) -> tuple:
         """The primes dividing Res F, in ascending order."""
         return tuple(factorize(self.F.res))
@@ -172,15 +182,15 @@ class DynSystem:
 
 def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
     """(value, tail_bound) for the archimedean homogeneous Green function
-    of the coprime lift of P."""
+    of the coprime lift of P, iterated in doubles (`DynSystem.float_forms`)."""
     d = S.degree
     n_steps = max(1, _tail_steps(S.c_arch, d, eps))
     acc = weil_height(P)
-    scale = float(weil_height_exact(P))
-    a, b = P.a / scale, P.b / scale
+    M = weil_height_exact(P)
+    a, b = P.a / M, P.b / M
     w = 1.0
     for _ in range(n_steps):
-        v0, v1 = S.F.evaluate(a, b)
+        v0, v1 = S.float_forms.evaluate(a, b)
         m = max(abs(v0), abs(v1))
         w /= d
         acc += w * math.log(m)

@@ -160,7 +160,7 @@ def normalize_proj(a: int, b: int) -> ProjPointQ:
 
 
 def parse_point(text: str) -> ProjPointQ:
-    """Parse "a/b", "a", "inf" or "[a:b]"."""
+    """Parse "a/b", "a", "inf" or "[a:b]" with integers a, b."""
     s = text.strip()
     if s in ("inf", "oo", "infinity"):
         return ProjPointQ(1, 0)
@@ -168,7 +168,12 @@ def parse_point(text: str) -> ProjPointQ:
         parts = s[1:-1].split(":")
         if len(parts) != 2:
             raise InvalidPointError(f"cannot parse point {text!r}")
-        return normalize_proj(int(parts[0]), int(parts[1]))
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"cannot parse point {text!r}: [a:b] takes "
+                             "integers") from exc
+        return normalize_proj(a, b)
     try:
         x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

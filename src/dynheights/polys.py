@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateMapError, FactorizationError, ParseError
+from .errors import (CoefficientRangeError, DegenerateMapError,
+                     FactorizationError, ParseError)
 from .places import (_MR_PROVEN, ProjPointQ, _strong_probable_prime,
                      normalize_proj)
 
@@ -54,6 +55,16 @@ def horner(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+def to_floats(ints, den: int = 1) -> list:
+    """ints[k] / den as doubles, by int true division (c / 1 is float(c));
+    CoefficientRangeError where one is beyond the double range."""
+    try:
+        return [c / den for c in ints]
+    except OverflowError:
+        raise CoefficientRangeError(
+            "a value is beyond the double range") from None
 
 
 @dataclass(frozen=True)

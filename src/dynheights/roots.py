@@ -10,9 +10,9 @@ each start near their own circle and repeated runs produce identical
 output.  At degree n >= 8, when those radii span at most 10^4, it starts
 instead from the eigenvalues of the companion matrix, which are already
 at the roots: one or two sweeps where the circles take 5-12.  Roots at
-the origin (trailing zero coefficients in the monomial basis) are split
-off exactly.  Two closed forms need no iteration, so cannot fail to
-converge:
+the origin (constant-side coefficients that are zero once divided by the
+largest modulus, as in `prescale`) are split off exactly.  Two closed
+forms need no iteration, so cannot fail to converge:
 
 * a quadratic (`solve_quadratic`) by the cancellation-free formula, its
   two roots merged when they lie within 10*tol, in O(1) by `_merge_pair`,
@@ -32,9 +32,9 @@ Newton can throw one member far off.  P is evaluated by `polys.horner`.
 `aberth` solves one polynomial in Python complex arithmetic;
 `aberth_rows` solves many polynomials of one degree at once in numpy,
 vectorised over the rows (as in Bini's MPSolve), and hands every row it
-cannot settle cleanly to `aberth`.  numpy is imported inside
-`aberth_rows`, its helpers and the companion start only, so `aberth` and
-`complex_roots` run without it below degree 8.
+cannot settle cleanly to `aberth`, whose guards of a step it leaves out.
+numpy is imported inside `aberth_rows`, its helpers and the companion
+start only, so `aberth` and `complex_roots` run without it below degree 8.
 """
 
 from __future__ import annotations
@@ -111,12 +111,13 @@ def aberth(coeffs, tol: float = 1e-12):
     Raises RootFindingError on non-convergence, carrying the best iterate,
     and CoefficientRangeError when the leading coefficient underflows once
     the coefficients are divided by their largest modulus (the test of
-    `prescale`).  A correction that is not finite (P or P' overflowed at
-    an iterate) is non-convergence.
+    `prescale`); a coefficient at the constant end that is zero once
+    divided is a zero root.  A correction that is not finite (P or P'
+    overflowed at an iterate) is non-convergence.
 
     Two cases are solved in closed form, with no iteration: degree 2 by
-    `solve_quadratic`, and a binomial a x^n + b (n >= 3, once the zero
-    roots are split off) by `_binomial_roots`.
+    the arithmetic of `solve_quadratic`, and a binomial a x^n + b (n >= 3,
+    once the zero roots are split off) by `_binomial_roots`.
 
     The iteration starts from the Newton-polygon circles, or, at degree
     n >= _EIGEN_MIN_DEGREE when the circle radii span at most
@@ -134,7 +135,13 @@ def aberth(coeffs, tol: float = 1e-12):
         coeffs.pop()
     if len(coeffs) < 2:
         raise ValueError("need degree >= 1")
-    # exact zero roots: strip leading (constant-side) zeros
+    scale = max(abs(c) for c in coeffs)
+    lead = coeffs[-1]
+    coeffs = [c / scale for c in coeffs]
+    if abs(coeffs[-1]) < sys.float_info.min:  # as in `prescale`
+        raise _range_error(math.log10(abs(lead)), math.log10(scale))
+    # zero roots, split off exactly: the constant-side coefficients that
+    # are zero once scaled (as `prescale` makes them)
     nzeros = 0
     while coeffs[nzeros] == 0:
         nzeros += 1
@@ -143,16 +150,12 @@ def aberth(coeffs, tol: float = 1e-12):
     n = len(coeffs) - 1
     if n == 0:
         return zero_roots
-    if n == 2:  # a != 0 != c here, so no way back to `aberth`
-        return zero_roots + solve_quadratic(*coeffs, tol=tol)
-    scale = max(abs(c) for c in coeffs)
-    lead = coeffs[-1]
-    coeffs = [c / scale for c in coeffs]
-    if abs(coeffs[-1]) < sys.float_info.min:  # as in `prescale`
-        raise _range_error(math.log10(abs(lead)), math.log10(scale))
     if n == 1:
         return zero_roots + [-coeffs[0] / coeffs[1]]
-    if coeffs[0] and not any(coeffs[1:n]):
+    if n == 2:  # the arithmetic of `solve_quadratic`
+        return zero_roots + _merge_pair(*_quadratic_roots(*coeffs),
+                                        10.0 * tol)
+    if not any(coeffs[1:n]):
         return zero_roots + _binomial_roots(coeffs[0], coeffs[n], n, tol)
 
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
@@ -316,16 +319,18 @@ def solve_quadratic(c, b, a, tol: float = 1e-12):
     """`aberth([c, b, a], tol)` for complex c, b, a, bit for bit, without
     its general setup: the coefficients divided by their largest modulus,
     then `_quadratic_roots` and `_merge_pair`.  A zero a or c (a degree
-    drop, or a root at 0) goes to `aberth`; a leading coefficient that
-    underflows once divided raises its CoefficientRangeError."""
+    drop, or a root at 0), and a c that is zero once divided, go to
+    `aberth`; a leading coefficient that underflows once divided raises
+    its CoefficientRangeError."""
     if a == 0 or c == 0:
         return aberth([c, b, a], tol)
     scale = max(abs(c), abs(b), abs(a))
-    lead = a / scale
+    lead, low = a / scale, c / scale
     if abs(lead) < sys.float_info.min:  # as in `prescale`
         raise _range_error(math.log10(abs(a)), math.log10(scale))
-    return _merge_pair(*_quadratic_roots(c / scale, b / scale, lead),
-                       10.0 * tol)
+    if low == 0:
+        return aberth([c, b, a], tol)
+    return _merge_pair(*_quadratic_roots(low, b / scale, lead), 10.0 * tol)
 
 
 def _binomial_roots(b, a, n, tol):
@@ -464,7 +469,7 @@ def aberth_rows(C, tol: float = 1e-12):
     (N, n) complex array, each row's roots in no fixed order.  Every row
     gets the steps of `aberth` on its coefficients scaled by their largest
     modulus: the closed forms for n <= 2, otherwise the same Gauss-Seidel
-    Aberth sweep, tolerance, stall rule and three Newton polish steps,
+    Aberth sweep, tolerance and three Newton polish steps, without guards,
     each step applied to all unfinished rows at once.  The start differs:
     every row starts on one circle of radius 0.8 times its Fujiwara bound
     2 max |a_{n-k}/a_n|^(1/k), rotated by the same fixed angle, because a
@@ -472,15 +477,16 @@ def aberth_rows(C, tol: float = 1e-12):
     low degrees solved here.
 
     A row is handed to `aberth` itself when its constant or leading
-    coefficient is zero, when its iteration stalls (as at a multiple
-    root) or does not converge in _MAX_ITER sweeps, when two of its roots
-    lie within the merge radius 10 tol, or when a root is not finite.  So
-    exact zero roots, clusters within 10 tol and the failure rule stay
-    those of `aberth`; a settled row is not merged by inclusion discs.  A
-    degree drop leaves the missing roots at infinity, and a row on which
-    `aberth` raises RootFindingError comes back as NaN.  (The batch can
-    settle a row on which `aberth` would fail, as its rounding differs;
-    such a row has converged to tol all the same.)
+    coefficient is zero, when its corrections stop halving for 40 sweeps
+    (a multiple root, or one not finite) or run out of _MAX_ITER sweeps,
+    when two roots lie within the merge radius 10 tol, or when a root is
+    not finite.  So exact zero roots, clusters within 10 tol, the guards
+    and the failure rule stay those of `aberth`; a settled row is not
+    merged by inclusion discs.  A degree drop leaves the missing roots at
+    infinity, and a row on which `aberth` raises RootFindingError comes
+    back as NaN.  (The batch can settle a row on which `aberth` would
+    fail, as its rounding differs; such a row has converged to tol all
+    the same.)
 
     numpy fuses multiply-adds in complex products and divides through a
     reciprocal, so simple roots agree with `aberth` to a few units in the
@@ -544,10 +550,9 @@ def _quadratic_rows(A):
 
 
 def _aberth_sweeps(A, tol):
-    """The iteration and polish of `aberth` on scaled rows A (nonzero
-    constant and leading coefficients, degree n >= 3), vectorised over the
-    rows.  Returns (roots, settled); a row that stalled or ran out of
-    sweeps is not settled, and its roots are undefined."""
+    """The iteration and polish of `aberth`, without guards, on scaled rows
+    A (nonzero constant and leading coefficients, degree n >= 3) at once:
+    (roots, settled), the roots of a row that is not settled undefined."""
     import numpy as np
 
     m, n = A.shape[0], A.shape[1] - 1
@@ -571,29 +576,19 @@ def _aberth_sweeps(A, tol):
         max_corr = np.zeros(live.size)
         for j in range(n):
             zj = z[j]
-            dj = horner(deriv, zj)
-            w = horner(coeffs, zj) / dj
+            w = horner(coeffs, zj) / horner(deriv, zj)
             s = 0j
             for k in range(n):
                 if k != j:
-                    dz = zj - z[k]
-                    s = s + 1.0 / np.where(dz == 0, 1e-14 + 1e-14j, dz)
-            denom = 1.0 - w * s
-            corr = np.where(denom != 0, w / denom, w)
-            flat = dj == 0
-            corr[flat] = -(1e-8 + 1e-8j)
+                    s = s + 1.0 / (zj - z[k])
+            corr = w / (1.0 - w * s)
             z[j] = zj - corr
-            max_corr = np.maximum(max_corr,
-                                  np.where(flat, math.inf, _modulus(corr)))
+            max_corr = np.maximum(max_corr, _modulus(corr))
         done = max_corr < tol
         improved = max_corr < 0.5 * best_corr
         best_corr = np.where(improved, max_corr, best_corr)
         stagnant = np.where(improved, 0, stagnant + 1)
-        stalled = stagnant >= 40  # and at the relative plateau of `aberth`
-        if stalled.any():
-            stalled &= best_corr < 1e-7 * np.maximum(
-                1.0, np.max([_modulus(zj) for zj in z], axis=0))
-        leave = done | stalled
+        leave = done | (stagnant >= 40)
         if leave.any():
             Z[live[done]] = np.stack([zj[done] for zj in z], axis=1)
             settled[live[done]] = True
@@ -605,24 +600,21 @@ def _aberth_sweeps(A, tol):
             best_corr = best_corr[keep]
             stagnant = stagnant[keep]
     rows = np.flatnonzero(settled)
-    coeffs = [A[rows, k] for k in range(n + 1)]
+    coeffs = [A[rows, k, None] for k in range(n + 1)]
     deriv = [k * coeffs[k] for k in range(1, n + 1)]
-    z = [Z[rows, j] for j in range(n)]
     moduli = [_modulus(c) for c in coeffs]
     max_eta = _BACKWARD_ERROR_UNITS * n * sys.float_info.epsilon
-    p = [horner(coeffs, zj) for zj in z]
+    z = Z[rows]
+    p = horner(coeffs, z)
     for _ in range(3):
-        for j in range(n):
-            dj = horner(deriv, z[j])
-            zj = z[j] - p[j] / dj
-            pj = horner(coeffs, zj)
-            res = _modulus(pj)
-            keep = (dj != 0) & ((res <= _POLISH_GROWTH * _modulus(p[j]))
-                                | (res <= max_eta
-                                   * horner(moduli, _modulus(zj))))
-            z[j] = np.where(keep, zj, z[j])
-            p[j] = np.where(keep, pj, p[j])
-    Z[rows] = np.stack(z, axis=1)
+        step = z - p / horner(deriv, z)
+        q = horner(coeffs, step)
+        res = _modulus(q)
+        keep = ((res <= _POLISH_GROWTH * _modulus(p))
+                | (res <= max_eta * horner(moduli, _modulus(step))))
+        z = np.where(keep, step, z)
+        p = np.where(keep, q, p)
+    Z[rows] = z
     return Z, settled
 
 

@@ -486,26 +486,70 @@ def test_huge_psi_coefficients_bound_and_energy(capsys):
                     "10^400*x^2 + 1", "--nodes", "64")
     assert code == 0
     assert abs(rec["outputs"]["energy"] / (8 * 400 * math.log(10)) - 1) < 1e-12
+    # |psi| <= 2 10^-400 on the level curve, so log max(|psi|, 1) = 0; the
+    # floor 1/scale of the first is beyond the double range
+    for psi in ("x/10^400", "(x^2 + 1)/10^400"):
+        code, rec = run(capsys, "energy", "--phi", "x^2", "--psi", psi,
+                        "--nodes", "64")
+        assert code == 0 and rec["outputs"]["energy"] == 0
 
 
-@pytest.mark.parametrize("argv", [
+_BIG = "1" + "0" * 400  # 10^400, beyond the double range
+# every float command at the edges of the double range: the error type of
+# its record, or None for a value
+_DOUBLE_RANGE_EDGES = [
     # the leading coefficient underflows once scaled by the largest: the
     # quadratic's closed form divided by zero, and the cubic's Newton
     # polygon gave too few start points
-    ["energy", "--phi", "10^-200*x^2 + 10^200", "--psi", "x",
-     "--nodes", "64"],
-    ["energy", "--phi", "10^-200*x^3 + 10^200", "--psi", "x",
-     "--nodes", "64"],
+    (["energy", "--phi", "10^-200*x^2 + 10^200", "--psi", "x",
+      "--nodes", "64"], "CoefficientRangeError"),
+    (["energy", "--phi", "10^-200*x^3 + 10^200", "--psi", "x",
+      "--nodes", "64"], "CoefficientRangeError"),
     # the leading coefficient of phi converts to 0.0 (a degree drop)
-    ["energy", "--phi", "10^-400*x^2 + 1", "--psi", "x"],
+    (["energy", "--phi", "10^-400*x^2 + 1", "--psi", "x"],
+     "CoefficientRangeError"),
     # the map's integer form holds 10^400, which float() cannot convert
-    ["equidist", "--map", "10^-200*x^2 + 10^200", "--target", "1",
-     "--level", "1"],
-])
-def test_coefficient_span_beyond_double_range(capsys, argv):
-    code, rec = run(capsys, *argv)
-    assert code == 1
-    assert rec["outputs"]["error"] == "CoefficientRangeError"
+    (["equidist", "--map", "10^-200*x^2 + 10^200", "--target", "1",
+      "--level", "1"], "CoefficientRangeError"),
+    # these three printed a traceback and no record: the map's
+    # coefficient, the point's coordinate and 1/scale of psi overflowed
+    (["canheight", "--map", "x^2 + 10^400", "--point", "1"],
+     "CoefficientRangeError"),
+    (["canheight", "--map", "x^2 - 1", "--point", _BIG], None),
+    (["energy", "--phi", "x^2", "--psi", "x/10^400", "--nodes", "64"], None),
+    (["canheight", "--map", "x^2 - 1", "--point", "1/" + _BIG], None),
+    (["equidist", "--map", "x^2", "--target", _BIG, "--level", "1"],
+     "CoefficientRangeError"),
+    (["equidist", "--map", "x^2", "--target", "1/" + _BIG, "--level", "2"],
+     None),
+    (["mahler", "--poly", "x^2 + 10^400", "--method", "both",
+      "--nodes", "64"], "CoefficientRangeError"),
+    # psi tiny everywhere: every quotient of its coefficients underflows
+    (["mahler", "--poly", "(x^2 + x + 1)/10^400", "--method", "both",
+      "--nodes", "64"], None),
+    (["bound", "--ell", "1", "--psi", "(x^2 + 1)/10^400", "--nodes", "64"],
+     None),
+    (["energy", "--phi", "x^2", "--psi", "(x^2 + 1)/10^400",
+      "--nodes", "64"], None),
+    (["scan", "--ell", "1", "--psi", "(x^2 + 1)/10^400", "--threshold", "1",
+      "--max-height", "1", "--quadratic"], None),
+    (["scan", "--ell", "1", "--psi", "10^400*x^2 + 1", "--threshold", "1",
+      "--max-height", "1", "--quadratic"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error", _DOUBLE_RANGE_EDGES,
+    ids=[f"argv{i}" for i in range(len(_DOUBLE_RANGE_EDGES))])
+def test_coefficient_span_beyond_double_range(capsys, argv, error):
+    code = dispatch(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    rec = json.loads(out)
+    if error is None:
+        assert code == 0 and "error" not in rec["outputs"]
+    else:
+        assert code == 1 and rec["outputs"]["error"] == error
 
 
 @pytest.mark.parametrize("argv", [
@@ -573,6 +617,18 @@ def test_scans_stop_at_their_height_certificates(capsys, argv):
     # the lower escape threshold, 15.2, is above H: the box of e^10
     (["scan-pair", "--phi", "x^2 - 1000000", "--psi", "x^2 - 1000000",
       "--max-height", "10"], "970311379"),
+    # 200 units a quadratic candidate (it ran for 30 s at one unit)
+    (["scan", "--ell", "1", "--psi", "x^200", "--threshold", "2",
+      "--max-height", "4", "--quadratic"], "1002937"),
+    # grid nodes, refused before a grid is allocated
+    (["energy", "--phi", "x^2", "--psi", "x", "--nodes", "100000000"],
+     "100000000"),
+    (["mahler", "--poly", "x^2 - 2", "--method", "quad", "--nodes",
+      str(2 ** 30)], str(2 ** 30)),
+    (["mahler", "--poly", "x^2 - 2", "--method", "both", "--nodes",
+      str(2 ** 20)], str(2 ** 20)),
+    (["bound", "--ell", "1", "--psi", "x - 2", "--nodes", str(2 ** 30)],
+     str(2 ** 30)),
 ])
 def test_work_beyond_budget_refused_before_it_starts(capsys, argv, count):
     start = time.perf_counter()

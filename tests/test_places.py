@@ -110,6 +110,9 @@ def test_parse_point_formats():
         parse_point("2/0/1")
     with pytest.raises(InvalidPointError):
         parse_point("[0:0]")
+    for text in ("[1/2:3]", "[x:1]", "[1:]", "[1.5:2]"):  # not integers
+        with pytest.raises(ParseError, match=r"\[a:b\] takes integers"):
+            parse_point(text)
 
 
 def test_parse_rational():

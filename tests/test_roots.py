@@ -1,5 +1,6 @@
 """Simultaneous complex root finding: accuracy, Vieta identities, scaling."""
 
+import cmath
 import functools
 import importlib.util
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dynheights.errors import CoefficientRangeError, RootFindingError
-from dynheights.polys import Poly, int_poly
+from dynheights.polys import Poly, horner, int_poly
 from dynheights import roots
 from dynheights.roots import aberth, aberth_rows, complex_roots, prescale
 
@@ -313,6 +314,37 @@ def test_aberth_rows_matches_aberth(batch):
             assert all(_backward_error(coeffs, z) <= max_eta for z in got)
 
 
+def test_aberth_rows_hands_a_non_finite_correction_to_aberth():
+    """A start on a root of P' makes the first correction of the batch
+    kernel divide by a zero derivative.  The kernel has no guard for it:
+    the row is not settled, and `aberth_rows` returns `aberth`'s roots."""
+    n = 8
+    # every row starts on the circle of radius 0.8 * 2 * max |a_k/a_n|^...
+    # = 1.6 (a_0 = a_n = 1, the others smaller), the first point at angle
+    # _START_ANGLE; the middle terms of P'(z0) oppose n z0^(n-1), and a_1
+    # cancels the rest exactly
+    u = cmath.exp(1j * roots._START_ANGLE)
+    z0 = 0.8 * (2.0 * np.ones(1)) * u
+    c = n * 1.6 ** (n - 1) / sum(k * 1.6 ** (k - 1) for k in range(2, n))
+    A = np.zeros((1, n + 1), dtype=complex)
+    A[:, 0] = A[:, n] = 1
+    for k in range(2, n):
+        A[:, k] = -c * u ** (n - k)
+    acc = n * A[:, n]
+    for k in range(n - 1, 1, -1):
+        acc = acc * z0 + k * A[:, k]
+    A[:, 1] = -(acc * z0)
+    assert roots._modulus(A).max() == 1.0  # A is its own scaled row
+    assert horner([k * A[:, k] for k in range(1, n + 1)], z0)[0] == 0
+    with np.errstate(divide="raise", invalid="ignore", over="ignore"):
+        with pytest.raises(FloatingPointError):
+            roots._aberth_sweeps(A, 1e-12)
+    with np.errstate(all="ignore"):
+        _, settled = roots._aberth_sweeps(A, 1e-12)
+    assert not settled[0]
+    assert _hex(aberth_rows(A)[0].tolist()) == _hex(aberth(A[0]))
+
+
 def test_aberth_rows_rejects_bad_shapes():
     with pytest.raises(ValueError):
         aberth_rows(np.ones((3, 1)))
@@ -488,11 +520,11 @@ _wide_cplx = st.builds(complex, _part, _part)
 
 def _solve_outcome(solve):
     """The roots in hex, or the error raised: a leading coefficient that
-    underflows once scaled is refused, and a constant one that does
-    divides by zero, in `aberth` as in `solve_quadratic`."""
+    underflows once scaled is refused, in `aberth` as in
+    `solve_quadratic`."""
     try:
         return _hex(solve())
-    except (CoefficientRangeError, ZeroDivisionError) as exc:
+    except CoefficientRangeError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -502,6 +534,7 @@ def _solve_outcome(solve):
 @example((1 + 0j, 0j, 0j), 1e-12)                       # a = 0: degree 0
 @example((0j, 1 + 0j, 2 + 0j), 1e-12)                   # c = 0: a zero root
 @example((1e300 + 0j, 0j, 1e-300 + 0j), 1e-12)         # a underflows
+@example((5e-324j, 0j, 2j), 1e-12)                      # c underflows
 @example((complex(1, -0.0), complex(-0.0, 0), 1 + 0j), 1e-12)  # -0.0 parts
 @example((3 + 0j, -6 + 0j, 3 + 0j), 1e-12)              # a double root
 def test_solve_quadratic_is_aberth_bit_for_bit(cba, tol):
@@ -514,6 +547,35 @@ def test_solve_quadratic_is_aberth_bit_for_bit(cba, tol):
         return
     assert (_solve_outcome(lambda: roots.solve_quadratic(c, b, a, tol))
             == _solve_outcome(lambda: aberth([c, b, a], tol)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_wide_cplx, min_size=2, max_size=6))
+@example([5e-324, 0, 0, 2.0])    # the constant is zero once scaled
+@example([1e-300, 1e-300j, 5e-324, 1e300])
+def test_aberth_splits_zero_roots_after_scaling(coeffs):
+    """The constant-side coefficients that are zero once divided by the
+    largest modulus are zero roots, split off exactly, as `prescale`
+    makes them: no division by zero, and no Newton polygon short of
+    points."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return
+    scale = max(map(abs, coeffs))
+    scaled = [complex(c) / scale for c in coeffs]
+    if abs(scaled[-1]) < sys.float_info.min:
+        with pytest.raises(CoefficientRangeError):
+            aberth(coeffs)
+        return
+    try:
+        found = aberth(coeffs)
+    except RootFindingError:  # P or P' overflowed at an iterate
+        return
+    zeros = next(k for k, c in enumerate(scaled) if c != 0)
+    assert len(found) == len(coeffs) - 1
+    assert found[:zeros] == [0j] * zeros
+    assert all(cmath.isfinite(z) for z in found)
 
 
 @pytest.mark.parametrize("r0, r1", [
