@@ -202,8 +202,8 @@ def criterion_5_good_reduction() -> _Recorder:
 
 def criterion_6_preperiodicity() -> _Recorder:
     r = _Recorder()
-    S = DynSystem.from_expr("x^2 - 29/16")
-    ok, cert = is_preperiodic(S, ProjPointQ.from_rational(Fraction(1, 4)))
+    S29 = DynSystem.from_expr("x^2 - 29/16")
+    ok, cert = is_preperiodic(S29, ProjPointQ.from_rational(Fraction(1, 4)))
     r.expect("1/4 preperiodic under x^2 - 29/16", ok, str(cert))
     if ok:
         r.expect("tail is [1/4]", cert["tail"] == ["1/4"], str(cert))
@@ -226,8 +226,16 @@ def criterion_6_preperiodicity() -> _Recorder:
                 esc = cert["weil_height"] > cert["threshold"]
                 if not esc:
                     bad_false = (str(P), cert)
-    r.expect("every preperiodic point has hhat <= 1e-9",
-             worst_true <= 1e-9, f"worst {worst_true:.3e}")
+    # Res = 1 for both maps, so every gcd of the walk is 1 and each exact
+    # series over the cycle is 0
+    r.expect("every preperiodic point has hhat = 0 exactly",
+             worst_true == 0.0, f"worst {worst_true:.3e}")
+    worst_cycle = max(abs(canonical_height(S29, ProjPointQ.from_rational(x),
+                                           1e-9))
+                      for x in (Fraction(-7, 4), Fraction(5, 4),
+                                Fraction(-1, 4)))
+    r.expect("the 3-cycle of x^2 - 29/16 has |hhat| <= 1e-15",
+             worst_cycle <= 1e-15, f"worst {worst_cycle:.3e}")
     r.expect("every wandering point has a valid escape certificate",
              bad_false is None, str(bad_false))
     return r

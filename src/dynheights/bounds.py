@@ -435,7 +435,9 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
     angular star discrepancy of all nonzero roots.  The uniform-circle
     reference is only meaningful for power maps.  A run of more than
     WORK_BUDGET solves (d + d^2 + ... + d^level) raises WorkBudgetError
-    before the first solve.
+    before the first solve, and moments of more than WORK_BUDGET terms
+    (max_moment times the on-circle roots, at least 1) before the first
+    moment.
 
     The preimages are pulled back one level at a time (each step a
     degree-d solve of p0(x) - w p1(x) = 0): backward steps contract
@@ -483,6 +485,8 @@ def preimage_measure_stats(S: DynSystem, a: Fraction, level: int,
         mod = abs(z)
         if mod > 0 and abs(mod - 1.0) <= _CIRCLE_BAND:
             on_circle.append(z / mod)
+    _require_budget(max_moment * max(1, len(on_circle)), True,
+                    f"equidist with {max_moment} moments", "terms")
     moments = []
     for k in range(1, max_moment + 1):
         mk = 0j

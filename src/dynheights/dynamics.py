@@ -5,14 +5,19 @@ The canonical height is assembled place by place from the homogeneous
 Green function g_v = lim d^{-k} log ||F^(k)(a,b)||_v on a coprime integer
 lift (a,b):
 
-* archimedean place: floating iteration with sup-norm renormalization,
-  the tail after N steps is bounded by C_arch * d^{-N} / (d-1), where
-  C_arch is a certified distortion constant |log||F(x)|| - d log||x|||
-  <= C_arch for x != 0;
+* archimedean place: the exact walk of the orbit over Q (see below)
+  gives F(x_k) = g_k x_(k+1) on coprime lifts, so
+  g_inf(x_0) = sum_(k<n) d^{-(k+1)} log g_k + d^{-n} g_inf(x_n).  A
+  preperiodic point sums log g_k as a geometric series over the exact
+  cycle, with no float iteration and no tail.  Any other point iterates
+  in doubles, with sup-norm renormalization, only from the walk's last
+  point x_n, to d^n times the tolerance; the tail after N such steps is
+  bounded by C_arch * d^{-n-N} / (d-1), where C_arch is a certified
+  distortion constant |log||F(x)|| - d log||x||| <= C_arch for x != 0;
 * finite place p (necessarily dividing Res F): each step extracts
   c_k = v_p(gcd) <= v_p(Res), and g_p = -(sum_k d^{-(k+1)} c_k) log p.
-  Every bad prime reads its ledger off one exact walk of the orbit over
-  Q: a preperiodic point sums it as a geometric series over the exact
+  Every bad prime reads its ledger off the same exact walk of the orbit
+  over Q: a preperiodic point sums it as a geometric series over the exact
   cycle, and any other point truncates it after enough steps for the
   requested tolerance, going on p-adically past the walk (green_finite).
   That p-adic part stops early where the reduction of the map proves
@@ -180,11 +185,20 @@ class DynSystem:
         return kept[p]
 
 
-def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
+def green_archimedean(S: DynSystem, walk: Walk, eps: float):
     """(value, tail_bound) for the archimedean homogeneous Green function
-    of the coprime lift of P, iterated in doubles (`DynSystem.float_forms`)."""
+    of the coprime lift of walk.points[0], read off its exact walk
+    (`_exact_orbit`), g_k = walk.gcds[k]: the series of log g_k over the
+    cycle of a preperiodic point, with a tail of 0, or else the walk's
+    exact prefix plus d^-n times a double iteration
+    (`DynSystem.float_forms`) from its last point x_n, to eps d^n."""
     d = S.degree
-    n_steps = max(1, _tail_steps(S.c_arch, d, eps))
+    logs = [math.log(g) for g in walk.gcds]
+    if walk.cycle_start is not None:
+        return _ledger_sum(logs, d, walk.cycle_start), 0.0
+    dn = d ** len(logs)
+    n_steps = max(1, _tail_steps(S.c_arch, d, eps * dn))
+    P = walk.points[-1]
     acc = weil_height(P)
     M = weil_height_exact(P)
     a, b = P.a / M, P.b / M
@@ -195,7 +209,26 @@ def green_archimedean(S: DynSystem, P: ProjPointQ, eps: float):
         w /= d
         acc += w * math.log(m)
         a, b = v0 / m, v1 / m
-    return acc, S.c_arch * d ** (-n_steps) / (d - 1)
+    tail = S.c_arch * d ** (-n_steps) / (d - 1)
+    return _ledger_sum(logs, d) + acc / dn, tail / dn
+
+
+def _ledger_sum(terms, d: int, cycle_start: int | None = None) -> float:
+    """sum_k terms[k] d^-(k+1), summed left to right.  With cycle_start i,
+    terms[i:] is one period of an infinite periodic ledger, and its tail
+    from i on is the geometric series d^-i block / (1 - d^-len), block the
+    period's own sum."""
+    dinv = 1.0 / d
+    total = 0.0
+    i = len(terms) if cycle_start is None else cycle_start
+    for k in range(i):
+        total += terms[k] * dinv ** (k + 1)
+    if i < len(terms):
+        block = 0.0
+        for t in range(len(terms) - i):
+            block += terms[i + t] * dinv ** (t + 1)
+        total += dinv ** i * block / (1.0 - dinv ** (len(terms) - i))
+    return total
 
 
 def _tail_steps(c: float, d: int, eps: float) -> int:
@@ -302,18 +335,9 @@ def green_finite(S: DynSystem, walk: Walk, p: int, eps: float) -> float:
     m = valuation(S.F.res, p) + 1  # extracted valuations are < m
     d = S.degree
     logp = math.log(p)
-    dinv = 1.0 / d
-    total = 0.0
     ledger = [valuation(g, p) for g in walk.gcds]
-    i = walk.cycle_start
-    if i is not None:
-        for k in range(i):
-            total += ledger[k] * dinv ** (k + 1)
-        block = 0.0
-        for t in range(len(ledger) - i):
-            block += ledger[i + t] * dinv ** (t + 1)
-        total += dinv ** i * block / (1.0 - dinv ** (len(ledger) - i))
-        return -total * logp
+    if walk.cycle_start is not None:
+        return -_ledger_sum(ledger, d, walk.cycle_start) * logp
     K = max(8, _tail_steps((m - 1) * logp, d, eps) + 1)
     if (n := len(ledger)) < K:
         digits = (K - n) * m + 2 * m + 8
@@ -325,9 +349,7 @@ def green_finite(S: DynSystem, walk: Walk, p: int, eps: float) -> float:
                                     W, good)) is None:
             W = min(digits, 2 * W)
         ledger += rest
-    for k in range(K):
-        total += ledger[k] * dinv ** (k + 1)
-    return -total * logp
+    return -_ledger_sum(ledger[:K], d) * logp
 
 
 @dataclass(frozen=True)
@@ -346,19 +368,22 @@ class GreenLedger:
 
 
 def green_ledger(S: DynSystem, P: ProjPointQ, eps: float) -> GreenLedger:
+    """Every place's Green value, each read off one exact walk of the
+    orbit of P (`_exact_orbit`).  On a preperiodic point every value is an
+    exact series, and the tail bound is 0."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be a positive finite number")
     n_fin = len(S.bad_primes)
     eps_arch = eps / 2 if n_fin else eps
     eps_fin = eps / (2 * n_fin) if n_fin else eps
-    per = {}
-    arch, tail = green_archimedean(S, P, eps_arch)
-    per[ARCH] = arch
-    if n_fin:
-        walk = _exact_orbit(S, P)
-        for p in S.bad_primes:
-            per[Place(p)] = green_finite(S, walk, p, eps_fin)
-    return GreenLedger(per, tail + n_fin * eps_fin)
+    walk = _exact_orbit(S, P)
+    arch, tail = green_archimedean(S, walk, eps_arch)
+    per = {ARCH: arch}
+    for p in S.bad_primes:
+        per[Place(p)] = green_finite(S, walk, p, eps_fin)
+    if walk.cycle_start is None:
+        tail += n_fin * eps_fin
+    return GreenLedger(per, tail)
 
 
 def local_green(S: DynSystem, P: ProjPointQ, v: Place, eps: float) -> float:
@@ -367,7 +392,7 @@ def local_green(S: DynSystem, P: ProjPointQ, v: Place, eps: float) -> float:
     if v.is_archimedean:
         if not 0 < eps < math.inf:
             raise ValueError("archimedean eps must be positive and finite")
-        return green_archimedean(S, P, eps)[0]
+        return green_archimedean(S, _exact_orbit(S, P), eps)[0]
     if S.F.res % v.prime:
         return 0.0
     return green_finite(S, _exact_orbit(S, P), v.prime, eps)

@@ -236,6 +236,42 @@ def _poly_divmod(a: Poly, b: Poly):
     return Poly.of([c * b.den for c in q], den), Poly.of(r, den)
 
 
+# a word-size prime (2^61 - 1) for the modular coprimality test
+_COPRIME_MODULUS = (1 << 61) - 1
+
+
+def _coprime_mod_p(f, g):
+    """Whether the nonzero integer polynomials with ascending coefficients
+    f and g are proven coprime over Q by a constant gcd modulo
+    p = _COPRIME_MODULUS, found by Euclid's algorithm over F_p in
+    O(deg f deg g) steps.  The proof needs g's leading coefficient nonzero
+    mod p: a common factor over Z (Gauss) has a leading coefficient
+    dividing it, so it keeps its degree mod p and divides both there.
+    False proves nothing: g's leading coefficient may vanish mod p, or p
+    may divide the resultant."""
+    p = _COPRIME_MODULUS
+    if g[-1] % p == 0:
+        return False
+    a = [c % p for c in f]
+    b = [c % p for c in g]
+    while a and a[-1] == 0:
+        a.pop()
+    while len(b) > 1:  # b's leading coefficient is nonzero
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a <- a mod b
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i in range(len(b) - 1):
+                a[shift + i] = (a[shift + i] - q * b[i]) % p
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            return False  # b, of degree >= 1, divides both
+        a, b = b, a
+    return True
+
+
 def _poly_div_exact(a: Poly, b: Poly) -> Poly:
     """Exact quotient a/b over Q (b must divide a)."""
     q, r = _poly_divmod(a, b)
@@ -664,10 +700,12 @@ class _RatFunc:
         """The value of the parse: a Poly when the reduced denominator is
         constant, otherwise the HomogPair of num/den.
 
-        The pair is built from the unreduced num and den, with the
-        denominator made positive in its leading coefficient: a nonzero
-        resultant proves the two coprime.  Only a zero resultant runs the
-        Euclidean gcd, by a monic gcd that keeps that sign."""
+        The denominator is made positive in its leading coefficient, and
+        num and den are tested for a common factor modulo a word-size prime
+        (`_coprime_mod_p`).  When that proves them coprime the pair is built
+        from them as they are; otherwise the Euclidean gcd, monic so that it
+        keeps that sign, is divided out first.  Either way the one resultant
+        taken is that of the reduced pair."""
         if not self.den:
             raise DegenerateMapError("division by the zero polynomial")
         num, den = _dense(self.num), _dense(self.den)
@@ -676,9 +714,7 @@ class _RatFunc:
         if den.degree() > 0:
             if den.leading() < 0:
                 num, den = -num, -den
-            try:
-                return HomogPair.from_polys(num, den)
-            except DegenerateMapError:  # Res = 0: num and den share a root
+            if not _coprime_mod_p(num.coeffs, den.coeffs):
                 g = poly_gcd(num, den)
                 num, den = _poly_div_exact(num, g), _poly_div_exact(den, g)
             if den.degree() > 0:

@@ -642,6 +642,21 @@ def test_work_beyond_budget_refused_before_it_starts(capsys, argv, count):
     assert elapsed < 0.5
 
 
+def test_equidist_moments_beyond_budget(capsys):
+    # 10^7 moments of the 16 level-4 preimages of 1 under x^2, all on the
+    # unit circle: refused after the 30 solves, before the first moment
+    start = time.perf_counter()
+    code = dispatch(["equidist", "--map", "x^2", "--target", "1",
+                     "--level", "4", "--moments", "10000000"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    rec = json.loads(out)
+    assert rec["outputs"]["error"] == "WorkBudgetError"
+    assert " 160000000 terms" in rec["outputs"]["message"]
+    assert elapsed < 0.5
+
+
 def test_selftest_filter(capsys):
     code = dispatch(["selftest", "--filter", "level-curve"])
     out = capsys.readouterr().out

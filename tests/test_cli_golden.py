@@ -46,6 +46,12 @@ CASES = {
     "canheight_2adic_closure": ["canheight", "--map",
                                 "(-43*x^2 + 90*x + 39)/(10*x^2 - 27*x + 21)",
                                 "--point=-16/21", "--per-place"],
+    # 14 -> 13 -> -3/2 -> 13, a 2-cycle with multiplier -209.25: every
+    # place sums its series over the exact cycle, so no double iteration
+    # runs and the height is 0
+    "canheight_preperiodic_repelling": ["canheight", "--map",
+                                        "x^2 - 25/2*x - 8", "--point", "14",
+                                        "--per-place"],
     "preperiodic_cycle": ["preperiodic", "--map", "x^2 - 29/16",
                           "--point", "1/4"],
     # Res is -2^2 3^4 times a 34-digit prime, which factorize could only

@@ -168,11 +168,27 @@ def test_power_map_height_is_weil():
 
 
 def test_preperiodic_points_have_height_zero():
+    # every place sums an exact series over the cycle; with Res = 1 every
+    # gcd of the walk is 1, so the archimedean series is exactly 0
     S = DynSystem.from_expr("x^2 - 1")
     for x in (0, -1):  # 2-cycle 0 <-> -1
-        assert abs(canonical_height(S, _pt(x))) <= 1e-9
+        assert canonical_height(S, _pt(x)) == 0.0
     S29 = DynSystem.from_expr("x^2 - 29/16")
-    assert abs(canonical_height(S29, _pt(Fraction(1, 4)))) <= 1e-9
+    assert abs(canonical_height(S29, _pt(Fraction(1, 4)))) <= 1e-15
+
+
+def test_preperiodic_point_on_a_repelling_cycle():
+    # 14 -> 13 -> -3/2 -> 13 under x^2 - 25/2 x - 8, a 2-cycle with
+    # multiplier -209.25: the walk extracts 2, 1, 8, so the archimedean
+    # term is log 2 / 2 + (log 1 / 2 + log 8 / 4) / (1 - 1/4) / 2 = log 2,
+    # and no float iteration runs
+    S = DynSystem.from_expr("x^2 - 25/2*x - 8")
+    led = green_ledger(S, _pt(14), 1e-9 / 4)
+    assert led.tail_bound == 0
+    assert set(led.per_place) == {ARCH, Place(2)}
+    assert abs(led.per_place[ARCH] - math.log(2)) <= 1e-15
+    assert abs(led.per_place[Place(2)] + math.log(2)) <= 1e-15
+    assert abs(led.total()) <= 1e-15
 
 
 def test_frozen_height_oracle():
@@ -469,6 +485,136 @@ def test_green_finite_preperiodic_oracle(case):
             assert abs(got - want) <= 8 * math.ulp(want) + 1e-300, (p, x)
 
 
+@st.composite
+def maps_with_rational_cycle_to_degree_8(draw):
+    """(S, t, cycle): a map P/Q of degree 2-8 with bad primes and the
+    rational orbit t -> x_0 -> ... -> x_(n-1) -> x_0, 1 <= n <= 3, built
+    as perfbench's `_preperiodic_map` builds a fixed point: P interpolates
+    y Q(x) at each node x with image y, plus the product of x - node times
+    a random R that brings P to degree d.  Q is 1, or for d <= 4 a random
+    polynomial nonzero at the nodes, with a resultant below 10^24 (see
+    `maps_of_degree_2_to_4`); a polynomial map's resultant has only the
+    small primes of its denominators and leading coefficient."""
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, min(3, d - 1)))
+    q = draw(st.integers(1, 6))
+    nodes = [Fraction(a, q) for a in draw(st.lists(
+        st.integers(-12, 12), min_size=n + 1, max_size=n + 1, unique=True))]
+    t, cycle = nodes[0], nodes[1:]
+    small = st.integers(-4, 4)
+    den = Poly.of([1])
+    if d <= 4 and draw(st.booleans()):
+        den = Poly.of(draw(st.lists(small, min_size=2, max_size=d + 1)))
+        assume(all(den(x) != 0 for x in nodes))
+    num = Poly.of(draw(st.lists(small, min_size=d - n - 1,
+                                max_size=d - n - 1))
+                  + [draw(st.sampled_from([1, -1, 2, Fraction(1, 2), 3,
+                                           Fraction(-1, 3)]))])
+    for x in nodes:
+        num = num * Poly.of([-x, 1])
+    for x, y in zip(nodes, cycle + [cycle[0]]):
+        basis = Poly.of([y * den(x)])
+        for z in nodes:
+            if z != x:
+                basis = basis * Poly.of([-z / (x - z), 1 / (x - z)])
+        num = num + basis
+    try:
+        F = HomogPair.from_polys(num, den)
+    except DegenerateMapError:
+        assume(False)
+    assume(den.degree() == 0 or abs(F.res) < 10 ** 24)
+    S = DynSystem.of(F)
+    assume(S.bad_primes)
+    return S, t, cycle
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_with_rational_cycle_to_degree_8())
+def test_archimedean_green_on_a_rational_cycle(case):
+    """At every tail and cycle point the height is 0 within 1e-14 with a
+    tail bound of 0, and the archimedean term is the geometric series of
+    log g_k over the cycle, summed here in 40 digits from the gcds of the
+    known cycle points, within 1e-15 relative to its size: rounding in
+    the double sum is a few ulps, and one ulp is 8.9e-16 from 4 to 8."""
+    mpmath = pytest.importorskip("mpmath")
+    S, t, cycle = case
+    d, n = S.degree, len(cycle)
+
+    def log_gcd(x):
+        P = _pt(x)
+        return mpmath.log(math.gcd(*S.F.evaluate(P.a, P.b)))
+
+    with mpmath.workdps(40):
+        logs = [log_gcd(x) for x in cycle]
+        want = {}
+        for j, x in enumerate(cycle):
+            block = sum(logs[(j + k) % n] / mpmath.mpf(d) ** (k + 1)
+                        for k in range(n))
+            want[x] = block / (1 - mpmath.mpf(d) ** -n)
+        want[t] = (log_gcd(t) + want[cycle[0]]) / d
+    for x, value in want.items():
+        led = green_ledger(S, _pt(x), 1e-9)
+        assert led.tail_bound == 0
+        assert abs(led.total()) <= 1e-14, (x, led.per_place)
+        err = abs(led.per_place[ARCH] - value)
+        assert err <= 1e-15 * max(1, abs(value)), (x, float(err))
+
+
+@st.composite
+def maps_to_degree_8(draw):
+    """Integer pairs of degree 2-8 with coefficients up to 10^6,
+    polynomial (F1 = Y^d) or rational."""
+    d = draw(st.integers(2, 8))
+    bound = draw(st.sampled_from([9, 1000, 10 ** 6]))
+    coeffs = st.lists(st.integers(-bound, bound), min_size=d + 1,
+                      max_size=d + 1)
+    f0 = draw(coeffs)
+    f1 = [1] + [0] * d if draw(st.booleans()) else draw(coeffs)
+    try:
+        F = HomogPair.of(f0, f1)
+    except DegenerateMapError:
+        assume(False)
+    return DynSystem.of(F)
+
+
+def _arch_green_mpmath(mpmath, S, P, eps):
+    """The archimedean Green function of the lift of P iterated in the
+    working precision from P itself, with sup-norm renormalization, until
+    the tail C_arch d^-N / (d - 1) is below eps / 1000."""
+    d = S.degree
+    a, b = mpmath.mpf(P.a), mpmath.mpf(P.b)
+    m = max(abs(a), abs(b))
+    acc = mpmath.log(m)
+    a, b = a / m, b / m
+    k = 0
+    while S.c_arch / ((d - 1) * mpmath.mpf(d) ** k) > eps / 1000:
+        v0 = sum(c * a ** i * b ** (d - i) for i, c in enumerate(S.F.f0))
+        v1 = sum(c * a ** i * b ** (d - i) for i, c in enumerate(S.F.f1))
+        m = max(abs(v0), abs(v1))
+        k += 1
+        acc += mpmath.log(m) / mpmath.mpf(d) ** k
+        a, b = v0 / m, v1 / m
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps_to_degree_8(),
+       st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                 st.integers(0, 1000)).filter(any),
+       st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_archimedean_green_of_a_wandering_point(S, ab, eps):
+    """The exact prefix of the walk plus d^-n times the double iteration
+    from its last point is within eps of a 60-digit iteration from the
+    point itself."""
+    mpmath = pytest.importorskip("mpmath")
+    P = ProjPointQ.of(*ab)
+    assume(dynamics._exact_orbit(S, P).cycle_start is None)
+    got = local_green(S, P, ARCH, eps)
+    with mpmath.workdps(60):
+        want = _arch_green_mpmath(mpmath, S, P, eps)
+    assert abs(got - want) <= eps, (got, float(want))
+
+
 def _orbit_runs(monkeypatch):
     """(W, outcome) of each p-adic orbit run: "short" when the run ran
     out of working precision and restarted, else the number of ledger
@@ -570,7 +716,7 @@ def test_local_green_walks_no_orbit_at_good_primes(monkeypatch):
 
 
 def test_green_ledger_walks_the_orbit_once(monkeypatch):
-    # every bad prime reads its ledger off the same exact walk
+    # every place reads its ledger off the same exact walk
     S = DynSystem.from_expr("(x^2 - 29/16)/(3*x)")
     assert S.bad_primes == (2, 3, 29)
     walks, steps = [], []
@@ -592,6 +738,27 @@ def test_green_ledger_walks_the_orbit_once(monkeypatch):
         green_ledger(S, _pt(x), 1e-9)
         assert len(walks) == 1
         assert len(steps) == len(walks[0].gcds) > 0
+
+
+def test_green_ledger_walks_maps_without_bad_primes(monkeypatch):
+    # Res = 1: the archimedean place alone reads the walk, and a double
+    # iteration starts only at a wandering walk's last point
+    S = DynSystem.from_expr("x^2 - 1")
+    assert S.bad_primes == ()
+    starts = []
+    evaluate = HomogPair.evaluate
+    monkeypatch.setattr(HomogPair, "evaluate",
+                        lambda F, a, b: starts.append((a, b)) or
+                        evaluate(F, a, b))
+    led = green_ledger(S, _pt(-1), 1e-9)
+    assert (led.per_place, led.tail_bound) == ({ARCH: 0.0}, 0.0)
+    assert all(isinstance(a, int) for a, _ in starts)
+    starts.clear()
+    walk = dynamics._exact_orbit(S, _pt(2))  # 2, 3, 8: escaped
+    assert walk.cycle_start is None and walk.points[-1] == _pt(8)
+    green_ledger(S, _pt(2), 1e-9)
+    floats = [ab for ab in starts if isinstance(ab[0], float)]
+    assert floats[0] == (1.0, 1 / 8)
 
 
 def _good_orbits_brute(f0, f1, p):

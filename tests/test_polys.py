@@ -322,8 +322,8 @@ def test_parse_expr_dispatch():
 
 
 def test_coprime_maps_parse_without_gcd(monkeypatch):
-    """A nonzero resultant of the unreduced pair proves it coprime; only a
-    zero resultant runs the Euclidean gcd."""
+    """A constant gcd modulo 2^61 - 1 proves the unreduced pair coprime;
+    only a common factor there runs the Euclidean gcd."""
     calls = []
     gcd = polys.poly_gcd
     monkeypatch.setattr(polys, "poly_gcd",
@@ -336,6 +336,38 @@ def test_coprime_maps_parse_without_gcd(monkeypatch):
     assert parse_expr("(x^2 - 1)/(1 - x)") == Poly.of([-1, -1])
     assert parse_expr("(x^3 - x)/(x^3 - x^2)") == HomogPair((1, 1), (0, 1))
     assert len(calls) == 2
+
+
+def test_non_coprime_parse_takes_one_resultant_of_the_reduced_pair(
+        monkeypatch):
+    """A common factor modulo 2^61 - 1 divides out the gcd before the pair
+    is built, so no Bareiss determinant of the unreduced degree-69 pair is
+    taken: the one resultant is that of (x + 2)/(x - 5)."""
+    seen = []
+    resultant = polys.resultant
+    monkeypatch.setattr(polys, "resultant",
+                        lambda F: seen.append(F) or resultant(F))
+    F = parse_expr("((x+2)^23)^3/((x+2)^68*(x-5))")
+    assert F == HomogPair((2, 1), (-5, 1))
+    assert seen == [F]
+    seen.clear()
+    assert parse_expr("(x^3 - x)/(x^3 - x^2)") == HomogPair((1, 1), (0, 1))
+    assert seen == [HomogPair((1, 1), (0, 1))]
+    # a common factor mod p only: the gcd over Q is 1
+    assert parse_expr(f"(x + {polys._COPRIME_MODULUS + 1})/(x + 1)") == \
+        HomogPair((polys._COPRIME_MODULUS + 1, 1), (1, 1))
+
+
+def test_parse_with_a_leading_coefficient_zero_mod_p():
+    """Leading coefficients divisible by 2^61 - 1 parse to the reduced
+    pair, whether or not the modular test proves it coprime."""
+    p = polys._COPRIME_MODULUS
+    assert parse_expr(f"({p}*x^2 + 1)/x") == HomogPair((1, 0, p), (0, 1, 0))
+    assert parse_expr(f"x/({p}*x^2 + 1)") == HomogPair((0, 1, 0), (1, 0, p))
+    assert parse_expr(f"({p}*x^3 - {p}*x)/(x^2 - x)") == Poly.of([p, p])
+    assert parse_expr(f"(x^2 - x)/({p}*x^3 - {p}*x)") == \
+        HomogPair((1, 0), (p, p))
+    assert parse_expr(f"({p}*x^2 + {p})/(x^2 + 1)") == Poly.of([p])
 
 
 def test_parse_errors():
@@ -392,7 +424,7 @@ def test_rational_maps_parse(text, f0, f1):
 class _DenseRatFunc:
     """The dense parser value: num/den as Fraction-coefficient Polys,
     reduced at the end by the Euclidean gcd; the reference for the sparse
-    `polys._RatFunc` and its resultant test for coprimality."""
+    `polys._RatFunc` and its modular test for coprimality."""
 
     def __init__(self, num, den):
         self.num = num
