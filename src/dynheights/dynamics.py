@@ -53,8 +53,7 @@ from types import MappingProxyType
 from .errors import DegenerateMapError, WorkBudgetError
 from .places import (ARCH, Place, ProjPointQ, valuation, weil_height,
                      weil_height_exact)
-from .polys import (HomogPair, factorize, homog_step, sylvester_matrix,
-                    to_floats)
+from .polys import HomogPair, factorize, homog_step, to_floats
 
 # the most map expressions whose systems `DynSystem.from_expr` keeps
 _MAPS_KEPT = 256
@@ -72,44 +71,6 @@ _MAPS_KEPT = 256
 WORK_BUDGET = 10 ** 6
 
 
-def _cofactor_max(F: HomogPair) -> int:
-    """Max |coefficient| among the Nullstellensatz cofactors G_i, H_i with
-    G0 F0 + G1 F1 = Res * Y^(2d-1) and H0 F0 + H1 F1 = Res * X^(2d-1).
-
-    With M the Sylvester matrix of the forms (descending coefficients),
-    the coefficient rows w of (G0, G1) and of (H0, H1) up to sign solve
-    w M = Res e_last and w M = Res e_first: H comes from the Sylvester
-    matrix of the reversed coefficients, which is M with its columns and
-    the rows of each block reversed, so its e_last solution is the e_first
-    solution of M reordered, up to sign.  Both are the columns
-    adj(M^T) e_last and adj(M^T) e_first, read off one fraction-free
-    (Bareiss) Gauss-Jordan elimination of M^T augmented with e_last and
-    e_first, in O(d^3) integer operations.
-    """
-    rows = sylvester_matrix(list(reversed(F.f0)), list(reversed(F.f1)))
-    n = len(rows)
-    # augmented transpose [M^T | e_last e_first]
-    m = [[rows[j][i] for j in range(n)] + [int(i == n - 1), int(i == 0)]
-         for i in range(n)]
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:  # Res != 0, so some row below has a pivot
-            i = next(i for i in range(k + 1, n) if m[i][k] != 0)
-            m[k], m[i] = m[i], m[k]
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row = m[i]
-            a = row[k]
-            for j in range(k + 1, n + 2):
-                row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return max(max(abs(r[n]), abs(r[n + 1])) for r in m)
-
-
 @dataclass(frozen=True)
 class DynSystem:
     """A degree d >= 2 rational self-map of P^1 with its archimedean
@@ -117,7 +78,9 @@ class DynSystem:
 
     C_arch satisfies |log||F(x)|| - d log||x||| <= C_arch for all real
     x != 0 (sup norm); it controls how many archimedean iterations are
-    needed for a requested height accuracy.  Only the finite places sum
+    needed for a requested height accuracy; its lower part reads Res and
+    the cofactor bound off the pair's one elimination
+    (`HomogPair.elimination`).  Only the finite places sum
     the primes of Res F, so bad_primes factors Res on its first read and
     keeps the primes; deciding preperiodicity or pulling orbits back never
     reads them.  good_orbits keeps Sigma_p the same way, for each prime a
@@ -143,7 +106,7 @@ class DynSystem:
             raise DegenerateMapError("dynamical degree must be >= 2")
         maxcoef = max(max(abs(c) for c in F.f0), max(abs(c) for c in F.f1))
         upper = math.log((d + 1) * maxcoef)
-        maxcof = _cofactor_max(F)
+        maxcof = F.elimination[1]
         lower = math.log(2 * d * maxcof) + math.log(abs(F.res))
         formula = MappingProxyType({"upper": upper, "lower": lower,
                                     "max_coeff": maxcoef,

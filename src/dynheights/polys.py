@@ -9,8 +9,9 @@ Algorithms for Computer Algebra, ch. 2).  A degree-d rational self-map of
 P^1 is stored as a primitive pair of integer binary forms (F0, F1) of
 common degree d with nonzero resultant, F0 the numerator.  The resultant
 is computed once, when a pair enters through `HomogPair.of`, and kept on
-the pair; composites need no second check, because composition cannot
-make a map degenerate (see `HomogPair.compose`).
+the pair, with the Nullstellensatz cofactor bound of C_arch from the same
+fraction-free elimination (`bareiss`); composites need no second check,
+because composition cannot make a map degenerate (see `HomogPair.compose`).
 
 Resultant sign convention: Sylvester matrix with the F0-rows first,
 coefficients in descending degree; for binary forms both coefficient
@@ -38,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import (CoefficientRangeError, DegenerateMapError,
                      FactorizationError, ParseError)
@@ -283,27 +285,47 @@ def _poly_div_exact(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # determinants and resultants
 
-def bareiss_det(rows):
-    """Fraction-free determinant of an integer matrix (Bareiss)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def bareiss(rows, cols=()):
+    """(det A, [adj(A) b for b in cols]) for a square integer matrix A
+    given by its rows, from one fraction-free elimination (Bareiss, Math.
+    Comp. 22 (1968)); the columns are None when det A = 0.
+
+    The forward pass carries each b as an extra column, so every entry
+    stays a minor of [A | b] and every division is exact; det A is the
+    last pivot, its sign flipped once per row swap.  adj(A) b is
+    integral, so the back-substitution on the eliminated rows u,
+    u_kk y_k = det A c_k - sum_(j>k) u_kj y_j, divides exactly too.
+    """
+    n = len(rows)
+    m = [list(r) + [b[i] for b in cols] for i, r in enumerate(rows)]
+    sign = prev = 1
+    done = []  # row k of the eliminated matrix, from column k on
+    for _ in range(n):
+        i = next((i for i, row in enumerate(m) if row[0]), None)
+        if i is None:
+            return 0, None
+        if i:
+            m[0], m[i] = m[i], m[0]
+            sign = -sign
+        top = m[0]
+        pivot, tail = top[0], top[1:]
+        done.append(top)
+        rest = []
+        for row in m[1:]:
+            a = row[0]
+            rest.append([(pivot * x - a * y) // prev
+                         for x, y in zip(row[1:], tail)])
+        m, prev = rest, pivot
+    det = sign * prev
+    out = []
+    for c in range(len(cols)):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            u = done[k]
+            y[k] = (det * u[n - k + c]
+                    - sum(map(mul, u[1:n - k], y[k + 1:]))) // u[0]
+        out.append(y)
+    return det, out
 
 
 def sylvester_matrix(f_desc, g_desc):
@@ -333,16 +355,8 @@ def resultant_univ(f: Poly, g: Poly) -> int | Fraction:
     """
     if f.is_zero or g.is_zero:
         return 0
-    a, b = f.den, g.den
-    fd = f.coeffs[::-1]
-    gd = g.coeffs[::-1]
-    if len(fd) == 1:
-        res = fd[0] ** (len(gd) - 1)
-    elif len(gd) == 1:
-        res = gd[0] ** (len(fd) - 1)
-    else:
-        res = bareiss_det(sylvester_matrix(fd, gd))
-    den = a ** (len(gd) - 1) * b ** (len(fd) - 1)
+    res = bareiss(sylvester_matrix(f.coeffs[::-1], g.coeffs[::-1]))[0]
+    den = f.den ** g.degree() * g.den ** f.degree()
     return res if den == 1 else Fraction(res, den)
 
 
@@ -367,8 +381,9 @@ class HomogPair:
 
     Build pairs with `of` (or `from_polys`), which rejects a zero
     resultant; `compose` returns pairs that are nondegenerate by
-    construction.  `res` is computed on first use and kept, so `of` and
-    `DynSystem.of` share one determinant.
+    construction.  `elimination` runs on first use and is kept, so `of`
+    (through `res`) and `DynSystem.of` (its cofactor bound) share one
+    Bareiss pass.
     """
 
     f0: tuple
@@ -382,6 +397,19 @@ class HomogPair:
     def res(self) -> int:
         """Res(F0, F1) as binary forms of degree d."""
         return resultant(self)
+
+    @cached_property
+    def elimination(self) -> tuple:
+        """(Res, C) from one `bareiss` pass of M^T, M the Sylvester matrix
+        of the forms, with e_last and e_first carried: C is the largest
+        |coefficient| of the Nullstellensatz cofactors, G0 F0 + G1 F1 =
+        Res Y^(2d-1) and H0 F0 + H1 F1 = Res X^(2d-1), whose coefficient
+        rows are adj(M^T) e_last and, up to sign and order, adj(M^T)
+        e_first (None when Res = 0)."""
+        mt = list(zip(*sylvester_matrix(self.f0[::-1], self.f1[::-1])))
+        n = len(mt)
+        res, adj = bareiss(mt, ([0] * (n - 1) + [1], [1] + [0] * (n - 1)))
+        return res, (max(abs(c) for y in adj for c in y) if res else None)
 
     @staticmethod
     def of(f0_seq, f1_seq) -> "HomogPair":
@@ -426,10 +454,6 @@ class HomogPair:
             v1 = v1 * a + c1 * bi
         return v0, v1
 
-    def dehomog(self):
-        """(F0(x,1), F1(x,1)) as integer polynomials."""
-        return Poly.of(self.f0), Poly.of(self.f1)
-
     def compose(self, other: "HomogPair") -> "HomogPair":
         """self after other: forms of degree d*e, re-primitivized.
 
@@ -466,11 +490,10 @@ class HomogPair:
 
 def resultant(F: HomogPair) -> int:
     """Resultant of the pair as binary forms of degree d (full padded
-    Sylvester determinant, F0-rows first).  `HomogPair.res` keeps the
+    Sylvester determinant, F0-rows first), read off the pair's one
+    elimination (`HomogPair.elimination`).  `HomogPair.res` keeps the
     value, so prefer it on a pair built by `of`."""
-    f_desc = list(reversed(F.f0))
-    g_desc = list(reversed(F.f1))
-    return bareiss_det(sylvester_matrix(f_desc, g_desc))
+    return F.elimination[0]
 
 
 # Primes up to this bound are found by trial division, larger ones by

@@ -60,6 +60,11 @@ CASES = {
                                 LARGE_PRIME_MAP, "--point", "0"],
     "preperiodic_escape": ["preperiodic", "--map", "(x^2 - 1)/(4*x)",
                            "--point", "3"],
+    # an 80 x 80 Sylvester matrix: the threshold carries the largest
+    # cofactor of its elimination, taken with Res in one Bareiss pass
+    "preperiodic_degree_40": ["preperiodic", "--map",
+                              "((x+1)^40 + 3)/((x-1)^39*(x+7))",
+                              "--point", "2"],
     "scan_pair": ["scan-pair", "--phi", "x^2", "--psi", "x^2 - 1",
                   "--max-height", "2"],
     "mahler_both": ["mahler", "--poly", "x^3 - x - 1", "--method", "both",

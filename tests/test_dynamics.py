@@ -15,8 +15,9 @@ from dynheights.dynamics import (DynSystem, canonical_height,
 from dynheights import dynamics, polys
 from dynheights.errors import DegenerateMapError
 from dynheights.places import ARCH, Place, ProjPointQ, valuation, weil_height
-from dynheights.polys import (HomogPair, Poly, bareiss_det, factorize,
-                              homog_step, parse_map, sylvester_matrix)
+from dynheights.polys import (HomogPair, Poly, factorize, homog_step,
+                              parse_map, sylvester_matrix)
+from test_polys import _lu_det
 
 # canonical height of 0 under z^2 + 1, frozen from the exact recursion
 # a_{n+1} = a_n^2 + 1 evaluated in 40-digit log arithmetic to n = 221
@@ -77,7 +78,7 @@ def test_from_expr_builds_each_map_once():
 
 def _cofactor_max_by_minors(F):
     """The Cramer route: each side's cofactor row as 2d signed minors of
-    the transposed Sylvester matrix, one Bareiss determinant each."""
+    the transposed Sylvester matrix, one Fraction determinant each."""
     best = 0
     for f_desc, g_desc in ((F.f0[::-1], F.f1[::-1]), (F.f0, F.f1)):
         rows = [list(col) for col in zip(*sylvester_matrix(list(f_desc),
@@ -85,7 +86,7 @@ def _cofactor_max_by_minors(F):
         n = len(rows)
         for j in range(n):
             minor = [r[:j] + r[j + 1:] for r in rows[:-1]]
-            best = max(best, abs(bareiss_det(minor) if minor else 1))
+            best = max(best, abs(_lu_det(minor)))
     return best
 
 
@@ -113,7 +114,23 @@ def nondegenerate_pairs(draw):
 @settings(max_examples=80, deadline=None)
 @given(nondegenerate_pairs())
 def test_cofactor_max_matches_minors(F):
-    assert dynamics._cofactor_max(F) == _cofactor_max_by_minors(F)
+    assert F.elimination == (F.res, _cofactor_max_by_minors(F))
+
+
+def test_fresh_map_takes_one_elimination(monkeypatch):
+    """A map entering through `from_expr` is eliminated once, for both
+    Res and the cofactor bound of C_arch, and Res still passes through
+    `polys.resultant`."""
+    calls = []
+    for name in ("bareiss", "resultant"):
+        fn = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    S = DynSystem.from_expr("(x^3 - 7*x + 5)/(2*x^2 + 11)")
+    assert calls == ["resultant", "bareiss"]
+    assert S.c_formula["max_cofactor"] == _cofactor_max_by_minors(S.F)
+    assert S.F.res == _lu_det(
+        sylvester_matrix(S.F.f0[::-1], S.F.f1[::-1]))
 
 
 @pytest.mark.parametrize("text, formula", [

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dynheights.errors import DegenerateMapError, ParseError
 from dynheights import polys
 from dynheights.places import ProjPointQ
-from dynheights.polys import (HomogPair, Poly, bareiss_det, factorize,
+from dynheights.polys import (HomogPair, Poly, bareiss, factorize,
                               homog_step, int_poly, parse_expr, parse_map,
                               parse_poly, poly_gcd, resultant,
                               resultant_univ, sylvester_matrix)
@@ -125,7 +125,50 @@ def test_poly_gcd():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
                 min_size=4, max_size=4))
 def test_bareiss_determinant_matches_lu(rows):
-    assert bareiss_det(rows) == _lu_det(rows)
+    assert bareiss(rows)[0] == _lu_det(rows)
+
+
+@st.composite
+def square_systems(draw):
+    """A square integer matrix of size 1-6 with 0-2 right-hand sides.
+    Some are singular (a row a multiple of another); some share a prefix
+    between two rows or have zeros atop column 0, so a leading pivot
+    vanishes and a row swap is forced."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        how = draw(st.sampled_from(["multiple", "prefix", None]))
+        if how == "multiple":
+            rows[j] = [draw(st.integers(-3, 3)) * x for x in rows[i]]
+        elif how == "prefix":
+            k = draw(st.integers(1, n - 1))
+            rows[j][:k] = rows[i][:k]
+    for row in rows[:draw(st.integers(0, n - 1))]:
+        row[0] = 0
+    cols = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         max_size=2))
+    return rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems())
+@example(([[0, 1], [1, 0]], [[1, 2]]))
+@example(([[1, 2, 3], [1, 2, 4], [5, 6, 7]], [[1, 0, 0], [0, 0, 1]]))
+def test_bareiss_matches_cramer(system):
+    """det A, and adj(A) b for each b by Cramer's rule (entry i is det A
+    with column i replaced by b), against Fraction elimination."""
+    rows, cols = system
+    det, adj = bareiss(rows, cols)
+    assert det == _lu_det(rows)
+    if det == 0:
+        assert adj is None
+        return
+    assert adj == [[_lu_det([r[:i] + [b[k]] + r[i + 1:]
+                             for k, r in enumerate(rows)])
+                    for i in range(len(rows))] for b in cols]
 
 
 def test_resultant_conventions():
@@ -159,11 +202,9 @@ def test_homog_pair_validation():
     assert F.f0 == (1, 0, 1) and F.f1 == (0, 1, 0)
 
 
-def test_evaluate_and_dehomog():
+def test_evaluate():
     F = parse_map("(x^2 + 1)/x")
     assert F.evaluate(2, 1) == (5, 2)
-    num, den = F.dehomog()
-    assert num.coeffs == (1, 0, 1) and den.coeffs == (0, 1)
 
 
 @settings(max_examples=100, deadline=None)
