@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 from fractions import Fraction
@@ -477,7 +478,17 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    """The console script.  A reader that closes the pipe early (`| head`)
+    ends it with exit 1 and no traceback: stdout is flushed here, and on a
+    broken pipe pointed at devnull, so the flush at exit cannot raise
+    again (the Python docs' recipe, signal module, "Note on SIGPIPE")."""
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

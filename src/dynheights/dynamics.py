@@ -13,7 +13,9 @@ lift (a,b):
   in doubles, with sup-norm renormalization, only from the walk's last
   point x_n, to d^n times the tolerance; the tail after N such steps is
   bounded by C_arch * d^{-n-N} / (d-1), where C_arch is a certified
-  distortion constant |log||F(x)|| - d log||x||| <= C_arch for x != 0;
+  distortion constant |log||F(x)|| - d log||x||| <= C_arch for x != 0
+  (a map with a coefficient of more than 1000 bits iterates F 2^-e,
+  whose Green function and distortion are F's shifted by e log 2);
 * finite place p (necessarily dividing Res F): each step extracts
   c_k = v_p(gcd) <= v_p(Res), and g_p = -(sum_k d^{-(k+1)} c_k) log p.
   Every bad prime reads its ledger off the same exact walk of the orbit
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .errors import DegenerateMapError, WorkBudgetError
+from .errors import CoefficientRangeError, DegenerateMapError, WorkBudgetError
 from .places import (ARCH, Place, ProjPointQ, valuation, weil_height,
                      weil_height_exact)
 from .polys import HomogPair, factorize, homog_step, to_floats
@@ -84,7 +86,7 @@ class DynSystem:
     the primes of Res F, so bad_primes factors Res on its first read and
     keeps the primes; deciding preperiodicity or pulling orbits back never
     reads them.  good_orbits keeps Sigma_p the same way, for each prime a
-    ledger asks for, and float_forms keeps F in doubles.
+    ledger asks for, and float_forms keeps F, scaled into range, in doubles.
 
     A system holds invariants of the map only, and none of them can be
     changed (c_formula is a read-only mapping; the Sigma_p kept are
@@ -129,10 +131,19 @@ class DynSystem:
         return self.F.degree
 
     @cached_property
-    def float_forms(self) -> HomogPair:
-        """F in doubles (`polys.to_floats`), built on first use."""
+    def float_forms(self):
+        """(F 2^-e in doubles (`polys.to_floats`), e), built on first use:
+        e = 0 unless F's largest coefficient has more than 1000 bits, and
+        then the largest scaled coefficient has 1000.  CoefficientRangeError
+        where a nonzero coefficient falls below the normal double range."""
         F = self.F
-        return HomogPair(tuple(to_floats(F.f0)), tuple(to_floats(F.f1)))
+        e = max(0, self.c_formula["max_coeff"].bit_length() - 1000)
+        least = min(abs(c) for c in F.f0 + F.f1 if c)
+        if least.bit_length() - e <= -1022:  # least 2^-e is not normal
+            raise CoefficientRangeError(
+                "the map's coefficients span beyond the double range")
+        return HomogPair(tuple(to_floats(F.f0, 1 << e)),
+                         tuple(to_floats(F.f1, 1 << e))), e
 
     @cached_property
     def bad_primes(self) -> tuple:
@@ -153,26 +164,31 @@ def green_archimedean(S: DynSystem, walk: Walk, eps: float):
     of the coprime lift of walk.points[0], read off its exact walk
     (`_exact_orbit`), g_k = walk.gcds[k]: the series of log g_k over the
     cycle of a preperiodic point, with a tail of 0, or else the walk's
-    exact prefix plus d^-n times a double iteration
-    (`DynSystem.float_forms`) from its last point x_n, to eps d^n."""
+    exact prefix plus d^-n times a double iteration of G = F 2^-e
+    (`DynSystem.float_forms`) from its last point x_n, to eps d^n.  The
+    Green function of G is F's less e log 2 / (d - 1), and C_arch + e log 2
+    bounds G's distortion."""
     d = S.degree
     logs = [math.log(g) for g in walk.gcds]
     if walk.cycle_start is not None:
         return _ledger_sum(logs, d, walk.cycle_start), 0.0
     dn = d ** len(logs)
-    n_steps = max(1, _tail_steps(S.c_arch, d, eps * dn))
+    forms, e = S.float_forms
+    c_arch = S.c_arch + e * math.log(2)
+    n_steps = max(1, _tail_steps(c_arch, d, eps * dn))
     P = walk.points[-1]
     acc = weil_height(P)
     M = weil_height_exact(P)
     a, b = P.a / M, P.b / M
     w = 1.0
     for _ in range(n_steps):
-        v0, v1 = S.float_forms.evaluate(a, b)
+        v0, v1 = forms.evaluate(a, b)
         m = max(abs(v0), abs(v1))
         w /= d
         acc += w * math.log(m)
         a, b = v0 / m, v1 / m
-    tail = S.c_arch * d ** (-n_steps) / (d - 1)
+    acc += e * math.log(2) / (d - 1)
+    tail = c_arch * d ** (-n_steps) / (d - 1)
     return _ledger_sum(logs, d) + acc / dn, tail / dn
 
 

@@ -20,8 +20,11 @@ d costs O(d^2)).  On each arc where |psi| > 1 the integrand is analytic
 and gets composite 16-point Gauss-Legendre panels, about one node per grid
 cell, evaluated in one pass: machine precision.  The one limit: two
 crossings inside one grid cell are missed, an O(h^2) error (h = 2 pi /
-nodes).  Without a crossing M^+ is 1 or M(psi).  M^+(psi) = M(psi(x) - y),
-and a tensor-grid double-trapezoid oracle of the latter cross-checks it.
+nodes).  Without a crossing M^+ is 1, or M(psi) when |psi| > 1 on the
+whole circle: log|psi| is then analytic and periodic there, and the
+trapezoid mean of the grid values already computed converges
+geometrically, so M^+ never solves psi.  M^+(psi) = M(psi(x) - y), and a
+tensor-grid double-trapezoid oracle of the latter cross-checks it.
 
 Every polynomial the grammar expresses has rational, hence real,
 coefficients, so |P(conj z)| = |P(z)| and both integrands are even in
@@ -32,8 +35,8 @@ with its arcs ending at 0 and pi.  The oracle keeps its full tensor grid,
 as the independent check.
 
 Each polynomial's roots are found once per call: `mahler_both` shares
-them between the two routes, and `log_mahler_plus` between its two
-grids; each quadrature scales P to floats once for both of its grids.
+them between the two routes; each quadrature scales P to floats once for
+both of its grids.
 The offset half grid of the circle average is built once per node count,
 on the first quadrature that needs it, and the last two counts are kept
 read-only (`_offset_circle`).  numpy is imported by the quadratures and,
@@ -222,15 +225,15 @@ def mahler_both(P: Poly, nodes: int = _DEFAULT_NODES):
     return by_roots, _quadrature_result(P, nodes, roots)
 
 
-def _log_mahler_plus_value(g, log_abs, log_m, split):
+def _log_mahler_plus_value(g, log_abs, split):
     """(log M^+(psi), least log|psi| integrated or inf) from g = log|psi| on
     the grid theta_k = 2 pi k / nodes, k = 0 ... nodes / 2, of the closed
     upper half circle (both ends included).  psi is real, so the
     integrand is even and the lower half mirrors the upper.
-    log_abs(theta) evaluates log|psi(e^{i theta})|; log_m(nodes) gives
-    log M(psi), for when |psi| > 1 on the whole circle.  An arc gets
-    `split` times the panels that a grid `split` times coarser would give
-    it."""
+    log_abs(theta) evaluates log|psi(e^{i theta})|.  Where |psi| > 1 on
+    the whole circle, log|psi| is analytic and periodic there, and the
+    trapezoid mean of g is the answer.  An arc gets `split` times the
+    panels that a grid `split` times coarser would give it."""
     import numpy as np
 
     cells = g.size - 1
@@ -239,8 +242,9 @@ def _log_mahler_plus_value(g, log_abs, log_m, split):
     brackets = np.flatnonzero(g[:-1] * g[1:] < 0.0)
     zeros = theta[g == 0.0]  # exact zeros on the grid are crossings
     if not (brackets.size or zeros.size):
-        return ((log_m(2 * cells), float(g.min())) if g[0] > 0
-                else (0.0, math.inf))
+        if g[0] < 0:
+            return 0.0, math.inf
+        return float(g.sum() - 0.5 * (g[0] + g[-1])) / cells, float(g.min())
     lo, hi = theta[brackets], theta[brackets] + h
     glo, ghi = g[brackets], g[brackets + 1]
     for _ in range(_HALVINGS):  # bisect every bracket at once
@@ -294,17 +298,10 @@ def log_mahler_plus(psi: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
     if np.max(np.abs(g)) < 1e-14:  # |psi| = 1 identically
         return MahlerResult(0.0, "quadrature", 0.0)
 
-    @functools.cache
-    def psi_roots():
-        return [r.value for r in complex_roots(psi)]
-
-    def log_m(nodes):
-        return _circle_average_log_abs(coeffs, log_scale, nodes, psi_roots())
-
     # the coarse grid is every other node of the fine one, and the fine
     # run halves every coarse panel, so the two differ on every arc
-    fine, g_min = _log_mahler_plus_value(g, log_abs, log_m, 2)
-    coarse, _ = _log_mahler_plus_value(g[::2], log_abs, log_m, 1)
+    fine, g_min = _log_mahler_plus_value(g, log_abs, 2)
+    coarse, _ = _log_mahler_plus_value(g[::2], log_abs, 1)
     log_norm = log_abs_at(Fraction(sum(map(abs, psi.coeffs)), psi.den), ARCH)
     rounding = 2 * psi.degree() * _EPS * math.exp(min(log_norm - g_min, 700.0))
     return MahlerResult(fine, "quadrature",

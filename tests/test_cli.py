@@ -512,9 +512,9 @@ _DOUBLE_RANGE_EDGES = [
     (["equidist", "--map", "10^-200*x^2 + 10^200", "--target", "1",
       "--level", "1"], "CoefficientRangeError"),
     # these three printed a traceback and no record: the map's
-    # coefficient, the point's coordinate and 1/scale of psi overflowed
-    (["canheight", "--map", "x^2 + 10^400", "--point", "1"],
-     "CoefficientRangeError"),
+    # coefficient, the point's coordinate and 1/scale of psi overflowed;
+    # the map's Green function iterates F 2^-e, so it has a height
+    (["canheight", "--map", "x^2 + 10^400", "--point", "1"], None),
     (["canheight", "--map", "x^2 - 1", "--point", _BIG], None),
     (["energy", "--phi", "x^2", "--psi", "x/10^400", "--nodes", "64"], None),
     (["canheight", "--map", "x^2 - 1", "--point", "1/" + _BIG], None),
@@ -535,6 +535,10 @@ _DOUBLE_RANGE_EDGES = [
       "--max-height", "1", "--quadratic"], None),
     (["scan", "--ell", "1", "--psi", "10^400*x^2 + 1", "--threshold", "1",
       "--max-height", "1", "--quadratic"], None),
+    # the map's coefficients 2 658 bits apart: scaled by 2^-e so that
+    # 10^800 fits, the coefficient 1 falls below the double range
+    (["canheight", "--map", "x^2 + 10^800", "--point", "1"],
+     "CoefficientRangeError"),
 ]
 
 
@@ -720,3 +724,29 @@ def test_cli_runs_without_numpy():
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["height", "--point", "1/2"],
+                                  ["selftest", "--filter", "graph"]])
+def test_broken_pipe_exits_without_traceback(argv):
+    """A reader that is gone before the record is written (`| head -c 0`):
+    exit 1, and no traceback on stderr.  `selftest` writes its progress
+    lines there, and nothing else."""
+    src = str(Path(dynheights.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dynheights.cli", *argv],
+                              env=env, stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    if argv[0] == "selftest":
+        assert proc.stderr and all(" PASS " in line
+                                   for line in proc.stderr.splitlines())
+    else:
+        assert proc.stderr == ""

@@ -9,6 +9,7 @@ recorded), run from the root of a checkout:
     PYTHONPATH=src python3 tests/test_cli_golden.py
 """
 
+import math
 import os
 import sys
 from contextlib import redirect_stdout
@@ -92,6 +93,9 @@ CASES = {
                           "--method", "both", "--nodes", "4096"],
     "bound_fractional": ["bound", "--ell", "1", "--psi", "3/2*x^2 - 1/3",
                          "--nodes", "4096"],
+    # |psi| > 1 on the whole circle, at a root of multiplicity 4 that
+    # `complex_roots` refuses: M^+ is the trapezoid mean of the grid
+    "bound_repeated_root": ["bound", "--ell", "1", "--psi", "(x-9)^4"],
     "energy_fractional": ["energy", "--phi", "x^2/2 - 1",
                           "--psi", "3/4*x + 1/5", "--nodes", "1024"],
     "scan_quadratic_fractional": ["scan", "--ell", "1", "--psi",
@@ -132,6 +136,14 @@ def test_cli_golden(name):
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert code == expected_code(name)
     assert out == expected
+
+
+def test_bound_repeated_root_is_jensen():
+    """The record's bound is log M^+((x - 9)^4) / 5 = 4 log 9 / 5."""
+    import json
+    rec = json.loads((GOLDEN / "bound_repeated_root.out").read_text())
+    expected = 4 * math.log(9) / 5
+    assert abs(rec["outputs"]["bound"] - expected) <= 1e-15 * expected
 
 
 def test_golden_argv_take_the_table_path():

@@ -13,7 +13,7 @@ from dynheights.dynamics import (DynSystem, canonical_height,
                                  green_ledger, is_preperiodic, local_green,
                                  rational_points_up_to_height)
 from dynheights import dynamics, polys
-from dynheights.errors import DegenerateMapError
+from dynheights.errors import CoefficientRangeError, DegenerateMapError
 from dynheights.places import ARCH, Place, ProjPointQ, valuation, weil_height
 from dynheights.polys import (HomogPair, Poly, factorize, homog_step,
                               parse_map, sylvester_matrix)
@@ -630,6 +630,39 @@ def test_archimedean_green_of_a_wandering_point(S, ab, eps):
     with mpmath.workdps(60):
         want = _arch_green_mpmath(mpmath, S, P, eps)
     assert abs(got - want) <= eps, (got, float(want))
+
+
+@pytest.mark.parametrize("text", ["x^2 + 10^400", "x^3 - 10^500*x + 7",
+                                  "(x^2 + 10^450)/(3*x)",
+                                  "(10^350*x^2 - 1)/(x^2 + 5)"])
+@pytest.mark.parametrize("x", ["1", "-2/3", str(10 ** 20)])
+def test_archimedean_green_beyond_the_double_range(text, x):
+    """A map whose largest coefficient has more than 1000 bits iterates
+    F 2^-e in doubles and adds e log 2 / (d - 1): within eps of a 60-digit
+    iteration of F itself."""
+    mpmath = pytest.importorskip("mpmath")
+    from dynheights.places import parse_point
+    S = DynSystem.of(polys.parse_map(text))
+    P = parse_point(x)
+    assert S.float_forms[1] > 0
+    assert dynamics._exact_orbit(S, P).cycle_start is None  # a tail runs
+    eps = 1e-9
+    got = local_green(S, P, ARCH, eps)
+    with mpmath.workdps(60):
+        want = _arch_green_mpmath(mpmath, S, P, eps)
+    assert abs(got - want) <= eps, (got, float(want))
+
+
+def test_float_forms_scale_only_beyond_1000_bits():
+    # e = 0 within the double range, so every such record is unchanged
+    forms, e = DynSystem.of(polys.parse_map("x^2 + 10^300")).float_forms
+    assert e == 0 and forms.f0 == (1e300, 0.0, 1.0)
+    forms, e = DynSystem.of(polys.parse_map("x^2 + 10^400")).float_forms
+    assert e == (10 ** 400).bit_length() - 1000
+    assert forms.f0 == (10 ** 400 / 2 ** e, 0.0, 2.0 ** -e)
+    # coefficients 2658 bits apart: 1 falls below the normal range
+    with pytest.raises(CoefficientRangeError):
+        DynSystem.of(polys.parse_map("x^2 + 10^800")).float_forms
 
 
 def _orbit_runs(monkeypatch):

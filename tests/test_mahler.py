@@ -191,12 +191,31 @@ def test_quadrature_finds_roots_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_log_mahler_plus_finds_roots_once(monkeypatch):
-    # |psi| > 1 on the whole circle: both grids use psi's roots
+@pytest.mark.parametrize("text", [
+    "3*x^2 + 2*x + 5",  # |psi| > 1 on the whole circle
+    "(x-9)^4",          # the same, at a root of multiplicity 4
+    "1 - x",            # two crossings
+    "x/3",              # |psi| < 1 on the whole circle
+])
+def test_log_mahler_plus_solves_no_roots(monkeypatch, text):
+    # M^+ and the bounds built on it read the grid of log|psi| alone:
+    # neither a root solve nor the Jensen-divided circle average runs
+    from dynheights.bounds import energy_arch_power, pair_bound_power
     calls = _spy_complex_roots(monkeypatch)
-    res = log_mahler_plus(parse_poly("3*x^2 + 2*x + 5"), nodes=1024)
-    assert len(calls) == 1
-    assert abs(res.log_value - math.log(5)) < 1e-12
+    real = mahler._circle_average_log_abs
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mahler, "_circle_average_log_abs", spy)
+    psi = parse_poly(text)
+    res = log_mahler_plus(psi, nodes=1024)
+    pair_bound_power(1, psi, nodes=1024)
+    energy_arch_power(2, psi, nodes=1024)
+    assert calls == []
+    if text == "3*x^2 + 2*x + 5":
+        assert abs(res.log_value - math.log(5)) <= res.error_estimate < 1e-14
 
 
 def test_mahler_both_matches_separate_calls(monkeypatch):
@@ -246,6 +265,33 @@ def _mp_log_mahler_plus(coeffs):
         ends = angles + [angles[0] + two_pi]
         return float(sum(mpmath.quad(f, [a, b]) for a, b in zip(ends, ends[1:])
                          if f((a + b) / 2) > 0) / two_pi)
+
+
+# c prod (x - r_i)^(m_i) with integers |r_i| >= 3: on the circle
+# |psi| >= |c| prod (|r_i| - 1)^(m_i) >= 2, so no crossing, and Jensen
+# gives log M^+ = log|c| + sum m_i log|r_i| in closed form
+outside_roots = st.tuples(
+    st.integers(-9, 9).filter(bool),
+    st.lists(st.tuples(st.integers(3, 20) | st.integers(-20, -3),
+                       st.integers(1, 5)),
+             min_size=1, max_size=4, unique_by=lambda rm: rm[0]).filter(
+        lambda rms: sum(m for _, m in rms) <= 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(outside_roots)
+@example((1, [(9, 4)]))  # (x - 9)^4, which `complex_roots` refuses
+@example((1, [(9, 3), (-3, 1)]))
+def test_log_mahler_plus_without_crossing_is_jensen(case):
+    mpmath = pytest.importorskip("mpmath")
+    c, rms = case
+    psi = math.prod((int_poly([-r, 1]) ** m for r, m in rms),
+                    start=int_poly([c]))
+    with mpmath.workdps(30):
+        ref = float(mpmath.log(abs(c))
+                    + mpmath.fsum(m * mpmath.log(abs(r)) for r, m in rms))
+    res = log_mahler_plus(psi)
+    assert abs(res.log_value - ref) <= res.error_estimate
 
 
 def _random_psi(rng):
@@ -369,11 +415,12 @@ def test_circle_average_matches_full_grid(P, nodes):
                                           + 2 * len(near) + 4)
 
 
-def _full_log_mahler_plus_value(g, log_abs, log_m):
+def _full_log_mahler_plus_value(g, log_abs):
     """log M^+ from g = log|psi| on the whole grid of len(g) angles from
     0: crossings bracketed on every cell (the last wraps round to 0),
     arcs between consecutive crossings, 2-split panels of about
-    _GL_ORDER cells each."""
+    _GL_ORDER cells each; without a crossing, the mean of g where
+    |psi| > 1."""
     import numpy as np
 
     h = 2 * math.pi / g.size
@@ -390,7 +437,7 @@ def _full_log_mahler_plus_value(g, log_abs, log_m):
     cross = np.sort(np.concatenate((lo + (hi - lo) * glo / (glo - ghi),
                                     theta[g == 0.0])))
     if not cross.size:
-        return log_m(g.size) if g[0] > 0 else 0.0
+        return float(np.mean(g)) if g[0] > 0 else 0.0
     a, b = cross, np.append(cross[1:], cross[0] + 2 * math.pi)
     keep = log_abs(0.5 * (a + b)) > 0.0
     a, b = a[keep], b[keep]
@@ -420,9 +467,7 @@ def _full_log_mahler_plus(psi, nodes):
     g = log_abs(np.arange(nodes) * (2 * math.pi / nodes))
     if np.max(np.abs(g)) < 1e-14:
         return 0.0
-    return _full_log_mahler_plus_value(g, log_abs, lambda n: (
-        _full_circle_average_log_abs(
-            coeffs, log_scale, n, [r.value for r in complex_roots(psi)])[0]))
+    return _full_log_mahler_plus_value(g, log_abs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,10 +482,7 @@ def test_log_mahler_plus_matches_full_grid(psi):
     # |psi| >= 1 (2 m eps sum|a_k| at most).  Where it does not (crossings
     # closer than a cell, as on some circle products), each is off by up
     # to the node-doubling difference in its error estimate.
-    try:
-        res = log_mahler_plus(psi, 16384)
-    except RootFindingError:
-        assume(False)  # a repeated root beyond the solver; not this test's
+    res = log_mahler_plus(psi, 16384)
     full = _full_log_mahler_plus(psi, 16384)
     norm = sum(abs(c) for c in mahler._float_coeffs(psi)[0])
     bound = 8 * EPS * (max(1.0, abs(full)) + psi.degree() * norm)
@@ -467,9 +509,10 @@ def test_quadratures_evaluate_upper_half(monkeypatch, nodes):
     mahler_via_quadrature(lehmer, nodes)
     assert sizes == [nodes // 2, nodes // 4]  # the fine and coarse grids
     sizes.clear()
-    # no crossing: the grid, then log M on the fine and coarse grids
+    # no crossing: the one grid, whose trapezoid means (of every node and
+    # of every other node) are the fine and the coarse value
     log_mahler_plus(int_poly([3, 0, 0, 5]), nodes)
-    assert sizes == [nodes // 2 + 1, nodes // 2, nodes // 4]
+    assert sizes == [nodes // 2 + 1]
     sizes.clear()
     log_mahler_plus(parse_poly("1 - x"), nodes)
     assert sizes[0] == nodes // 2 + 1  # 0 ... pi, both ends included
