@@ -36,7 +36,7 @@ Only the reported exceptions are solved, for their approximate location.
 A scan, a preimage run of `preimage_measure_stats` and a level-curve
 energy first predict their work (candidates scored, deg psi units for a
 quadratic one; degree-d solves; grid nodes) and refuse with
-WorkBudgetError beyond `dynamics.WORK_BUDGET`.
+WorkBudgetError beyond `errors.WORK_BUDGET`.
 
 Exact values become doubles by `polys.to_floats` (or `roots.prescale`),
 beyond whose range they are a CoefficientRangeError (the scan's psi then
@@ -52,9 +52,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import (WORK_BUDGET, DynSystem, _require_budget,
-                       rational_box_bound, rational_points_up_to_height)
-from .errors import CoefficientRangeError, RootFindingError, WorkBudgetError
+from .dynamics import (DynSystem, rational_box_bound,
+                       rational_points_up_to_height)
+from .errors import (WORK_BUDGET, CoefficientRangeError, RootFindingError,
+                     WorkBudgetError, _require_budget)
 from .mahler import log_mahler_plus
 from .places import ARCH, log_abs_at, weil_height
 from .polys import Poly, horner, int_poly, to_floats

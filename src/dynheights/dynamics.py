@@ -9,13 +9,13 @@ lift (a,b):
   gives F(x_k) = g_k x_(k+1) on coprime lifts, so
   g_inf(x_0) = sum_(k<n) d^{-(k+1)} log g_k + d^{-n} g_inf(x_n).  A
   preperiodic point sums log g_k as a geometric series over the exact
-  cycle, with no float iteration and no tail.  Any other point iterates
-  in doubles, with sup-norm renormalization, only from the walk's last
-  point x_n, to d^n times the tolerance; the tail after N such steps is
-  bounded by C_arch * d^{-n-N} / (d-1), where C_arch is a certified
-  distortion constant |log||F(x)|| - d log||x||| <= C_arch for x != 0
-  (a map with a coefficient of more than 1000 bits iterates F 2^-e,
-  whose Green function and distortion are F's shifted by e log 2);
+  cycle, with no tail.  Any other point iterates F on ints from the
+  walk's last point x_n, to d^n times the tolerance, keeping the top
+  53 + b bits of each image (b the bit length of F's largest
+  coefficient) and counting the bits dropped; the tail after N such
+  steps is bounded by C_arch * d^{-n-N} / (d-1), where C_arch is a
+  certified distortion constant |log||F(x)|| - d log||x||| <= C_arch
+  for x != 0;
 * finite place p (necessarily dividing Res F): each step extracts
   c_k = v_p(gcd) <= v_p(Res), and g_p = -(sum_k d^{-(k+1)} c_k) log p.
   Every bad prime reads its ledger off the same exact walk of the orbit
@@ -52,25 +52,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .errors import CoefficientRangeError, DegenerateMapError, WorkBudgetError
-from .places import (ARCH, Place, ProjPointQ, valuation, weil_height,
-                     weil_height_exact)
-from .polys import HomogPair, factorize, homog_step, to_floats
+from .errors import DegenerateMapError, _require_budget
+from .places import ARCH, Place, ProjPointQ, valuation, weil_height
+from .polys import HomogPair, factorize, homog_step
 
 # the most map expressions whose systems `DynSystem.from_expr` keeps
 _MAPS_KEPT = 256
-# The most units of work one scan, preimage run or quadrature may do,
-# predicted before it starts: candidate points of `common_preperiodic_scan`,
-# candidates a `bounds.scan_exceptions` scores (each of its rational box,
-# and deg psi for each of its quadratic box, whose image polynomials grow
-# with deg psi), degree-d solves of `bounds.preimage_measure_stats`, or
-# grid nodes of `bounds.energy_level_curve` and of the `mahler`
-# quadratures.  A unit costs 1-10 us (a reported quadratic exception adds a
-# root solve, a scan-pair candidate two orbit walks); level 18 on x^2 + 1,
-# 524 286 solves, takes about 2.5 s from the shell on a 2-vCPU x86 VM.
-# Every golden, test, demo script and benchmark item needs at most about
-# 16 384 (the largest node count).
-WORK_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -80,13 +67,15 @@ class DynSystem:
 
     C_arch satisfies |log||F(x)|| - d log||x||| <= C_arch for all real
     x != 0 (sup norm); it controls how many archimedean iterations are
-    needed for a requested height accuracy; its lower part reads Res and
-    the cofactor bound off the pair's one elimination
-    (`HomogPair.elimination`).  Only the finite places sum
-    the primes of Res F, so bad_primes factors Res on its first read and
-    keeps the primes; deciding preperiodicity or pulling orbits back never
-    reads them.  good_orbits keeps Sigma_p the same way, for each prime a
-    ledger asks for, and float_forms keeps F, scaled into range, in doubles.
+    needed for a requested height accuracy.  Its upper part is
+    log((d + 1) max|f_i|); its lower part reads Res and the cofactor
+    bound C off the pair's one elimination (`HomogPair.elimination`):
+    the cofactors of degree d - 1 give |Res| <= 2d C ||F(x)|| at
+    ||x|| = 1, so log(2d C) - log|Res| bounds the fall.  Only the finite
+    places sum the primes of Res F, so bad_primes factors Res on its first
+    read and keeps the primes; deciding preperiodicity or pulling orbits
+    back never reads them.  good_orbits keeps Sigma_p the same way, for
+    each prime a ledger asks for.
 
     A system holds invariants of the map only, and none of them can be
     changed (c_formula is a read-only mapping; the Sigma_p kept are
@@ -109,7 +98,7 @@ class DynSystem:
         maxcoef = max(max(abs(c) for c in F.f0), max(abs(c) for c in F.f1))
         upper = math.log((d + 1) * maxcoef)
         maxcof = F.elimination[1]
-        lower = math.log(2 * d * maxcof) + math.log(abs(F.res))
+        lower = math.log(2 * d * maxcof) - math.log(abs(F.res))
         formula = MappingProxyType({"upper": upper, "lower": lower,
                                     "max_coeff": maxcoef,
                                     "max_cofactor": maxcof})
@@ -131,21 +120,6 @@ class DynSystem:
         return self.F.degree
 
     @cached_property
-    def float_forms(self):
-        """(F 2^-e in doubles (`polys.to_floats`), e), built on first use:
-        e = 0 unless F's largest coefficient has more than 1000 bits, and
-        then the largest scaled coefficient has 1000.  CoefficientRangeError
-        where a nonzero coefficient falls below the normal double range."""
-        F = self.F
-        e = max(0, self.c_formula["max_coeff"].bit_length() - 1000)
-        least = min(abs(c) for c in F.f0 + F.f1 if c)
-        if least.bit_length() - e <= -1022:  # least 2^-e is not normal
-            raise CoefficientRangeError(
-                "the map's coefficients span beyond the double range")
-        return HomogPair(tuple(to_floats(F.f0, 1 << e)),
-                         tuple(to_floats(F.f1, 1 << e))), e
-
-    @cached_property
     def bad_primes(self) -> tuple:
         """The primes dividing Res F, in ascending order."""
         return tuple(factorize(self.F.res))
@@ -161,35 +135,31 @@ class DynSystem:
 
 def green_archimedean(S: DynSystem, walk: Walk, eps: float):
     """(value, tail_bound) for the archimedean homogeneous Green function
-    of the coprime lift of walk.points[0], read off its exact walk
+    G of the coprime lift of walk.points[0], read off its exact walk
     (`_exact_orbit`), g_k = walk.gcds[k]: the series of log g_k over the
     cycle of a preperiodic point, with a tail of 0, or else the walk's
-    exact prefix plus d^-n times a double iteration of G = F 2^-e
-    (`DynSystem.float_forms`) from its last point x_n, to eps d^n.  The
-    Green function of G is F's less e log 2 / (d - 1), and C_arch + e log 2
-    bounds G's distortion."""
+    exact prefix plus d^-n G(x_n), x_n its last point.  G(x_n) iterates
+    F on ints from x_n, to eps d^n.  After each step the pair keeps its
+    top 53 + b bits, b the bit length of F's largest coefficient, and the
+    s bits dropped add s log 2, since G(2^s y) = G(y) + s log 2; the
+    last pair y_N adds d^-N log ||y_N||."""
     d = S.degree
     logs = [math.log(g) for g in walk.gcds]
     if walk.cycle_start is not None:
         return _ledger_sum(logs, d, walk.cycle_start), 0.0
     dn = d ** len(logs)
-    forms, e = S.float_forms
-    c_arch = S.c_arch + e * math.log(2)
-    n_steps = max(1, _tail_steps(c_arch, d, eps * dn))
-    P = walk.points[-1]
-    acc = weil_height(P)
-    M = weil_height_exact(P)
-    a, b = P.a / M, P.b / M
-    w = 1.0
+    n_steps = max(1, _tail_steps(S.c_arch, d, eps * dn))
+    keep = 53 + S.c_formula["max_coeff"].bit_length()
+    a, b = walk.points[-1].a, walk.points[-1].b
+    dropped = 0  # sum_k s_k d^(N-1-k), by Horner
     for _ in range(n_steps):
-        v0, v1 = forms.evaluate(a, b)
-        m = max(abs(v0), abs(v1))
-        w /= d
-        acc += w * math.log(m)
-        a, b = v0 / m, v1 / m
-    acc += e * math.log(2) / (d - 1)
-    tail = c_arch * d ** (-n_steps) / (d - 1)
-    return _ledger_sum(logs, d) + acc / dn, tail / dn
+        a, b = S.F.evaluate(a, b)
+        s = max(0, max(abs(a), abs(b)).bit_length() - keep)
+        a, b = a >> s, b >> s
+        dropped = dropped * d + s
+    acc = dropped * math.log(2) + math.log(max(abs(a), abs(b)))
+    tail = S.c_arch * d ** (-n_steps) / (d - 1)
+    return _ledger_sum(logs, d) + acc / d ** n_steps / dn, tail / dn
 
 
 def _ledger_sum(terms, d: int, cycle_start: int | None = None) -> float:
@@ -468,22 +438,12 @@ def _points_in_box(bound: int):
     yield ProjPointQ(1, 0)
 
 
-def _require_budget(work: int, exact: bool, what: str, unit: str):
-    """Raise WorkBudgetError when the predicted work is over WORK_BUDGET;
-    a prediction that stopped counting early (exact false) is a lower
-    bound."""
-    if work > WORK_BUDGET:
-        raise WorkBudgetError(
-            f"{what} needs {'' if exact else 'more than '}{work} {unit}, "
-            f"beyond the work budget of {WORK_BUDGET}")
-
-
 def common_preperiodic_scan(S1: DynSystem, S2: DynSystem, H: float):
     """Rational points of height <= H preperiodic under both maps.  A
     point above either escape threshold is not preperiodic under that map
     (`is_preperiodic` certifies it escaped at once), so the enumeration
     stops at the lower threshold.  The box of B (2B + 1) + 1 candidates
-    is counted first, and one of more than WORK_BUDGET raises
+    is counted first, and one of more than `errors.WORK_BUDGET` raises
     WorkBudgetError."""
     clamp = min(escape_threshold(S1), escape_threshold(S2))
     side = rational_box_bound(H, clamp)

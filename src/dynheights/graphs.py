@@ -252,25 +252,57 @@ def pairing(f: PLFunction, mu: DiscreteMeasure) -> Fraction:
 #  "f": {"v1": "a/b", ...}}                            (optional)
 
 def _fraction_from_json(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float) and x == int(x):
+    if isinstance(x, (str, int)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(x, float) and x.is_integer():
         return Fraction(int(x))
     raise GraphShapeError(f"expected an exact rational, found {x!r}")
 
 
+def _typed(x, kind, what: str):
+    """x, or GraphShapeError naming what when x is not of type kind (a
+    bool is no int here)."""
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise GraphShapeError(f"{what} has the wrong type "
+                              f"({type(x).__name__})")
+    return x
+
+
+def _entry(obj: dict, key: str, kind, what: str):
+    """obj[key], of type kind; GraphShapeError when it is missing."""
+    if key not in obj:
+        raise GraphShapeError(f"{what} has no {key!r}")
+    return _typed(obj[key], kind, f"{key!r} of {what}")
+
+
+_NAME = (str, int)  # a vertex name
+
+
 def load_graph_json(text: str):
-    """Parse the graph file format; returns (graph, divisor, f)."""
-    data = json.loads(text)
+    """Parse the graph file format; returns (graph, divisor, f).  A file
+    of another shape (not an object, a missing key, an entry of the wrong
+    type, a length or value that is not an exact rational) raises
+    GraphShapeError."""
+    data = _typed(json.loads(text), dict, "the graph file")
+    vertices = [_typed(v, _NAME, "a vertex name")
+                for v in _entry(data, "vertices", list, "the graph file")]
+    edges = [_typed(e, dict, "an edge")
+             for e in _typed(data.get("edges", []), list, "'edges'")]
     G = MetrizedGraph.of(
-        data["vertices"],
-        [(e["u"], e["v"], _fraction_from_json(e["length"]))
-         for e in data.get("edges", [])])
-    D = VertexDivisor.of([(d["coeff"], d["vertex"])
-                          for d in data.get("divisor", [])])
-    fvals = {v: _fraction_from_json(x) for v, x in data.get("f", {}).items()}
+        vertices,
+        [(_entry(e, "u", _NAME, "an edge"), _entry(e, "v", _NAME, "an edge"),
+          _fraction_from_json(_entry(e, "length", object, "an edge")))
+         for e in edges])
+    entries = [_typed(t, dict, "a divisor term")
+               for t in _typed(data.get("divisor", []), list, "'divisor'")]
+    D = VertexDivisor.of([(_entry(t, "coeff", int, "a divisor term"),
+                           _entry(t, "vertex", _NAME, "a divisor term"))
+                          for t in entries])
+    fvals = {v: _fraction_from_json(x) for v, x in
+             _typed(data.get("f", {}), dict, "'f'").items()}
     for v in G.vertices:
         fvals.setdefault(v, Fraction(0))
     return G, D, PLFunction(fvals)

@@ -52,7 +52,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import _require_budget
+from .errors import _require_budget
 from .places import ARCH, log_abs_at
 from .polys import Poly, horner
 from .roots import _split, complex_roots, prescale
@@ -99,7 +99,7 @@ def _constant_result(P: Poly, method: str):
 
 def _check_nodes(nodes: int):
     """Refuse a node count before any grid is allocated: ValueError unless
-    a power of two >= 16, WorkBudgetError beyond `dynamics.WORK_BUDGET`."""
+    a power of two >= 16, WorkBudgetError beyond `errors.WORK_BUDGET`."""
     if nodes < 16 or nodes & (nodes - 1):
         raise ValueError("nodes must be a power of two, >= 16")
     _require_budget(nodes, True, "quadrature", "nodes")

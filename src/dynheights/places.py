@@ -14,6 +14,7 @@ test at and above it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,7 +161,8 @@ def normalize_proj(a: int, b: int) -> ProjPointQ:
 
 
 def parse_point(text: str) -> ProjPointQ:
-    """Parse "a/b", "a", "inf" or "[a:b]" with integers a, b."""
+    """Parse "inf", "[a:b]" with integers a, b, or a rational in the
+    grammar of `parse_rational`."""
     s = text.strip()
     if s in ("inf", "oo", "infinity"):
         return ProjPointQ(1, 0)
@@ -174,20 +176,25 @@ def parse_point(text: str) -> ProjPointQ:
             raise ParseError(f"cannot parse point {text!r}: [a:b] takes "
                              "integers") from exc
         return normalize_proj(a, b)
-    try:
-        x = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse point {text!r}") from exc
-    return ProjPointQ.from_rational(x)
+    return ProjPointQ.from_rational(parse_rational(s))
+
+
+# [+-]digits[/digits] in ASCII: Fraction's own string grammar grows with
+# the Python version (1_000 from 3.11, "2 / 3" from 3.12)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or "a" (decimal-free)."""
+    """Parse "a/b" or "a": an optionally signed integer over an optional
+    positive one, with no decimals, exponents, underscores or inner
+    spaces, the same on every Python version."""
     s = text.strip()
-    if "." in s:
-        raise ParseError(f"decimal notation not accepted: {text!r}")
+    if not _RATIONAL.fullmatch(s):
+        raise ParseError(f"cannot parse rational {text!r}: expected a or "
+                         "a/b with integers a, b")
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse rational {text!r}") from exc
 

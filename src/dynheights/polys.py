@@ -42,7 +42,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import (CoefficientRangeError, DegenerateMapError,
-                     FactorizationError, ParseError)
+                     FactorizationError, ParseError, _require_budget)
 from .places import (_MR_PROVEN, ProjPointQ, _strong_probable_prime,
                      normalize_proj)
 
@@ -653,7 +653,14 @@ def _sparse_mul(a: dict, b: dict) -> dict:
 
 
 def _sparse_pow(a: dict, n: int) -> dict:
-    """a^n for n >= 0; a monomial stays one term."""
+    """a^n for n >= 0; a monomial stays one term.  WorkBudgetError when
+    the degree n deg a, or the bit length of a constant c's power (more
+    than n (b - 1), b that of c), is over the work budget, before
+    anything is multiplied."""
+    _require_budget(n * max(a, default=0), True, "a power", "degrees")
+    if list(a) == [0]:
+        _require_budget(n * (abs(a[0]).bit_length() - 1), False, "a power",
+                        "bits")
     if len(a) == 1:
         (k, c), = a.items()
         return {k * n: c ** n}
@@ -669,8 +676,11 @@ def _sparse_pow(a: dict, n: int) -> dict:
 
 def _dense(a: dict) -> Poly:
     """The dense Poly of a sparse integer polynomial, already in normal
-    form: its top exponent holds a nonzero int, and den is 1."""
-    return Poly(tuple(a.get(k, 0) for k in range(max(a, default=-1) + 1)))
+    form: its top exponent holds a nonzero int, and den is 1.
+    WorkBudgetError when its degree is over the work budget."""
+    top = max(a, default=-1)
+    _require_budget(top, True, "a polynomial", "degrees")
+    return Poly(tuple(a.get(k, 0) for k in range(top + 1)))
 
 
 class _RatFunc:
@@ -827,8 +837,15 @@ class _Parser:
 
 def parse_expr(text: str):
     """Parse an expression; returns a Poly when the reduced denominator is
-    constant, otherwise a HomogPair for the rational map."""
-    return _Parser(text).parse().reduced()
+    constant, otherwise a HomogPair for the rational map.  Nesting deeper
+    than the interpreter's recursion limit is a ParseError, and a power or
+    dense result beyond the work budget a WorkBudgetError (`_sparse_pow`,
+    `_dense`)."""
+    try:
+        value = _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
+    return value.reduced()
 
 
 def parse_poly(text: str) -> Poly:

@@ -391,6 +391,55 @@ def test_graph_commands(tmp_path, capsys):
     assert rec["outputs"]["energy"] == "2"
 
 
+_EDGE = '{"u": "a", "v": "b", "length": "1"}'
+
+
+@pytest.mark.parametrize("text", [
+    "{}",                                                  # no vertices
+    '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}]}',
+    "[1, 2]",                                              # not an object
+    '{"vertices": ["a", "b"], "edges": [%s], '
+    '"divisor": [{"coeff": [1], "vertex": "a"}]}' % _EDGE,
+    '{"vertices": [["a"]]}',                               # unhashable name
+    '{"vertices": ["a", "b"], '
+    '"edges": [{"u": "a", "v": "b", "length": 1e400}]}',   # inf
+])
+def test_malformed_graph_file_is_shape_error(tmp_path, capsys, text):
+    """A file of another shape is a GraphShapeError record; these printed
+    a KeyError, TypeError or OverflowError traceback."""
+    gfile = tmp_path / "g.json"
+    gfile.write_text(text)
+    code = dispatch(["graph", "curvature", "--file", str(gfile)])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["outputs"]["error"] == "GraphShapeError"
+
+
+@pytest.mark.parametrize("poly, error", [
+    # the parser recursed once per parenthesis, to a RecursionError
+    ("(" * 260 + "x" + ")" * 260, "ParseError"),
+    # a 10^11-entry coefficient tuple, and a 3.3-gigabit constant
+    ("x^99999999999", "WorkBudgetError"),
+    ("10^1000000000", "WorkBudgetError"),
+])
+def test_parse_bounds_its_own_work(capsys, poly, error):
+    code = dispatch(["mahler", "--poly", poly])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["outputs"]["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["height", "--point", "1.5"],     # printed the point 3/2
+    ["equidist", "--map", "x^2", "--target", "1.5", "--level", "1"],
+])
+def test_points_and_targets_share_one_rational_grammar(capsys, argv):
+    code = dispatch(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["outputs"]["error"] == "ParseError"
+
+
 def test_determinism_byte_identical(capsys):
     dispatch(["canheight", "--map", "x^2 - 29/16", "--point", "1/4"])
     first = capsys.readouterr().out
@@ -496,7 +545,8 @@ def test_huge_psi_coefficients_bound_and_energy(capsys):
 
 _BIG = "1" + "0" * 400  # 10^400, beyond the double range
 # every float command at the edges of the double range: the error type of
-# its record, or None for a value
+# its record, None for a value, or the height a canheight record prints
+# (within its eps of 1e-9)
 _DOUBLE_RANGE_EDGES = [
     # the leading coefficient underflows once scaled by the largest: the
     # quadratic's closed form divided by zero, and the cubic's Newton
@@ -513,7 +563,7 @@ _DOUBLE_RANGE_EDGES = [
       "--level", "1"], "CoefficientRangeError"),
     # these three printed a traceback and no record: the map's
     # coefficient, the point's coordinate and 1/scale of psi overflowed;
-    # the map's Green function iterates F 2^-e, so it has a height
+    # the map's Green function iterates F on ints, so it has a height
     (["canheight", "--map", "x^2 + 10^400", "--point", "1"], None),
     (["canheight", "--map", "x^2 - 1", "--point", _BIG], None),
     (["energy", "--phi", "x^2", "--psi", "x/10^400", "--nodes", "64"], None),
@@ -535,10 +585,10 @@ _DOUBLE_RANGE_EDGES = [
       "--max-height", "1", "--quadratic"], None),
     (["scan", "--ell", "1", "--psi", "10^400*x^2 + 1", "--threshold", "1",
       "--max-height", "1", "--quadratic"], None),
-    # the map's coefficients 2 658 bits apart: scaled by 2^-e so that
-    # 10^800 fits, the coefficient 1 falls below the double range
+    # the map's coefficients 2 658 bits apart, which no one scaling puts
+    # into doubles: the orbit 1, 10^800 + 1, ... has height 400 log 10
     (["canheight", "--map", "x^2 + 10^800", "--point", "1"],
-     "CoefficientRangeError"),
+     400 * math.log(10)),
 ]
 
 
@@ -552,6 +602,8 @@ def test_coefficient_span_beyond_double_range(capsys, argv, error):
     rec = json.loads(out)
     if error is None:
         assert code == 0 and "error" not in rec["outputs"]
+    elif isinstance(error, float):
+        assert code == 0 and abs(rec["outputs"]["height"] - error) <= 1e-9
     else:
         assert code == 1 and rec["outputs"]["error"] == error
 

@@ -13,7 +13,7 @@ from dynheights.dynamics import (DynSystem, canonical_height,
                                  green_ledger, is_preperiodic, local_green,
                                  rational_points_up_to_height)
 from dynheights import dynamics, polys
-from dynheights.errors import CoefficientRangeError, DegenerateMapError
+from dynheights.errors import DegenerateMapError
 from dynheights.places import ARCH, Place, ProjPointQ, valuation, weil_height
 from dynheights.polys import (HomogPair, Poly, factorize, homog_step,
                               parse_map, sylvester_matrix)
@@ -134,24 +134,26 @@ def test_fresh_map_takes_one_elimination(monkeypatch):
 
 
 @pytest.mark.parametrize("text, formula", [
-    ("x^2 - 29/16", (4.465908118654584, 21.38912252454505, 29, 7424)),
+    ("x^2 - 29/16", (4.465908118654584, -0.7915872533731978, 29, 7424)),
     ("(3*x^4 - 7*x + 11)/(5*x^3 + 2*x^2 - 13)",
-     (4.174387269895637, 29.937706162243753, 13, 1467557)),
+     (4.174387269895637, 2.6193962641106516, 13, 1467557)),
     ("(x^3 + 1234567*x + 89)/(x^2 + 98765*x + 4321)",
-     (15.412525220399552, 97.63349138605369, 1234567,
+     (15.412525220399552, 6.839598011404249, 1234567,
       8088944692380716611622)),
     ("(2*x^2 - 3)/(3*x^2 - 2*x - 2)",
      (2.1972245773362196, 4.477336814478207, 3, 22)),
-    ("(x^2 - 1)/(4*x)", (2.4849066497880004, 6.931471805599452, 4, 16)),
-    ("x^5 - 3*x^4 + 2/7", (4.836281906951478, 44.76676289766162, 21,
+    ("(x^2 - 1)/(4*x)", (2.4849066497880004, 1.3862943611198904, 4, 16)),
+    ("x^5 - 3*x^4 + 2/7", (4.836281906951478, 5.848559916555349, 21,
                            9794396899)),
     ("(x^7 - 3*x^2 + 5)/(2*x^6 + x^5 - 7*x)",
-     (4.02535169073515, 34.256102711620954, 7, 11523505)),
+     (4.02535169073515, 3.541810788466641, 7, 11523505)),
     ("(4*x^6 - x^3 + 9)/(x^6 + 3*x^5 - 2)",
-     (4.143134726391533, 40.05934127071416, 9, 117934785)),
+     (4.143134726391533, 2.0817567491825173, 9, 117934785)),
 ])
 def test_c_formula_pinned(text, formula):
-    """C_arch's ingredients, frozen from the Cramer-route implementation."""
+    """C_arch's ingredients: the cofactor bounds frozen from the
+    Cramer-route implementation, and lower = log(2d C) - log|Res| with Res
+    from a sympy Sylvester determinant."""
     S = DynSystem.from_expr(text)
     upper, lower, max_coeff, max_cofactor = formula
     assert S.c_formula == {"upper": upper, "lower": lower,
@@ -175,6 +177,25 @@ def test_distortion_bound_on_unit_circle(F, angles):
         n = max(abs(a), abs(b))
         v0, v1 = F.evaluate(a / n, b / n)
         assert abs(math.log(max(abs(v0), abs(v1)))) <= S.c_arch + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(nondegenerate_pairs())
+def test_distortion_parts_against_a_fine_grid(F):
+    """Each one-sided part of C_arch bounds log||F(x)|| - d log||x|| on a
+    grid of 2 048 points of the unit circle of P^1(R): at most upper, and
+    at least -lower = log|Res| - log(2d C).  F(-x) = +-F(x), so a half
+    circle covers it."""
+    S = DynSystem.of(F)
+    logs = []
+    for k in range(2048):
+        t = math.pi * (k + 0.5) / 2048
+        a, b = math.cos(t), math.sin(t)
+        n = max(abs(a), abs(b))
+        v0, v1 = F.evaluate(a / n, b / n)
+        logs.append(math.log(max(abs(v0), abs(v1))))
+    assert max(logs) <= S.c_formula["upper"] + 1e-9
+    assert -min(logs) <= S.c_formula["lower"] + 1e-9
 
 
 def test_power_map_height_is_weil():
@@ -632,37 +653,33 @@ def test_archimedean_green_of_a_wandering_point(S, ab, eps):
     assert abs(got - want) <= eps, (got, float(want))
 
 
-@pytest.mark.parametrize("text", ["x^2 + 10^400", "x^3 - 10^500*x + 7",
-                                  "(x^2 + 10^450)/(3*x)",
-                                  "(10^350*x^2 - 1)/(x^2 + 5)"])
-@pytest.mark.parametrize("x", ["1", "-2/3", str(10 ** 20)])
-def test_archimedean_green_beyond_the_double_range(text, x):
-    """A map whose largest coefficient has more than 1000 bits iterates
-    F 2^-e in doubles and adds e log 2 / (d - 1): within eps of a 60-digit
-    iteration of F itself."""
+_BEYOND_DOUBLES = ["x^2 + 10^400", "x^3 - 10^500*x + 7",
+                   "(x^2 + 10^450)/(3*x)", "(10^350*x^2 - 1)/(x^2 + 5)"]
+
+
+@pytest.mark.parametrize("x, text", [
+    *((x, text) for x in ["1", "-2/3", str(10 ** 20)]
+      for text in _BEYOND_DOUBLES),
+    # coefficients 2658 bits apart, beyond any one scaling into doubles
+    ("1", "x^2 + 10^800"),
+    # a tail of a fixed 64 bits is 1.2e-5 off here, and 59 off on
+    # (x^2 + 10^450)/(3x) at -2/3: the pair must keep 53 bits beyond the
+    # coefficients' own
+    ("5", "(x^2 + 10^30)/(7*x)"),
+])
+def test_archimedean_green_beyond_the_double_range(x, text):
+    """The integer tail of a map whose coefficients leave the double range
+    is within eps of a 60-digit iteration of F itself."""
     mpmath = pytest.importorskip("mpmath")
     from dynheights.places import parse_point
     S = DynSystem.of(polys.parse_map(text))
     P = parse_point(x)
-    assert S.float_forms[1] > 0
     assert dynamics._exact_orbit(S, P).cycle_start is None  # a tail runs
     eps = 1e-9
     got = local_green(S, P, ARCH, eps)
     with mpmath.workdps(60):
         want = _arch_green_mpmath(mpmath, S, P, eps)
     assert abs(got - want) <= eps, (got, float(want))
-
-
-def test_float_forms_scale_only_beyond_1000_bits():
-    # e = 0 within the double range, so every such record is unchanged
-    forms, e = DynSystem.of(polys.parse_map("x^2 + 10^300")).float_forms
-    assert e == 0 and forms.f0 == (1e300, 0.0, 1.0)
-    forms, e = DynSystem.of(polys.parse_map("x^2 + 10^400")).float_forms
-    assert e == (10 ** 400).bit_length() - 1000
-    assert forms.f0 == (10 ** 400 / 2 ** e, 0.0, 2.0 ** -e)
-    # coefficients 2658 bits apart: 1 falls below the normal range
-    with pytest.raises(CoefficientRangeError):
-        DynSystem.of(polys.parse_map("x^2 + 10^800")).float_forms
 
 
 def _orbit_runs(monkeypatch):
@@ -694,17 +711,17 @@ def test_green_finite_cycle_at_constant_extraction(monkeypatch):
 
 def test_green_finite_restarts_until_precision_suffices(monkeypatch):
     # a/4 with a odd maps to an odd numerator over 4: 9/4 extracts 2^6 at
-    # every step and its walk escapes after 6 steps.  The K - 6 steps that
+    # every step and its walk escapes after 5 steps.  The K - 5 steps that
     # follow run short of the 16 digits a step reads at W = 106, and at
     # W = 212 too when eps = 1e-12
     S = DynSystem.from_expr("x^2 - 29/16")
     runs = _orbit_runs(monkeypatch)
-    for eps, want in ((1e-9, [(106, "short"), (212, 29)]),
-                      (1e-12, [(106, "short"), (212, "short"), (424, 39)])):
+    for eps, want in ((1e-9, [(106, "short"), (212, 30)]),
+                      (1e-12, [(106, "short"), (212, "short"), (424, 40)])):
         runs.clear()
         _assert_same_green(S, _pt(Fraction(9, 4)), eps)
         assert runs == want
-        assert want[-1][1] == _ledger_steps(S, 2, eps)[1] - 6
+        assert want[-1][1] == _ledger_steps(S, 2, eps)[1] - 5
 
 
 @pytest.mark.parametrize("f0, f1, x, p, runs_at_p", [
@@ -713,14 +730,14 @@ def test_green_finite_restarts_until_precision_suffices(monkeypatch):
     # reads
     ((4, 3, 2), (5, 7, 5), Fraction(19, 14), 3, [(16, "short"), (32, 30)]),
     # the state of step 0 comes back modulo 3^6 at step 30, where a keyed
-    # closure would stop; the walk escapes after 3 steps, and 12 of the
-    # other 29 extract, so W = 16 suffices
-    ((2, -1, 5), (1, 9, -1), Fraction(7, 16), 3, [(16, 29)]),
-    # W = 16 runs short here too (17 of the 29 steps after the walk
+    # closure would stop; the walk escapes after 2 steps, and 13 of the
+    # other 30 extract, so W = 16 suffices
+    ((2, -1, 5), (1, 9, -1), Fraction(7, 16), 3, [(16, 30)]),
+    # W = 16 runs short here too (18 of the 30 steps after the walk
     # extract); a run that went on to a step known to no digit would read
     # the wrong c there, and a float 1.5e-9 off
     ((-19, -11, -3), (4, -20, -27), Fraction(41, 43), 3,
-     [(16, "short"), (32, 29)]),
+     [(16, "short"), (32, 30)]),
 ])
 def test_green_finite_paths(monkeypatch, f0, f1, x, p, runs_at_p):
     S = DynSystem.of(HomogPair.of(f0, f1))
@@ -738,12 +755,12 @@ def test_green_finite_large_resultant_valuation():
 
 
 def test_green_finite_walk_longer_than_ledger(monkeypatch):
-    # x -> 2^40 x conjugates x^2 - 29/16 to this map and raises the escape
-    # threshold to 196: the image 9 * 2^38 of 9/4 walks 9 steps before it
+    # x -> 2^80 x conjugates x^2 - 29/16 to this map and raises the escape
+    # threshold to 224: the image 9 * 2^78 of 9/4 walks 9 steps before it
     # escapes, more than the K = 8 an eps of 1 needs, so the ledger is the
     # walk's first 8 entries and no p-adic orbit runs
-    S = DynSystem.from_expr("x^2/2^40 - 29*2^36")
-    P = _pt(9 * 2 ** 38)
+    S = DynSystem.from_expr("x^2/2^80 - 29*2^76")
+    P = _pt(9 * 2 ** 78)
     assert len(dynamics._exact_orbit(S, P).gcds) == 9
     assert _ledger_steps(S, 2, 1.0)[1] == 8
     runs = _orbit_runs(monkeypatch)
@@ -791,24 +808,19 @@ def test_green_ledger_walks_the_orbit_once(monkeypatch):
 
 
 def test_green_ledger_walks_maps_without_bad_primes(monkeypatch):
-    # Res = 1: the archimedean place alone reads the walk, and a double
-    # iteration starts only at a wandering walk's last point
+    # Res = 1: the archimedean place alone reads the walk, and a wandering
+    # walk's tail iterates F on ints from the walk's last point
     S = DynSystem.from_expr("x^2 - 1")
     assert S.bad_primes == ()
-    starts = []
-    evaluate = HomogPair.evaluate
-    monkeypatch.setattr(HomogPair, "evaluate",
-                        lambda F, a, b: starts.append((a, b)) or
-                        evaluate(F, a, b))
+    calls = _count_evaluations(monkeypatch)
     led = green_ledger(S, _pt(-1), 1e-9)
     assert (led.per_place, led.tail_bound) == ({ARCH: 0.0}, 0.0)
-    assert all(isinstance(a, int) for a, _ in starts)
-    starts.clear()
     walk = dynamics._exact_orbit(S, _pt(2))  # 2, 3, 8: escaped
     assert walk.cycle_start is None and walk.points[-1] == _pt(8)
+    calls.clear()
     green_ledger(S, _pt(2), 1e-9)
-    floats = [ab for ab in starts if isinstance(ab[0], float)]
-    assert floats[0] == (1.0, 1 / 8)
+    assert all(type(a) is int and type(b) is int for a, b in calls)
+    assert calls[len(walk.gcds)] == (8, 1)
 
 
 def _good_orbits_brute(f0, f1, p):
@@ -879,14 +891,14 @@ def test_padic_orbit_stops_on_good_reduction(monkeypatch):
     full = dynamics._padic_orbit(S.F, _pt(2), 2, 4, 30, 40, None)
     assert len(calls) == 31
     assert stopped == full == [1] + [0] * 29
-    # through green_finite: the walk 2, 3/2, 17/12, 577/408, 665857/470832
-    # escapes, and the p-adic run from its last point (reducing to inf)
-    # stops at once
+    # through green_finite: the walk 2, 3/2, 17/12, 577/408 escapes (the
+    # threshold is 3.87), and the p-adic run from its last point (reducing
+    # to inf) stops at once
     runs = _orbit_runs(monkeypatch)
     calls.clear()
     g2 = local_green(S, _pt(2), Place(2), 1e-9)
     assert g2 == -math.log(2) / 2
-    assert len(calls) == 4 and runs == [(28, _ledger_steps(S, 2, 1e-9)[1] - 4)]
+    assert len(calls) == 3 and runs == [(28, _ledger_steps(S, 2, 1e-9)[1] - 3)]
     _assert_same_green(S, _pt(2), 1e-9)
 
 

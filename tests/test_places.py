@@ -108,6 +108,14 @@ def test_parse_point_formats():
     assert parse_point("[4:-6]") == ProjPointQ(-2, 3)
     with pytest.raises(ParseError):
         parse_point("2/0/1")
+    # one grammar, [+-]digits[/digits], with parse_rational: Fraction's
+    # own accepts 1.5 and 1e3, 1_000 from Python 3.11 and 2 / 3 from 3.12
+    for text in ("1.5", "1e3", "1_000", "2 / 3"):
+        with pytest.raises(ParseError):
+            parse_point(text)
+        with pytest.raises(ParseError):
+            parse_rational(text)
+    assert parse_point(" +4/6 ") == ProjPointQ(2, 3)
     with pytest.raises(InvalidPointError):
         parse_point("[0:0]")
     for text in ("[1/2:3]", "[x:1]", "[1:]", "[1.5:2]"):  # not integers
