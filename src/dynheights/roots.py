@@ -7,9 +7,10 @@ of the points (k, log|a_k|) puts k1 - k0 points on the circle of radius
 (|a_k0| / |a_k1|)^(1/(k1 - k0)), at equal angles rotated by a fixed
 irrational angle and by 2 pi k0 / n, so roots of very different moduli
 each start near their own circle and repeated runs produce identical
-output.  At degree n >= 8, when those radii span at most 10^4, it starts
-instead from the eigenvalues of the companion matrix, which are already
-at the roots: one or two sweeps where the circles take 5-12.  Roots at
+output.  At degree 8 <= n <= 64, when those radii span at most 10^4, it
+starts instead from the eigenvalues of the companion matrix, which are
+already at the roots: one or two sweeps where the circles take 5-12.
+Above degree 64 their O(n^3) cost exceeds the sweeps they save.  Roots at
 the origin (constant-side coefficients that are zero once divided by the
 largest modulus, as in `prescale`) are split off exactly.  Two closed
 forms need no iteration, so cannot fail to converge:
@@ -23,18 +24,30 @@ forms need no iteration, so cannot fail to converge:
 
 After the iteration, two roots merge to their centroid when they lie
 within 10*tol or their Weierstrass inclusion discs (Carstensen, Numer.
-Math. 59, 1991; radii from |P(z)| plus a bound on its rounding) overlap,
-which is how multiple roots are reported.  Of the three final Newton
+Math. 59, 1991; radii from |P(z)| plus a bound on its rounding) overlap
+once the larger is shrunk to the smaller, which is how multiple roots
+are reported.  Of the three final Newton
 steps, one that raises |P| more than _POLISH_GROWTH-fold to a backward
 error above the threshold of `complex_roots` is dropped: at a cluster
-Newton can throw one member far off.  P is evaluated by `polys.horner`.
+Newton can throw one member far off.  P is evaluated by `polys.horner`,
+except in the sweeps and polish from degree 8 on, which read P and P'
+off a matrix of powers; the inclusion radii and the residuals of
+`complex_roots` always use `horner`, whose rounding they bound.
 
-`aberth` solves one polynomial in Python complex arithmetic;
+`aberth` solves one polynomial.  Below degree 8 it iterates in Python
+complex arithmetic, Gauss-Seidel.  From degree 8 on (`_aberth_vector`)
+each step works on all n iterates at once in numpy, vectorised over the
+roots as in Bini's MPSolve: a total-step sweep, the polish, the inclusion
+radii and the merge test.  Each n x n intermediate (powers, differences,
+distances) is built in row blocks of about _BLOCK_ENTRIES entries (at
+least one row), so memory beyond a block stays O(n).  `complex_roots`
+evaluates its residuals at all roots at once from degree 8 on.
 `aberth_rows` solves many polynomials of one degree at once in numpy,
-vectorised over the rows (as in Bini's MPSolve), and hands every row it
-cannot settle cleanly to `aberth`, whose guards of a step it leaves out.
-numpy is imported inside `aberth_rows`, its helpers and the companion
-start only, so `aberth` and `complex_roots` run without it below degree 8.
+vectorised over the rows, and hands every row it cannot settle cleanly
+to `aberth`, whose guards of a step it leaves out.  numpy is imported
+inside the functions that use it, all of them at degree 8 or more or in
+`aberth_rows`, so `aberth` and `complex_roots` run without it below
+degree 8.
 """
 
 from __future__ import annotations
@@ -53,10 +66,14 @@ _COLLINEAR = 1e-9  # slope tolerance of a Newton-polygon vertex (log radius)
 _MAX_ITER = 400
 _BACKWARD_ERROR_UNITS = 8.0  # reliability threshold in units of n * eps
 _POLISH_GROWTH = 4.0  # largest factor by which a polish step may raise |P|
-# `aberth` starts from companion eigenvalues at degree >= _EIGEN_MIN_DEGREE
-# when its Newton-polygon radii span at most _EIGEN_MAX_SPAN (see `aberth`)
+# `aberth` iterates in numpy at degree >= _EIGEN_MIN_DEGREE, from companion
+# eigenvalues up to degree _EIGEN_MAX_DEGREE when its Newton-polygon radii
+# span at most _EIGEN_MAX_SPAN (see `aberth`)
 _EIGEN_MIN_DEGREE = 8
+_EIGEN_MAX_DEGREE = 64
 _EIGEN_MAX_SPAN = 1e4
+# entries of one row block of an n x n intermediate of `_aberth_vector`
+_BLOCK_ENTRIES = 1 << 16
 # real parts this far apart keep their order under `_root_key` (`_merge_pair`)
 _KEY_GAP = 4e-12
 
@@ -120,15 +137,20 @@ def aberth(coeffs, tol: float = 1e-12):
     once the zero roots are split off) by `_binomial_roots`.
 
     The iteration starts from the Newton-polygon circles, or, at degree
-    n >= _EIGEN_MIN_DEGREE when the circle radii span at most
-    _EIGEN_MAX_SPAN, from the companion eigenvalues (`_companion_start`;
-    numpy.linalg.eigvals, about 0.3 ms at n = 36).  The eigenvalues are
-    accurate only to about eps times the span of the root moduli, hence
-    the span gate.  The degree gate keeps numpy out of the small solves:
-    below degree 8 a solve from the circles costs under about 0.3 ms, so
-    the eigenvalues would save tens of microseconds where importing numpy
-    costs a one-shot process about 0.1 s.  Should LAPACK fail or an
-    eigenvalue not be finite, the circles are used.
+    _EIGEN_MIN_DEGREE <= n <= _EIGEN_MAX_DEGREE when the circle radii span
+    at most _EIGEN_MAX_SPAN, from the companion eigenvalues
+    (`_companion_start`; numpy.linalg.eigvals, about 0.2 ms at n = 36).
+    The eigenvalues are accurate only to about eps times the span of the
+    root moduli, hence the span gate.  From degree _EIGEN_MIN_DEGREE on
+    the iteration, polish and merge run in numpy, vectorised over the
+    roots (`_aberth_vector`).  The lower degree gate keeps numpy out of
+    the small solves: below degree 8 a solve costs under about 0.4 ms in
+    Python, a numpy kernel lost 4-8x there, and importing numpy costs a
+    one-shot process about 0.1 s.  The upper gate is where the O(n^3)
+    eigenvalues stop paying: with the vectorised sweeps, the circles are
+    as fast at about n = 72 and 1.7x faster at n = 80 on random integer
+    polynomials.  Should LAPACK fail or an eigenvalue not be finite, the
+    circles are used.
     """
     coeffs = [complex(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -158,15 +180,21 @@ def aberth(coeffs, tol: float = 1e-12):
     if not any(coeffs[1:n]):
         return zero_roots + _binomial_roots(coeffs[0], coeffs[n], n, tol)
 
-    deriv = [k * coeffs[k] for k in range(1, n + 1)]
     edges = _newton_polygon(coeffs)
     z = None
-    if (n >= _EIGEN_MIN_DEGREE
+    if (_EIGEN_MIN_DEGREE <= n <= _EIGEN_MAX_DEGREE
             and max(r for _, _, r in edges) <= _EIGEN_MAX_SPAN
             * min(r for _, _, r in edges)):
         z = _companion_start(coeffs)
     if z is None:
         z = _circle_start(edges, n)
+    if n >= _EIGEN_MIN_DEGREE:
+        try:
+            return zero_roots + _aberth_vector(coeffs, z, tol)
+        except RootFindingError as exc:
+            exc.best = zero_roots + exc.best
+            raise
+    deriv = [k * coeffs[k] for k in range(1, n + 1)]
     best_corr = math.inf
     stagnant = 0
     for _ in range(_MAX_ITER):
@@ -229,8 +257,8 @@ def aberth(coeffs, tol: float = 1e-12):
                 if (abs(pj) <= _POLISH_GROWTH * abs(p[j])
                         or abs(pj) <= max_eta * horner(moduli, abs(zj))):
                     z[j], p[j] = zj, pj
-    return zero_roots + _merge_clusters(z, 10.0 * tol,
-                                        _inclusion_radii(coeffs, z, p))
+    return zero_roots + _merge_clusters(
+        z, 10.0 * tol, _inclusion_radii(coeffs, z, p, 10.0 * tol))
 
 
 def _newton_polygon(coeffs):
@@ -293,14 +321,18 @@ def _companion_start(coeffs):
     return z.astype(complex).tolist()
 
 
-def _inclusion_radii(coeffs, z, p):
+def _inclusion_radii(coeffs, z, p, merge):
     """Radii r_i = n (|P(z_i)| + e_i) / (|a_n| prod_{j != i} |z_i - z_j|)
     of the Weierstrass inclusion discs (Carstensen, Numer. Math. 59,
     1991), with p[i] = P(z_i) as computed.  e_i = eps sum_k (2k + 1)
     |a_k| |z_i|^k bounds the rounding of complex Horner to first order:
     a_k passes k products (sqrt(2) gamma_2 each, Higham, Lemma 3.5) and
-    k + 1 sums (u each).  An iterate equal to z_i is left out of the
-    product, and a radius that is not finite is 0."""
+    k + 1 sums (u each).  An iterate within the merge radius `merge` of
+    z_i, which joins z_i whatever the discs, is left out of the product:
+    the two iterates of a double root can land within 1e-15 of each
+    other, where e_i over their gap would give both a radius of about 20
+    (Phi_3^2 Phi_6 Phi_12), and their discs would take in every root.  A
+    radius that is not finite is 0."""
     eps = sys.float_info.epsilon
     weights = [(2 * k + 1) * eps * abs(c) for k, c in enumerate(coeffs)]
     scale = len(z) / abs(coeffs[-1])
@@ -308,8 +340,9 @@ def _inclusion_radii(coeffs, z, p):
     for zi, pi in zip(z, p):
         prod = 1.0
         for zj in z:
-            if zj != zi:
-                prod *= abs(zi - zj)
+            gap = abs(zi - zj)
+            if gap > merge:
+                prod *= gap
         r = scale * (abs(pi) + horner(weights, abs(zi))) / prod
         radii.append(r if r < math.inf else 0.0)
     return radii
@@ -373,7 +406,14 @@ def _binomial_roots(b, a, n, tol):
         z.append(complex(*part))
     if 2.0 * r_hi * math.sin(math.pi / n) <= 10.0 * tol:
         return _merge_clusters(z, 10.0 * tol, [0.0] * n)
-    z = [(0 + w) / 1 for w in z]  # a singleton centroid: -0.0 turns +0.0
+    return _singletons(z)
+
+
+def _singletons(z):
+    """`_merge_clusters` of points no two of which merge: each becomes its
+    own centroid (0 + w) / 1 (a -0.0 part turns +0.0), sorted by
+    `_root_key`."""
+    z = [(0 + w) / 1 for w in z]
     z.sort(key=_root_key)
     return z
 
@@ -427,8 +467,14 @@ def _merge_pair(r0, r1, radius):
 
 def _merge_clusters(points, radius, discs):
     """Merge root clusters to repeated centroids: points i and j join when
-    they lie within `radius`, or within discs[i] + discs[j] of each other
-    (overlapping discs)."""
+    they lie within `radius`, or within 2 min(discs[i], discs[j]) of each
+    other (the discs overlap once the larger is shrunk to the smaller).
+    The members of a multiple root have discs of like radius, inflated by
+    the rounding of P over their own small gap; a simple root's disc is
+    small, so the inflated discs that merely cover it do not take it in:
+    the two members of the double root -1 of Phi_23 Lehmer (7x^2 + 9x +
+    2)^2 lie 1e-9 apart with discs of radius 0.19, which cover a root of
+    Phi_23 0.14 away."""
     n = len(points)
     parent = list(range(n))
 
@@ -442,7 +488,7 @@ def _merge_clusters(points, radius, discs):
         zi, ri = points[i], discs[i]
         for j in range(i + 1, n):
             gap = abs(zi - points[j])
-            if gap <= radius or gap <= ri + discs[j]:
+            if gap <= radius or gap <= 2.0 * min(ri, discs[j]):
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
@@ -460,6 +506,177 @@ def _modulus(z):
     import numpy as np
 
     return np.hypot(z.real, z.imag)
+
+
+def _row_blocks(m, width):
+    """Slices covering range(m), each of at most _BLOCK_ENTRIES // width
+    rows (at least one), so a block of `width` columns stays small."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+
+
+def _aberth_vector(coeffs, z, tol):
+    """The iteration, polish and merge of `aberth` on its scaled
+    coefficients (a_0 != 0, degree n >= 3) from the start z, each step on
+    all n iterates at once in numpy: a total-step Aberth iteration, where
+    `aberth`'s own loop is Gauss-Seidel.  Its guards are those of the
+    loop: an iterate where P' = 0 moves by 1e-8 + 1e-8j, two equal
+    iterates are 1e-14 + 1e-14j apart, a zero denominator leaves the
+    Newton step, the same stall rule and _MAX_ITER, and a RootFindingError
+    carrying the iterates.  Returns the merged roots as a list."""
+    import numpy as np
+
+    n = len(coeffs) - 1
+    ad = np.zeros((n + 1, 2), dtype=complex)
+    ad[:, 0] = coeffs
+    ad[:-1, 1] = ad[1:, 0] * np.arange(1, n + 1)
+    z = np.array(z, dtype=complex)
+    best_corr = math.inf
+    stagnant = 0
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            p, dp = _values(ad, z)
+            flat = dp == 0
+            w = p / dp
+            denom = 1.0 - w * _reciprocal_sums(z)
+            corr = np.where(denom != 0, w / denom, w)
+            corr[flat] = -(1e-8 + 1e-8j)
+            z = z - corr
+            size = _modulus(corr)
+            if not (size < math.inf).all():  # P or P' overflowed
+                raise RootFindingError(
+                    "Aberth iteration left the double range", best=z.tolist())
+            max_corr = math.inf if flat.any() else size.max()
+            if max_corr < tol:
+                break
+            # the stall rule of `aberth`
+            if max_corr < 0.5 * best_corr:
+                best_corr, stagnant = max_corr, 0
+            else:
+                stagnant += 1
+                if (stagnant >= 40 and best_corr
+                        < 1e-7 * max(1.0, _modulus(z).max())):
+                    break
+        else:
+            raise RootFindingError(
+                f"Aberth iteration did not reach tol={tol} in {_MAX_ITER} "
+                "steps", best=z.tolist())
+        # the polish of `aberth`, P' at each iterate read off the
+        # evaluation that found P there
+        moduli = [abs(c) for c in coeffs]
+        max_eta = _BACKWARD_ERROR_UNITS * n * sys.float_info.epsilon
+        p, dp = _values(ad, z)
+        for _ in range(3):
+            step = z - p / dp
+            q, dq = _values(ad, step)
+            res = _modulus(q)
+            keep = res <= _POLISH_GROWTH * _modulus(p)
+            rest = ~keep & (dp != 0)
+            if rest.any():
+                keep[rest] = res[rest] <= max_eta * horner(
+                    moduli, _modulus(step[rest]))
+            keep &= dp != 0
+            z = np.where(keep, step, z)
+            p = np.where(keep, q, p)
+            dp = np.where(keep, dq, dp)
+        return _merge_vector(z, 10.0 * tol,
+                             _inclusion_radii_vector(coeffs, z, 10.0 * tol))
+
+
+def _values(ad, z):
+    """P(z) and P'(z) at every iterate, for the columns of ad: the
+    coefficients of P, and those of P' padded with a zero.  Each row block
+    takes one matrix of powers z^k, and each row of it one product with
+    ad, so a value does not depend on the block (a product of the whole
+    block with ad, by BLAS, does).  Where a power overflows but P or P'
+    need not, as at a large root of a polynomial with a small leading
+    coefficient, the iterate is evaluated by `horner` instead."""
+    import numpy as np
+
+    both = np.empty((len(z), 1, 2), dtype=complex)
+    for rows in _row_blocks(len(z), len(ad)):
+        powers = np.empty((rows.stop - rows.start, 1, len(ad)), dtype=complex)
+        powers[:, 0, 0] = 1.0
+        powers[:, 0, 1:] = z[rows, None]
+        np.cumprod(powers, axis=2, out=powers)
+        np.matmul(powers, ad, out=both[rows])
+    p, dp = both[:, 0, 0], both[:, 0, 1]
+    if not np.isfinite(both).all():
+        bad = ~(np.isfinite(p) & np.isfinite(dp))
+        p[bad] = horner(ad[:, 0], z[bad])
+        dp[bad] = horner(ad[:-1, 1], z[bad])
+    return p, dp
+
+
+def _reciprocal_sums(z):
+    """sum_{k != j} 1 / (z_j - z_k) for every iterate z_j, by row blocks
+    of the pairwise differences.  Two equal iterates are taken 1e-14 +
+    1e-14j apart, as in `aberth`, the earlier one ahead: with the same
+    difference both ways, as in `aberth`'s Gauss-Seidel loop, a total step
+    would move them alike and they would never part."""
+    import numpy as np
+
+    s = np.empty_like(z)
+    for rows in _row_blocks(len(z), len(z)):
+        diff = z[rows, None] - z
+        diagonal = (np.arange(rows.stop - rows.start),
+                    np.arange(rows.start, rows.stop))
+        diff[diagonal] = 1.0
+        i, k = np.nonzero(diff == 0)
+        if len(i):
+            diff[i, k] = np.where(k < rows.start + i, -1.0, 1.0) * (
+                1e-14 + 1e-14j)
+        inv = 1.0 / diff
+        inv[diagonal] = 0
+        s[rows] = inv.sum(axis=1)
+    return s
+
+
+def _inclusion_radii_vector(coeffs, z, merge):
+    """`_inclusion_radii` at the numpy array z, with P(z) by `horner`, by
+    row blocks of the pairwise distances."""
+    import numpy as np
+
+    eps = sys.float_info.epsilon
+    weights = [(2 * k + 1) * eps * abs(c) for k, c in enumerate(coeffs)]
+    p, rounding = _horner_pair(coeffs, weights, z)
+    top = (len(z) / abs(coeffs[-1])) * (_modulus(p) + rounding)
+    prod = np.empty(len(z))
+    for rows in _row_blocks(len(z), len(z)):
+        dist = _modulus(z[rows, None] - z)
+        dist[dist <= merge] = 1.0  # z_i itself, and iterates it merges with
+        prod[rows] = dist.prod(axis=1)
+    r = top / prod
+    return np.where(r < math.inf, r, 0.0)
+
+
+def _horner_pair(coeffs, bound, z):
+    """(horner(coeffs, z), horner(bound, |z|)) at the numpy array z, in
+    one pass over a 2 x n array.  The real bound is evaluated in complex
+    arithmetic with zero imaginary parts, which rounds its real parts as
+    real arithmetic does."""
+    import numpy as np
+
+    both = horner(np.array([coeffs, bound], dtype=complex).T[:, :, None],
+                  np.array([z, _modulus(z)]))
+    return both[0], both[1].real
+
+
+def _merge_vector(z, radius, discs):
+    """`_merge_clusters(z, radius, discs)` of numpy arrays, as a list: the
+    pairs are tested by row blocks, and the union-find runs only when
+    some pair joins."""
+    import numpy as np
+
+    for rows in _row_blocks(len(z), len(z)):
+        gap = _modulus(z[rows, None] - z)
+        join = (gap <= radius) | (
+            gap <= 2.0 * np.minimum(discs[rows, None], discs))
+        join[np.arange(rows.stop - rows.start),
+             np.arange(rows.start, rows.stop)] = False
+        if join.any():
+            return _merge_clusters(z.tolist(), radius, discs.tolist())
+    return _singletons(z.tolist())
 
 
 def aberth_rows(C, tol: float = 1e-12):
@@ -638,10 +855,17 @@ def complex_roots(P: Poly):
     zs = aberth(scaled)
     max_eta = _BACKWARD_ERROR_UNITS * P.degree() * sys.float_info.epsilon
     moduli = [abs(c) for c in scaled]
-    out = []
-    for z in zs:
-        res = abs(horner(scaled, z))
-        size = horner(moduli, abs(z)).real
-        out.append(ComplexApprox(z.real, z.imag, res,
-                                 reliable=res <= max_eta * size))
-    return out
+    if P.degree() < _EIGEN_MIN_DEGREE:
+        out = []
+        for z in zs:
+            res = abs(horner(scaled, z))
+            size = horner(moduli, abs(z)).real
+            out.append(ComplexApprox(z.real, z.imag, res,
+                                     reliable=res <= max_eta * size))
+        return out
+    import numpy as np  # `horner` at all roots at once
+
+    values, sizes = _horner_pair(scaled, moduli, np.array(zs))
+    return [ComplexApprox(z.real, z.imag, res, reliable=res <= max_eta * size)
+            for z, res, size in zip(zs, _modulus(values).tolist(),
+                                    sizes.tolist())]

@@ -20,6 +20,9 @@ import dynheights
 
 from dynheights import cli
 from dynheights.cli import dispatch, to_json
+from dynheights.errors import RootFindingError
+from dynheights.polys import parse_poly
+from dynheights.roots import complex_roots
 
 
 def _escape_by_character(s):
@@ -621,6 +624,11 @@ def test_overflowing_iterate_is_root_finding_error(capsys, argv):
     assert code == 1 and err == ""
     rec = json.loads(out)
     assert rec["outputs"]["error"] == "RootFindingError"
+    # degree 9 or 10, so the numpy kernel raised it, with every iterate
+    P = parse_poly(argv[2])
+    with pytest.raises(RootFindingError) as info:
+        complex_roots(P)
+    assert len(info.value.best) == P.degree()
 
 
 _CANHEIGHT = ["canheight", "--map", "x^2-2", "--point", "1/3", "--eps"]

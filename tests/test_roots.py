@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dynheights.errors import CoefficientRangeError, RootFindingError
 from dynheights.polys import Poly, horner, int_poly
@@ -461,11 +461,14 @@ def _degree(ns, factors):
 @example(({16, 24}, [LEHMER]))  # degree 26
 # degree 38, a `mahler` item of the benchmark's large stratum
 @example(({15, 16, 24}, [[2, 0, 5, 0, 1], LEHMER]))
+# degree 76, above _EIGEN_MAX_DEGREE: the circles, though the radii are close
+@example(({25, 27, 29}, [LEHMER]))
 def test_eigenvalue_start_against_mpmath(case):
     """Products of distinct Phi_n (n <= 30) and factors with root moduli
     in [1/100, 100], degree 8-40: `aberth` starts from the companion
-    eigenvalues wherever its Newton-polygon radii span at most 10^4, and
-    the roots it returns pass the test of the circle start."""
+    eigenvalues wherever its Newton-polygon radii span at most 10^4 and
+    the degree is at most _EIGEN_MAX_DEGREE, and the roots it returns pass
+    the test of the circle start."""
     ns, factors = case
     factors = [list(_cyclotomic(n)) for n in sorted(ns)] + factors
     P = Poly.of([1])
@@ -479,7 +482,8 @@ def test_eigenvalue_start_against_mpmath(case):
         _assert_matches_mpmath(factors)
     finally:
         roots._companion_start = start
-    assert len(calls) == (max(radii) <= roots._EIGEN_MAX_SPAN * min(radii))
+    assert len(calls) == (P.degree() <= roots._EIGEN_MAX_DEGREE
+                          and max(radii) <= roots._EIGEN_MAX_SPAN * min(radii))
 
 
 def test_wide_newton_polygon_keeps_circle_start():
@@ -652,3 +656,192 @@ def test_binomial_roots_within_merge_radius_merge():
     assert len(set(found)) == 1 and abs(found[0]) < 1e-25
     # x^3 - 8: three roots 2 sqrt(3) apart stay apart
     assert len(set(aberth([-8, 0, 0, 1]))) == 3
+
+
+@st.composite
+def squared_products(draw):
+    """(factors, square): Phi_n (n <= 30), maybe Lehmer's polynomial, and
+    a random integer factor of degree 1-5, of total degree 8-40 counting
+    factors[square] twice when square is not None."""
+    ns = draw(st.sets(st.integers(1, 30), max_size=3))
+    factors = [list(_cyclotomic(n)) for n in sorted(ns)]
+    if draw(st.booleans()):
+        factors.append(LEHMER)
+    factors.append(draw(st.lists(st.integers(-9, 9), min_size=2,
+                                 max_size=6).filter(
+                                     lambda c: c[0] != 0 and c[-1] != 0)))
+    square = draw(st.none() | st.integers(0, len(factors) - 1))
+    degree = sum(len(f) - 1 for f in factors) + (
+        0 if square is None else len(factors[square]) - 1)
+    assume(8 <= degree <= 40)
+    return factors, square
+
+
+@pytest.mark.skipif(importlib.util.find_spec("mpmath") is None,
+                    reason="needs mpmath")
+@settings(max_examples=60, deadline=None)
+@given(squared_products())
+@example(([list(_cyclotomic(15)), list(_cyclotomic(16)), LEHMER], None))
+@example(([list(_cyclotomic(12)), LEHMER, [3, -1, 2]], 0))
+# the Gauss-Seidel loop, which ran at these degrees before the numpy
+# kernel, did not reach tol in _MAX_ITER sweeps on these two
+@example(([list(_cyclotomic(5)), list(_cyclotomic(30)), LEHMER, [2, 7, 4]],
+          1))
+@example(([list(_cyclotomic(2)), list(_cyclotomic(5)), list(_cyclotomic(17)),
+           [-3, -4, -3]], 1))
+@example(([list(_cyclotomic(5)), list(_cyclotomic(7)), list(_cyclotomic(29)),
+           [7, 9]], 3))
+# the two members of the double root landed 1e-15 apart, and their discs,
+# of radius about 20, merged all roots into one
+@example(([list(_cyclotomic(3)), list(_cyclotomic(12)), [-5, 5, -5]], 0))
+@example(([LEHMER, [2, -2, 2]], 1))
+# the discs of the double root took in a simple root 0.14, 0.011 and
+# 1.3e-4 away (Lehmer's 1.17628, so that three roots merged)
+@example(([list(_cyclotomic(23)), LEHMER, [2, 9, 7]], 2))
+@example(([list(_cyclotomic(5)), list(_cyclotomic(9)), list(_cyclotomic(18)),
+           LEHMER, [-6, 0, -3, -8, -5]], 3))
+@example(([LEHMER, [5, 4, -3, 6, -8]], 1))
+def test_vector_kernel_against_mpmath(case):
+    """Degree 8-40, the iteration of `_aberth_vector`: against 30-digit
+    mpmath roots of the factors, each simple root is found once within
+    1e-9 and reliable, and each root r of a squared factor twice, as one
+    merged value.  That value is held to first order only: a member is
+    kept where its backward error is at most max_eta, which at a double
+    root allows an error up to sqrt(max_eta S / |c|), S = sum |a_k| |r|^k
+    and c = P''(r) / 2 (2.5e-6 of a bound of 5.9e-6 at -7/9, for Phi_5
+    Phi_7 Phi_29 (7 + 9x)^2)."""
+    import mpmath
+
+    factors, square = case
+    refs = []
+    for f in factors:
+        with mpmath.workdps(30):
+            refs.append([complex(r) for r in mpmath.polyroots(
+                f[::-1], maxsteps=200, extraprec=200)])
+    # a random factor may repeat a root or share one with another factor
+    for i, ref in enumerate(refs):
+        for j, other in enumerate(refs[i:], i):
+            assume(all(abs(a - b) > 1e-6 for k, a in enumerate(ref)
+                       for b in (ref[k + 1:] if i == j else other)))
+    P = Poly.of([1])
+    for f in factors + ([] if square is None else [factors[square]]):
+        P = P * Poly.of(f)
+    found = complex_roots(P)
+    assert len(found) == P.degree()
+    scaled, _ = prescale(P)
+    max_eta = 8 * P.degree() * sys.float_info.epsilon
+    claimed = 0
+    for i, ref in enumerate(refs):
+        double = i == square
+        for r in ref:
+            if double:
+                size = sum(abs(c) * abs(r) ** k for k, c in enumerate(scaled))
+                c = sum(k * (k - 1) / 2 * a * r ** (k - 2)
+                        for k, a in enumerate(scaled) if k > 1)
+                radius = math.sqrt(2 * max_eta * size / abs(c))
+            else:
+                radius = 1e-9
+            near = [z for z in found if abs(z.value - r) <= radius]
+            assert len(near) == 1 + double, (r, near)
+            if double:
+                assert near[0].value == near[1].value
+            else:
+                assert near[0].reliable
+            claimed += len(near)
+    assert claimed == len(found)
+
+
+def test_vector_kernel_rows_do_not_depend_on_the_block(monkeypatch):
+    """Degree 38 from the eigenvalues and degree 76 from the circles,
+    solved with the default row block and with blocks of 3 rows: the
+    roots agree bit for bit."""
+    for factors in ([_cyclotomic(15), _cyclotomic(16), _cyclotomic(24),
+                     [2, 0, 5, 0, 1], LEHMER],
+                    [_cyclotomic(25), _cyclotomic(27), _cyclotomic(29),
+                     LEHMER]):
+        P = Poly.of([1])
+        for f in factors:
+            P = P * Poly.of(list(f))
+        scaled, _ = prescale(P)
+        n = P.degree()
+        assert n // 3 + 1 < roots._BLOCK_ENTRIES // (n + 1)  # one block
+        whole = aberth(scaled)
+        with monkeypatch.context() as m:
+            m.setattr(roots, "_BLOCK_ENTRIES", 3 * (n + 1))
+            assert roots._row_blocks(n, n + 1)[0] == slice(0, 3)
+            assert roots._row_blocks(n, n)[0] == slice(0, 3)
+            assert _hex(aberth(scaled)) == _hex(whole)
+
+
+def test_vector_kernel_guards_converge():
+    """P = x^8 / 2 - x^4 + 1/8, whose P' vanishes at 1: started with an
+    iterate at 1 and two iterates equal, the kernel nudges them apart and
+    finds the eight roots, x^4 = 1 +- sqrt(3/4)."""
+    coeffs = [0.125, 0, 0, 0, -1.0, 0, 0, 0, 0.5]
+    assert horner([k * c for k, c in enumerate(coeffs)][1:], 1.0) == 0
+    start = [1.0, 0.5 + 0.2j, 0.5 + 0.2j] + [
+        cmath.rect(1.5, k) for k in range(5)]
+    found = roots._aberth_vector([complex(c) for c in coeffs], start, 1e-12)
+    ref = [cmath.rect(abs(w) ** 0.25, (cmath.phase(w) + 2 * math.pi * k) / 4)
+           for w in (1 + math.sqrt(0.75), 1 - math.sqrt(0.75))
+           for k in range(4)]
+    assert len(found) == 8
+    for r in ref:
+        assert min(abs(z - r) for z in found) <= 1e-14
+
+
+def test_vector_kernel_evaluates_past_an_overflowing_power():
+    """x^8 + 10^300 x^4 + 10^300: at the roots of modulus 10^75, z^8
+    overflows while P does not, so those iterates are evaluated by
+    Horner, and the roots are found."""
+    found = complex_roots(int_poly([10 ** 300, 0, 0, 0, 10 ** 300,
+                                    0, 0, 0, 1]))
+    assert all(r.reliable for r in found)
+    moduli = sorted(abs(r.value) for r in found)
+    assert moduli[:4] == [pytest.approx(1.0, abs=1e-15)] * 4
+    assert moduli[4:] == [pytest.approx(1e75, rel=1e-15)] * 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=9, max_size=31).filter(
+           lambda c: c[-1] != 0),
+       st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8),
+                          st.sampled_from([0.0, 0.125, 0.3])),
+                min_size=8, max_size=30),
+       st.sampled_from([0.0, 0.1, 0.25]))
+def test_vector_helpers_match_the_scalar_references(coeffs, points, radius):
+    """The numpy helpers of `_aberth_vector` on points of a quarter grid
+    (coincident points, and gaps equal to the merge radius or to twice a
+    disc, included) against the loops they replace: the
+    merge exactly as `_merge_clusters`, the inclusion radii as
+    `_inclusion_radii` up to the order of the distance product, and P, P'
+    and the sums of 1/(z_j - z_k) within their rounding bounds."""
+    eps = sys.float_info.epsilon
+    coeffs = [complex(c) for c in coeffs]
+    z = [complex(a / 4, b / 4) for a, b, _ in points]
+    discs = [r for _, _, r in points]
+    n = len(coeffs) - 1
+    zv = np.array(z)
+    assert (roots._merge_vector(zv, radius, np.array(discs))
+            == roots._merge_clusters(z, radius, discs))
+    radii = roots._inclusion_radii(coeffs, z, horner(coeffs, zv).tolist(),
+                                   radius)
+    for got, want in zip(roots._inclusion_radii_vector(coeffs, zv, radius),
+                         radii):
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+    ad = np.zeros((n + 1, 2), dtype=complex)
+    ad[:, 0] = coeffs
+    ad[:-1, 1] = ad[1:, 0] * np.arange(1, n + 1)
+    p, dp = roots._values(ad, zv)
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    for w, pw, dpw in zip(z, p, dp):
+        for got, cs in ((pw, coeffs), (dpw, deriv)):
+            size = horner([abs(c) for c in cs], abs(w))
+            assert abs(got - horner(cs, w)) <= 8 * (n + 1) * eps * size
+    sums = roots._reciprocal_sums(zv)
+    for j, w in enumerate(z):
+        terms = [1 / (w - v) if w != v else 1 / ((1 if k > j else -1)
+                                                   * (1e-14 + 1e-14j))
+                 for k, v in enumerate(z) if k != j]
+        assert abs(sums[j] - sum(terms)) <= (2 * len(z) * eps
+                                             * sum(map(abs, terms)))
