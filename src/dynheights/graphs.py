@@ -19,7 +19,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphShapeError
+from .errors import GraphShapeError, ParseError
+from .places import parse_rational
 
 
 @dataclass(frozen=True)
@@ -252,11 +253,17 @@ def pairing(f: PLFunction, mu: DiscreteMeasure) -> Fraction:
 #  "f": {"v1": "a/b", ...}}                            (optional)
 
 def _fraction_from_json(x) -> Fraction:
-    if isinstance(x, (str, int)) and not isinstance(x, bool):
+    """A length or f value: a JSON integer (2 or 2.0), or a string "a" or
+    "a/b" in the grammar of `places.parse_rational`, the same on every
+    Python version (no decimals, exponents, underscores or inner
+    spaces)."""
+    if isinstance(x, str):
         try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
+            return parse_rational(x)
+        except ParseError:
             pass
+    elif isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
     elif isinstance(x, float) and x.is_integer():
         return Fraction(int(x))
     raise GraphShapeError(f"expected an exact rational, found {x!r}")

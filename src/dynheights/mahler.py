@@ -6,9 +6,10 @@ Two independent routes to log M(P):
   with roots from the simultaneous Aberth iteration;
 * quadrature: the circle average of log|P(e^{i theta})| by the periodic
   trapezoid rule.  Roots close to the unit circle ruin the spectral rate,
-  so factors for roots within a window of |z| = 1 are removed from the
-  integrand (their circle average is the exact Jensen value log^+|root|)
-  and only the smooth remainder is integrated.
+  but on the offset grid of N nodes each root a has the trapezoid error
+  (1 / N) log|1 + b^N| in closed form (b = a inside the circle, 1 /
+  conj(a) outside), which is subtracted for every root: one Horner pass
+  and one logarithm per node, and a few operations per root.
 
 The one-sided variant M^+(psi) = exp of the circle average of
 log max(|psi|, 1) has corners where |psi(e^{i theta})| = 1, which cost the
@@ -57,11 +58,10 @@ from .places import ARCH, log_abs_at
 from .polys import Poly, horner
 from .roots import _split, complex_roots, prescale
 
-_NEAR_CIRCLE_WINDOW = 0.05  # roots this close to |z|=1 are handled by Jensen
 _DEFAULT_NODES = 16384
 _HALVINGS = 12  # of a grid cell, before the secant step on each crossing
 _EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min  # floor of |P|^2 / |prod| before its logarithm
+_TINY = sys.float_info.min  # floor of |P|^2 and |1 + b^N|^2 before a log
 # the positive Gauss-Legendre nodes of order 16 on [-1, 1] (the others are
 # their negatives) and their weights, pinned: numpy.polynomial costs memory
 _GL_ORDER = 16
@@ -161,34 +161,28 @@ def _offset_circle(nodes: int):
 
 def _circle_average_log_abs(coeffs, log_scale: float, nodes: int,
                             roots) -> float:
-    """Circle average of log|P| with near-circle roots removed by Jensen,
-    for a real P = exp(log_scale) * sum coeffs[k] x^k (`_float_coeffs`);
-    `roots` are P's roots as complex numbers.
-
-    The grid of `nodes` angles is offset by half a step so a root exactly
-    on the unit circle never coincides with a node.  P is real, so
-    |P(conj z)| = |P(z)| and only the upper half of the grid is evaluated
-    (`_offset_circle`, built once per node count): each node z and its
-    conjugate together give log(|P(z)|^2 / |prod (z - a)(z - conj a)|)
-    over the near-circle roots a, one logarithm per node.  That is exact
-    for any set of near roots, so computed conjugate pairs need not match.
+    """Circle average of log|P| for a real P = exp(log_scale) * sum
+    coeffs[k] x^k (`_float_coeffs`) with roots `roots` (complex numbers):
+    the trapezoid mean on the offset grid of `nodes` angles, less each
+    root's trapezoid error.  The nodes z_j solve z^nodes = -1, so the
+    mean of log|z_j - a| is (1 / nodes) log|1 + a^nodes| = log^+|a| +
+    (1 / nodes) log|1 + b^nodes|, b = a if |a| <= 1 else 1 / conj(a).
+    P is real, so |P(conj z)| = |P(z)|: one Horner pass and one logarithm
+    of |P(z)|^2 per node of the upper half (`_offset_circle`).  A root on
+    a node zeroes P(z) and 1 + b^nodes alike; both squares are floored
+    at _TINY, so exact zeros cancel.
     """
     import numpy as np
 
-    window = min(_NEAR_CIRCLE_WINDOW, 64.0 / nodes)
-    near = [a for a in roots if abs(abs(a) - 1.0) < window]
     z = _offset_circle(nodes)
     vals = horner(coeffs, z)
     sq = vals.real * vals.real + vals.imag * vals.imag
-    if near:
-        prod = (z - near[0]) * (z - near[0].conjugate())
-        for a in near[1:]:
-            prod *= z - a
-            prod *= z - a.conjugate()
-        sq /= np.abs(prod)
     mean = 0.5 * float(np.mean(np.log(np.maximum(sq, _TINY))))
-    exact = sum(max(0.0, math.log(abs(a))) for a in near)
-    return mean + exact + log_scale
+    a = np.asarray(roots, dtype=complex)
+    mod = np.maximum(np.abs(a), 1.0)  # b = a / mod^2, without overflow
+    w = 1.0 + (a / mod / mod) ** nodes
+    err = np.log(np.maximum(w.real * w.real + w.imag * w.imag, _TINY))
+    return mean - 0.5 * float(err.sum()) / nodes + log_scale
 
 
 def mahler_via_quadrature(P: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
@@ -203,8 +197,8 @@ def mahler_via_quadrature(P: Poly, nodes: int = _DEFAULT_NODES) -> MahlerResult:
 
 def _quadrature_result(P: Poly, nodes: int, roots) -> MahlerResult:
     """The fine and the coarse grid of `mahler_via_quadrature`, with the
-    near-circle factors taken from P's roots (ComplexApprox records); P
-    is scaled to floats once for both grids."""
+    roots' trapezoid errors taken from P's roots (ComplexApprox records);
+    P is scaled to floats once for both grids."""
     coeffs, scale = _float_coeffs(P)
     log_scale = float(log_abs_at(scale, ARCH))
     values = [r.value for r in roots]

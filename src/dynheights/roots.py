@@ -25,8 +25,9 @@ forms need no iteration, so cannot fail to converge:
 After the iteration, two roots merge to their centroid when they lie
 within 10*tol or their Weierstrass inclusion discs (Carstensen, Numer.
 Math. 59, 1991; radii from |P(z)| plus a bound on its rounding) overlap
-once the larger is shrunk to the smaller, which is how multiple roots
-are reported.  Of the three final Newton
+once the larger is shrunk to the smaller, or overlap as they are and
+P's backward error at their midpoint is that of a reliable root, which
+is how multiple roots are reported.  Of the three final Newton
 steps, one that raises |P| more than _POLISH_GROWTH-fold to a backward
 error above the threshold of `complex_roots` is dropped: at a cluster
 Newton can throw one member far off.  P is evaluated by `polys.horner`,
@@ -74,7 +75,8 @@ _EIGEN_MAX_DEGREE = 64
 _EIGEN_MAX_SPAN = 1e4
 # entries of one row block of an n x n intermediate of `_aberth_vector`
 _BLOCK_ENTRIES = 1 << 16
-# real parts this far apart keep their order under `_root_key` (`_merge_pair`)
+# parts this far apart keep their order under `_root_key` (`_merge_pair`,
+# `_key_sorted`)
 _KEY_GAP = 4e-12
 
 
@@ -258,7 +260,7 @@ def aberth(coeffs, tol: float = 1e-12):
                         or abs(pj) <= max_eta * horner(moduli, abs(zj))):
                     z[j], p[j] = zj, pj
     return zero_roots + _merge_clusters(
-        z, 10.0 * tol, _inclusion_radii(coeffs, z, p, 10.0 * tol))
+        z, 10.0 * tol, _inclusion_radii(coeffs, z, p, 10.0 * tol), coeffs)
 
 
 def _newton_polygon(coeffs):
@@ -405,7 +407,7 @@ def _binomial_roots(b, a, n, tol):
                              + r_lo * x))
         z.append(complex(*part))
     if 2.0 * r_hi * math.sin(math.pi / n) <= 10.0 * tol:
-        return _merge_clusters(z, 10.0 * tol, [0.0] * n)
+        return _merge_clusters(z, 10.0 * tol, [0.0] * n, None)
     return _singletons(z)
 
 
@@ -413,9 +415,7 @@ def _singletons(z):
     """`_merge_clusters` of points no two of which merge: each becomes its
     own centroid (0 + w) / 1 (a -0.0 part turns +0.0), sorted by
     `_root_key`."""
-    z = [(0 + w) / 1 for w in z]
-    z.sort(key=_root_key)
-    return z
+    return _key_sorted([(0 + w) / 1 for w in z])
 
 
 def _split(x):
@@ -432,6 +432,22 @@ def _root_key(w):
     return (round(w.real, 12), round(w.imag, 12))
 
 
+def _key_sorted(z):
+    """sorted(z, key=_root_key), calling `round` only where it can change
+    the order.  Parts more than _KEY_GAP apart keep their order when
+    rounded (`_merge_pair`), so the exact order by real, then imaginary
+    part is the rounded one when each neighbour in it has a real part
+    more than _KEY_GAP above, or an equal real part (a conjugate pair's)
+    and an imaginary part more than _KEY_GAP above; `round` costs more
+    than the rest of this sort."""
+    exact = sorted(z, key=lambda w: (w.real, w.imag))
+    for p, q in zip(exact, exact[1:]):
+        gap = q.real - p.real
+        if gap <= _KEY_GAP and (gap or q.imag - p.imag <= _KEY_GAP):
+            return sorted(z, key=_root_key)
+    return exact
+
+
 def _quadratic_roots(c, b, a):
     """Both roots of a x^2 + b x + c (a, c != 0) without cancellation:
     q = -(b + s sqrt(b^2 - 4ac)) / 2 with the sign s making
@@ -445,7 +461,7 @@ def _quadratic_roots(c, b, a):
 
 
 def _merge_pair(r0, r1, radius):
-    """`_merge_clusters(points, radius, (0.0, 0.0))` of two points, for
+    """`_merge_clusters(points, radius, (0.0, 0.0), None)` of two points, for
     radius >= 0, in O(1): both become their centroid when they lie within
     `radius`; otherwise each becomes (0 + r) / 1, as a singleton's
     centroid does (a -0.0 part turns +0.0), and the pair is sorted by the
@@ -465,16 +481,34 @@ def _merge_pair(r0, r1, radius):
     return [r0, r1]
 
 
-def _merge_clusters(points, radius, discs):
-    """Merge root clusters to repeated centroids: points i and j join when
-    they lie within `radius`, or within 2 min(discs[i], discs[j]) of each
-    other (the discs overlap once the larger is shrunk to the smaller).
-    The members of a multiple root have discs of like radius, inflated by
-    the rounding of P over their own small gap; a simple root's disc is
-    small, so the inflated discs that merely cover it do not take it in:
-    the two members of the double root -1 of Phi_23 Lehmer (7x^2 + 9x +
-    2)^2 lie 1e-9 apart with discs of radius 0.19, which cover a root of
-    Phi_23 0.14 away."""
+def _pseudo_zero(coeffs, z):
+    """Whether z is a root of P = sum coeffs[k] x^k to the backward error
+    of a reliable root (`complex_roots`): |P(z)| <= 8 n eps sum |a_k|
+    |z|^k."""
+    n = len(coeffs) - 1
+    max_eta = _BACKWARD_ERROR_UNITS * n * sys.float_info.epsilon
+    return abs(horner(coeffs, z)) <= max_eta * horner(
+        [abs(c) for c in coeffs], abs(z)).real
+
+
+def _merge_clusters(points, radius, discs, coeffs):
+    """Merge root clusters of P = sum coeffs[k] x^k to repeated centroids:
+    points i and j join when they lie within `radius`, or within 2
+    min(discs[i], discs[j]) of each other (the discs overlap once the
+    larger is shrunk to the smaller), or when their discs overlap and
+    their midpoint is a root to a reliable root's backward error
+    (`_pseudo_zero`).  The members of a multiple root have discs of like
+    radius, inflated by the rounding of P over their own small gap; a
+    simple root's disc is small, so the inflated discs that merely cover
+    it do not take it in: the two members of the double root -1 of Phi_23
+    Lehmer (7x^2 + 9x + 2)^2 lie 1e-9 apart with discs of radius 0.19,
+    which cover a root of Phi_23 0.14 away, where P is far from 0.  A
+    member the polish left outside the backward error has the larger
+    disc: the double root -0.5257761 of Phi_10 Phi_12 Phi_17 Lehmer
+    (3x^3 - 7x^2 + 5x + 5)^2 had members 2.5e-7 apart with discs of 1.1e-7
+    and 1.1e-5, and a midpoint within the backward error.  With every
+    disc 0 (`_merge_pair`, `_binomial_roots`) no midpoint is tested and
+    `coeffs` is not read."""
     n = len(points)
     parent = list(range(n))
 
@@ -487,8 +521,11 @@ def _merge_clusters(points, radius, discs):
     for i in range(n):
         zi, ri = points[i], discs[i]
         for j in range(i + 1, n):
-            gap = abs(zi - points[j])
-            if gap <= radius or gap <= 2.0 * min(ri, discs[j]):
+            zj, rj = points[j], discs[j]
+            gap = abs(zi - zj)
+            if (gap <= radius or gap <= 2.0 * min(ri, rj)
+                    or (gap <= ri + rj
+                        and _pseudo_zero(coeffs, (zi + zj) / 2))):
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
@@ -497,8 +534,7 @@ def _merge_clusters(points, radius, discs):
     for members in groups.values():
         centroid = sum(members) / len(members)
         out.extend([centroid] * len(members))
-    out.sort(key=_root_key)
-    return out
+    return _key_sorted(out)
 
 
 def _modulus(z):
@@ -580,7 +616,8 @@ def _aberth_vector(coeffs, z, tol):
             p = np.where(keep, q, p)
             dp = np.where(keep, dq, dp)
         return _merge_vector(z, 10.0 * tol,
-                             _inclusion_radii_vector(coeffs, z, 10.0 * tol))
+                             _inclusion_radii_vector(coeffs, z, 10.0 * tol),
+                             coeffs)
 
 
 def _values(ad, z):
@@ -662,20 +699,20 @@ def _horner_pair(coeffs, bound, z):
     return both[0], both[1].real
 
 
-def _merge_vector(z, radius, discs):
-    """`_merge_clusters(z, radius, discs)` of numpy arrays, as a list: the
-    pairs are tested by row blocks, and the union-find runs only when
-    some pair joins."""
+def _merge_vector(z, radius, discs, coeffs):
+    """`_merge_clusters(z, radius, discs, coeffs)` of numpy arrays, as a
+    list: the pairs are tested by row blocks, and the union-find runs only
+    when some pair lies within `radius` or has overlapping discs."""
     import numpy as np
 
     for rows in _row_blocks(len(z), len(z)):
         gap = _modulus(z[rows, None] - z)
-        join = (gap <= radius) | (
-            gap <= 2.0 * np.minimum(discs[rows, None], discs))
+        join = (gap <= radius) | (gap <= discs[rows, None] + discs)
         join[np.arange(rows.stop - rows.start),
              np.arange(rows.start, rows.stop)] = False
         if join.any():
-            return _merge_clusters(z.tolist(), radius, discs.tolist())
+            return _merge_clusters(z.tolist(), radius, discs.tolist(),
+                                   coeffs)
     return _singletons(z.tolist())
 
 

@@ -355,6 +355,24 @@ def test_mahler_both_solves_once(capsys, monkeypatch):
                                "quad": by_quad["outputs"]}
 
 
+@pytest.mark.parametrize("poly, nodes", [
+    ("x^16 + 1", 16), ("x^16 + 1", 32), ("x^32 + 1", 32)])
+def test_mahler_roots_on_grid_nodes(capsys, poly, nodes):
+    """Roots that are nodes of the fine or the coarse offset grid give a
+    record: the quadrature divided |P|^2 by the product of the factors
+    z - a, which vanished there, and raised on the inf.  The grid with
+    the roots on it is off; the node-doubling estimate covers that."""
+    code = dispatch(["mahler", "--poly", poly, "--method", "both",
+                     "--nodes", str(nodes)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    rec = json.loads(out)["outputs"]
+    roots, quad = rec["roots"]["log_value"], rec["quad"]["log_value"]
+    assert math.isfinite(roots) and math.isfinite(quad)
+    assert math.isfinite(rec["quad"]["error_estimate"])
+    assert abs(quad - roots) <= rec["quad"]["error_estimate"] + 1e-15
+
+
 def test_bound_and_energy(capsys):
     code, rec = run(capsys, "bound", "--ell", "1", "--psi", "1-x")
     assert code == 0
@@ -416,6 +434,27 @@ def test_malformed_graph_file_is_shape_error(tmp_path, capsys, text):
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     assert json.loads(out)["outputs"]["error"] == "GraphShapeError"
+
+
+@pytest.mark.parametrize("value", ["1_000", "2 / 3", "1.5", "1e3", "1/0"])
+@pytest.mark.parametrize("field", ["length", "f"])
+def test_graph_rationals_share_one_grammar(tmp_path, capsys, value, field):
+    """A string length or f value is read as `places.parse_rational`
+    reads it, on every Python version: Fraction's own grammar took
+    "1_000" and "1.5", and "2 / 3" from Python 3.12 on."""
+    edge = {"u": "a", "v": "b", "length": 1}
+    data = {"vertices": ["a", "b"], "edges": [edge], "f": {"a": "2/3"}}
+    if field == "length":
+        edge["length"] = value
+    else:
+        data["f"]["b"] = value
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(data))
+    code = dispatch(["graph", "energy", "--file", str(gfile)])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    rec = json.loads(out)["outputs"]
+    assert rec["error"] == "GraphShapeError" and repr(value) in rec["message"]
 
 
 @pytest.mark.parametrize("poly, error", [

@@ -75,6 +75,11 @@ CASES = {
                            "--max-height", "30"],
     "mahler_both": ["mahler", "--poly", "x^3 - x - 1", "--method", "both",
                     "--nodes", "4096"],
+    # the roots of x^8 + 1 are the nodes of the coarse grid of 8: P and
+    # 1 + b^8 vanish there together (a traceback when the quadrature
+    # divided |P|^2 by the product of the factors z - a)
+    "mahler_root_on_node": ["mahler", "--poly", "x^8 + 1", "--method",
+                            "both", "--nodes", "16"],
     "bound": ["bound", "--ell", "2", "--psi", "1 - x", "--nodes", "4096"],
     "energy": ["energy", "--phi", "x^2", "--psi", "1 - x",
                "--nodes", "1024"],

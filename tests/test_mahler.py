@@ -87,15 +87,24 @@ def test_cross_method(P):
     assert abs(a - b) <= 1e-6
 
 
-def test_quadrature_divides_out_near_circle_roots():
-    # Lehmer's and cyclotomic factors put roots on and near |z| = 1; the
-    # quadrature divides out their product and adds their Jensen values
+def test_quadrature_corrects_near_circle_roots():
+    # Lehmer's and cyclotomic factors put roots on and near |z| = 1, where
+    # log|P| is nearly singular; the quadrature subtracts each root's
+    # trapezoid error (1 / N) log|1 + b^N| in closed form
     lehmer = int_poly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
     for P in (lehmer * int_poly([1] * 5),
               lehmer * int_poly([1] * 7) * int_poly([-2, 1, 3]),
               int_poly([1] * 5) * int_poly([1, 0, -1, 0, 1])):
         assert abs(mahler_via_quadrature(P).log_value
                    - mahler_via_roots(P).log_value) <= 1e-13
+
+
+def test_few_node_quadrature_of_binomial():
+    # the roots of x^8 - 2 lie 2^(1/8) - 1 = 0.09 off the circle, where
+    # 16 nodes leave a trapezoid error of log(5/4) / 16 for each: the
+    # value was 0.8047 when only roots within 0.05 of it were corrected
+    res = mahler_via_quadrature(parse_poly("x^8 - 2"), nodes=16)
+    assert abs(res.log_value - math.log(2)) <= 1e-14
 
 
 def test_circle_grid_built_once_and_read_only():
@@ -374,20 +383,17 @@ circle_products = st.builds(
 
 
 def _full_circle_average_log_abs(coeffs, log_scale, nodes, roots):
-    """The circle average on the whole offset grid of `nodes` angles:
-    log|P(z) / prod (z - a)| at every node z over the near roots a.
-    Returns (average, near roots, grid)."""
+    """The circle average on the whole offset grid of `nodes` angles by
+    brute force: the mean of log|P(z)| - sum log|z - a| over every node z
+    and every root a, plus sum log^+|a|.  Returns (average, grid)."""
     import numpy as np
 
-    window = min(0.05, 64.0 / nodes)
-    near = [a for a in roots if abs(abs(a) - 1.0) < window]
     z = np.exp(1j * ((np.arange(nodes) + 0.5) * (2 * math.pi / nodes)))
-    vals = horner(coeffs, z)
-    for a in near:
-        vals = vals / (z - a)
-    vals = np.log(np.maximum(np.abs(vals), 1e-300))
-    exact = sum(max(0.0, math.log(abs(a))) for a in near)
-    return float(np.mean(vals)) + exact + log_scale, near, z
+    vals = np.log(np.maximum(np.abs(horner(coeffs, z)), 1e-300))
+    for a in roots:
+        vals = vals - np.log(np.abs(z - a))
+    exact = sum(math.log(abs(a)) for a in roots if abs(a) > 1.0)
+    return float(np.mean(vals)) + exact + log_scale, z
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,15 +410,50 @@ def test_circle_average_matches_full_grid(P, nodes):
     coeffs, scale = mahler._float_coeffs(P)
     log_scale = math.log(scale)
     half = mahler._circle_average_log_abs(coeffs, log_scale, nodes, roots)
-    full, near, z = _full_circle_average_log_abs(coeffs, log_scale, nodes,
-                                                 roots)
+    full, z = _full_circle_average_log_abs(coeffs, log_scale, nodes, roots)
     # first-order rounding of either route at a node: Horner's
-    # (2n + 1) eps sum|a_k| relative to |P(z)|, eps for each near factor
-    # and a few for the logarithm and the mean
+    # (2n + 1) eps sum|a_k| relative to |P(z)|, eps for each root's
+    # factor and a few for the logarithm and the mean
     cond = np.mean(horner(np.abs(coeffs), 1.0) / np.abs(horner(coeffs, z)))
     n = P.degree()
     assert abs(half - full) <= 2 * EPS * ((2 * n + 1) * cond
-                                          + 2 * len(near) + 4)
+                                          + 2 * len(roots) + 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.complex_numbers(min_magnitude=1e-300, max_magnitude=2,
+                          allow_infinity=False, allow_nan=False),
+       st.integers(4, 14))
+@example(complex(math.cos(math.pi / 16), math.sin(math.pi / 16)), 4)
+@example(1.5j, 14)
+@example(-1.0, 14)
+def test_root_correction_in_closed_form(a, log_nodes):
+    # the offset nodes z_j are the roots of z^N = -1, so
+    # sum_j log|z_j - a| = log|1 + a^N| = N log^+|a| + log|1 + b^N|; with
+    # P = 1 and the one "root" a, `_circle_average_log_abs` returns just
+    # that root's correction -(1 / N) log|1 + b^N|.  The sum runs over the
+    # exact nodes in 50 digits.  b^N carries a relative rounding of a few
+    # N eps, which moves the logarithm by that much times
+    # |b^N| / |1 + b^N|.
+    import numpy as np
+
+    mpmath = pytest.importorskip("mpmath")
+    nodes = 2 ** log_nodes
+    got = mahler._circle_average_log_abs(np.array([1.0]), 0.0, nodes, [a])
+    with mpmath.workdps(50):
+        step = mpmath.expjpi(mpmath.mpf(2) / nodes)
+        z, prod = mpmath.sqrt(step), mpmath.mpc(1)
+        for _ in range(nodes):
+            prod *= z - a
+            z *= step
+        brute = mpmath.log(abs(prod))
+        closed = mpmath.log(abs(1 + mpmath.mpc(a) ** nodes))
+        assert abs(brute - closed) <= 1e-25
+        b = mpmath.mpc(a) if abs(a) <= 1 else 1 / mpmath.conj(a)
+        ratio = float(abs(b ** nodes) / abs(1 + b ** nodes))
+        log_plus = max(0.0, float(mpmath.log(abs(a))))
+        err = abs(float(brute) / nodes - log_plus + got)
+    assert err <= 8 * EPS * (1 + log_plus + ratio)
 
 
 def _full_log_mahler_plus_value(g, log_abs):

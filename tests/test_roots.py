@@ -229,7 +229,7 @@ def test_quadratic_merge_matches_cluster_merge(cba, tol):
     scale = max(abs(c) for c in coeffs)
     scaled = [c / scale for c in coeffs]
     ref = roots._merge_clusters(roots._quadratic_roots(*scaled),
-                                10.0 * tol, (0.0, 0.0))
+                                10.0 * tol, (0.0, 0.0), None)
     assert _hex(aberth(list(cba), tol=tol)) == _hex(ref)
 
 def _backward_error(coeffs, z):
@@ -594,7 +594,39 @@ def test_aberth_splits_zero_roots_after_scaling(coeffs):
 def test_merge_pair_orders_as_cluster_merge(r0, r1):
     for p, q in ((r0, r1), (r1, r0)):
         assert _hex(roots._merge_pair(p, q, 0.0)) == _hex(
-            roots._merge_clusters([p, q], 0.0, (0.0, 0.0)))
+            roots._merge_clusters([p, q], 0.0, (0.0, 0.0), None))
+
+
+# parts that round to 12 decimals alike or apart: a few bases, -0.0
+# among them, each moved by nothing, a few units in the last place, or
+# amounts around 1e-12 and _KEY_GAP
+_key_parts = st.builds(
+    float.__add__,
+    st.sampled_from([0.0, -0.0, 0.3, 1.0, -1.0, 12345.678]),
+    st.sampled_from([0.0, -0.0, 2.2e-16, 5e-13, -5e-13, 1e-12, 3.9e-12,
+                     4e-12, -4e-12, 4.1e-12, 1e-11]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_key_parts, _key_parts, st.booleans()),
+                max_size=12))
+@example([(1.0 - 1e-13, 5.0, False), (1.0, 0.0, False), (1.0, 1.0, False),
+          (1.0 + 1e-13, -5.0, False)])
+@example([(-0.0, 1.0, True), (0.0, 2.0, False), (0.0, 1.0, False)])
+def test_key_sorted_orders_as_rounded_key(parts):
+    """`_key_sorted` rounds only where neighbours in the exact order lie
+    within _KEY_GAP; its order is sorted(key=_root_key)'s, equal keys in
+    their input order included.  Each drawn point comes alone or with its
+    conjugate.  In the first example neighbours with equal real parts
+    and far imaginary parts sit between two real parts 2e-13 apart,
+    which round alike, so their imaginary parts decide."""
+    z = []
+    for re, im, pair in parts:
+        z.append(complex(re, im))
+        if pair:
+            z.append(complex(re, -im))
+    want = sorted(z, key=roots._root_key)
+    assert list(map(id, roots._key_sorted(z))) == list(map(id, want))
 
 
 def _binomial_reference(a, b, n):
@@ -701,6 +733,10 @@ def squared_products(draw):
 @example(([list(_cyclotomic(5)), list(_cyclotomic(9)), list(_cyclotomic(18)),
            LEHMER, [-6, 0, -3, -8, -5]], 3))
 @example(([LEHMER, [5, 4, -3, 6, -8]], 1))
+# the polish left one member of the double root -0.5257761 outside the
+# backward error, 2.5e-7 from its twin, with discs of 1.1e-5 and 1.1e-7
+@example(([list(_cyclotomic(10)), list(_cyclotomic(12)),
+           list(_cyclotomic(17)), LEHMER, [-5, -5, 7, -3]], 4))
 def test_vector_kernel_against_mpmath(case):
     """Degree 8-40, the iteration of `_aberth_vector`: against 30-digit
     mpmath roots of the factors, each simple root is found once within
@@ -822,8 +858,8 @@ def test_vector_helpers_match_the_scalar_references(coeffs, points, radius):
     discs = [r for _, _, r in points]
     n = len(coeffs) - 1
     zv = np.array(z)
-    assert (roots._merge_vector(zv, radius, np.array(discs))
-            == roots._merge_clusters(z, radius, discs))
+    assert (roots._merge_vector(zv, radius, np.array(discs), coeffs)
+            == roots._merge_clusters(z, radius, discs, coeffs))
     radii = roots._inclusion_radii(coeffs, z, horner(coeffs, zv).tolist(),
                                    radius)
     for got, want in zip(roots._inclusion_radii_vector(coeffs, zv, radius),
