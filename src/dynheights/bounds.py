@@ -110,7 +110,9 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
     |psi|: only the rows k < nodes // 2 are solved, with weight 2, plus
     the middle row theta = pi with weight 1 when nodes is odd.  The rows
     of _BLOCK_ROWS consecutive nodes are solved together by
-    `aberth_rows`, and psi is evaluated on all their preimages at once.
+    `aberth_rows`, whose settled rows take no Newton polish: the value's
+    error is the O(h^2) kink error of the trapezoid, far above that of
+    the roots.  psi is evaluated on all their preimages at once.
     A row whose solve fails is retried at a half-step perturbation, then
     skipped together with its mirror (error if more than 1% of the nodes
     are skipped).
@@ -145,12 +147,12 @@ def energy_level_curve(phi: Poly, psi: Poly, nodes: int = 4096) -> float:
         weight = np.where(k < half, 2.0, 1.0)
         rows = np.tile(phic, (theta.size, 1))
         rows[:, 0] -= np.exp(1j * theta)
-        pre = aberth_rows(rows, tol=1e-11)
+        pre = aberth_rows(rows)
         failed = np.isnan(pre[:, 0])
         if failed.any():
             rows[failed, 0] = phic[0] - np.exp(1j * (theta[failed]
                                                      + 0.5 * step))
-            pre[failed] = aberth_rows(rows[failed], tol=1e-11)
+            pre[failed] = aberth_rows(rows[failed])
             failed = np.isnan(pre[:, 0])
             skipped += int(weight[failed].sum())
             pre, weight = pre[~failed], weight[~failed]

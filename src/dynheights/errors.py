@@ -55,18 +55,19 @@ class WorkBudgetError(DynheightsError):
 
 
 # The most units of work one parse, scan, preimage run or quadrature may
-# do, predicted before it starts: coefficients of a dense polynomial and
-# bits of a power's coefficients in `polys.parse_expr`, candidate points of
+# do, predicted before it starts: coefficients of a dense polynomial, bits
+# of a power's coefficients and term products of a product (weighted by
+# coefficient words) in `polys.parse_expr`, candidate points of
 # `dynamics.common_preperiodic_scan`, candidates a `bounds.scan_exceptions`
 # scores (each of its rational box, and deg psi for each of its quadratic
 # box, whose image polynomials grow with deg psi), degree-d solves of
 # `bounds.preimage_measure_stats`, or grid nodes of
 # `bounds.energy_level_curve` and of the `mahler` quadratures.  A unit
 # costs 1-10 us (a reported quadratic exception adds a root solve, a
-# scan-pair candidate two orbit walks); level 18 on x^2 + 1, 524 286
-# solves, takes about 2.5 s from the shell on a 2-vCPU x86 VM.  Every
-# golden, test, demo script and benchmark item needs at most about 16 384
-# (the largest node count).
+# scan-pair candidate two orbit walks), a parse's weighted term product
+# 0.03-0.2 us; level 18 on x^2 + 1, 524 286 solves, takes about 2.5 s
+# from the shell on a 2-vCPU x86 VM.  Every golden, demo script and
+# benchmark item needs at most about 16 384 (the largest node count).
 WORK_BUDGET = 10 ** 6
 
 

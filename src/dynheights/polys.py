@@ -640,16 +640,28 @@ def _sparse_add(a: dict, b: dict, sign: int = 1) -> dict:
 
 
 def _sparse_mul(a: dict, b: dict) -> dict:
-    """Product of sparse polynomials; touches only the nonzero terms."""
+    """Product of sparse polynomials; touches only the nonzero terms.
+    Unless both are monomials (one int product), WorkBudgetError, before
+    anything is multiplied, when its term products, each weighted by the
+    machine words of the largest coefficients of a and b together, are
+    over the work budget: a term product's measured cost grows about
+    linearly in those words."""
     if len(a) == 1 and len(b) == 1:
         (i, x), = a.items()
         (j, y), = b.items()
         return {i + j: x * y}
+    _require_budget(len(a) * len(b) * (_words(a) + _words(b)), True,
+                    "a product", "weighted term products")
     out = {}
     for i, x in a.items():
         for j, y in b.items():
             out[i + j] = out.get(i + j, 0) + x * y
     return {k: c for k, c in out.items() if c}
+
+
+def _words(a: dict) -> int:
+    """The 64-bit words of the largest coefficient of a (1 when a is 0)."""
+    return (max(map(int.bit_length, a.values()), default=0) >> 6) + 1
 
 
 def _sparse_pow(a: dict, n: int) -> dict:
@@ -838,9 +850,9 @@ class _Parser:
 def parse_expr(text: str):
     """Parse an expression; returns a Poly when the reduced denominator is
     constant, otherwise a HomogPair for the rational map.  Nesting deeper
-    than the interpreter's recursion limit is a ParseError, and a power or
-    dense result beyond the work budget a WorkBudgetError (`_sparse_pow`,
-    `_dense`)."""
+    than the interpreter's recursion limit is a ParseError, and a power,
+    product or dense result beyond the work budget a WorkBudgetError
+    (`_sparse_pow`, `_sparse_mul`, `_dense`)."""
     try:
         value = _Parser(text).parse()
     except RecursionError:

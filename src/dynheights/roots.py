@@ -16,14 +16,15 @@ largest modulus, as in `prescale`) are split off exactly.  Two closed
 forms need no iteration, so cannot fail to converge:
 
 * a quadratic (`solve_quadratic`) by the cancellation-free formula, its
-  two roots merged when they lie within 10*tol, in O(1) by `_merge_pair`,
+  two roots merged when they lie within 10*_TOL, in O(1) by `_merge_pair`,
   not through the union-find of `_merge_clusters`;
 * a binomial a x^n + b, n >= 3 (`_binomial_roots`), whose roots are the
   n-th roots of -b/a, their common modulus carried beyond double
   precision so that each root's modulus rounds on its own.
 
+Every iteration stops once its largest correction is below _TOL.
 After the iteration, two roots merge to their centroid when they lie
-within 10*tol or their Weierstrass inclusion discs (Carstensen, Numer.
+within 10*_TOL or their Weierstrass inclusion discs (Carstensen, Numer.
 Math. 59, 1991; radii from |P(z)| plus a bound on its rounding) overlap
 once the larger is shrunk to the smaller, or overlap as they are and
 P's backward error at their midpoint is that of a reliable root, which
@@ -44,11 +45,11 @@ distances) is built in row blocks of about _BLOCK_ENTRIES entries (at
 least one row), so memory beyond a block stays O(n).  `complex_roots`
 evaluates its residuals at all roots at once from degree 8 on.
 `aberth_rows` solves many polynomials of one degree at once in numpy,
-vectorised over the rows, and hands every row it cannot settle cleanly
-to `aberth`, whose guards of a step it leaves out.  numpy is imported
-inside the functions that use it, all of them at degree 8 or more or in
-`aberth_rows`, so `aberth` and `complex_roots` run without it below
-degree 8.
+vectorised over the rows, without `aberth`'s guards of a step, polish or
+inclusion discs, and hands every row it cannot settle cleanly to
+`aberth`.  numpy is imported inside the functions that use it, all of
+them at degree 8 or more or in `aberth_rows`, so `aberth` and
+`complex_roots` run without it below degree 8.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .polys import Poly, horner
 _START_ANGLE = 0.437  # fixed irrational-ish rotation of the start circles
 _COLLINEAR = 1e-9  # slope tolerance of a Newton-polygon vertex (log radius)
 _MAX_ITER = 400
+_TOL = 1e-12  # the correction an iteration stops below; 10 _TOL merges
 _BACKWARD_ERROR_UNITS = 8.0  # reliability threshold in units of n * eps
 _POLISH_GROWTH = 4.0  # largest factor by which a polish step may raise |P|
 # `aberth` iterates in numpy at degree >= _EIGEN_MIN_DEGREE, from companion
@@ -123,7 +125,7 @@ def prescale(P: Poly):
     return scaled, Fraction(big, P.den)
 
 
-def aberth(coeffs, tol: float = 1e-12):
+def aberth(coeffs):
     """All roots of a complex-coefficient polynomial (ascending coeffs).
 
     Returns a list of complex roots with multiplicity (length = degree).
@@ -138,7 +140,8 @@ def aberth(coeffs, tol: float = 1e-12):
     the arithmetic of `solve_quadratic`, and a binomial a x^n + b (n >= 3,
     once the zero roots are split off) by `_binomial_roots`.
 
-    The iteration starts from the Newton-polygon circles, or, at degree
+    The iteration, to a largest correction below _TOL, starts from the
+    Newton-polygon circles, or, at degree
     _EIGEN_MIN_DEGREE <= n <= _EIGEN_MAX_DEGREE when the circle radii span
     at most _EIGEN_MAX_SPAN, from the companion eigenvalues
     (`_companion_start`; numpy.linalg.eigvals, about 0.2 ms at n = 36).
@@ -178,9 +181,9 @@ def aberth(coeffs, tol: float = 1e-12):
         return zero_roots + [-coeffs[0] / coeffs[1]]
     if n == 2:  # the arithmetic of `solve_quadratic`
         return zero_roots + _merge_pair(*_quadratic_roots(*coeffs),
-                                        10.0 * tol)
+                                        10.0 * _TOL)
     if not any(coeffs[1:n]):
-        return zero_roots + _binomial_roots(coeffs[0], coeffs[n], n, tol)
+        return zero_roots + _binomial_roots(coeffs[0], coeffs[n], n)
 
     edges = _newton_polygon(coeffs)
     z = None
@@ -192,7 +195,7 @@ def aberth(coeffs, tol: float = 1e-12):
         z = _circle_start(edges, n)
     if n >= _EIGEN_MIN_DEGREE:
         try:
-            return zero_roots + _aberth_vector(coeffs, z, tol)
+            return zero_roots + _aberth_vector(coeffs, z)
         except RootFindingError as exc:
             exc.best = zero_roots + exc.best
             raise
@@ -227,7 +230,7 @@ def aberth(coeffs, tol: float = 1e-12):
                         "Aberth iteration left the double range",
                         best=zero_roots + z)
                 max_corr = size
-        if max_corr < tol:
+        if max_corr < _TOL:
             break
         # a multiple root drives corrections to ~sqrt(eps) and no further;
         # accept once they stop improving at a small plateau (clusters are
@@ -244,7 +247,7 @@ def aberth(coeffs, tol: float = 1e-12):
                 break
     else:
         raise RootFindingError(
-            f"Aberth iteration did not reach tol={tol} in {_MAX_ITER} steps",
+            f"Aberth iteration did not reach tol={_TOL} in {_MAX_ITER} steps",
             best=zero_roots + z)
     # final Newton polish (helps simple roots to machine accuracy)
     moduli = [abs(c) for c in coeffs]
@@ -260,7 +263,7 @@ def aberth(coeffs, tol: float = 1e-12):
                         or abs(pj) <= max_eta * horner(moduli, abs(zj))):
                     z[j], p[j] = zj, pj
     return zero_roots + _merge_clusters(
-        z, 10.0 * tol, _inclusion_radii(coeffs, z, p, 10.0 * tol), coeffs)
+        z, 10.0 * _TOL, _inclusion_radii(coeffs, z, p, 10.0 * _TOL), coeffs)
 
 
 def _newton_polygon(coeffs):
@@ -350,25 +353,25 @@ def _inclusion_radii(coeffs, z, p, merge):
     return radii
 
 
-def solve_quadratic(c, b, a, tol: float = 1e-12):
-    """`aberth([c, b, a], tol)` for complex c, b, a, bit for bit, without
+def solve_quadratic(c, b, a):
+    """`aberth([c, b, a])` for complex c, b, a, bit for bit, without
     its general setup: the coefficients divided by their largest modulus,
-    then `_quadratic_roots` and `_merge_pair`.  A zero a or c (a degree
-    drop, or a root at 0), and a c that is zero once divided, go to
-    `aberth`; a leading coefficient that underflows once divided raises
-    its CoefficientRangeError."""
+    then `_quadratic_roots` and `_merge_pair` at the radius 10 _TOL.  A
+    zero a or c (a degree drop, or a root at 0), and a c that is zero once
+    divided, go to `aberth`; a leading coefficient that underflows once
+    divided raises its CoefficientRangeError."""
     if a == 0 or c == 0:
-        return aberth([c, b, a], tol)
+        return aberth([c, b, a])
     scale = max(abs(c), abs(b), abs(a))
     lead, low = a / scale, c / scale
     if abs(lead) < sys.float_info.min:  # as in `prescale`
         raise _range_error(math.log10(abs(a)), math.log10(scale))
     if low == 0:
-        return aberth([c, b, a], tol)
-    return _merge_pair(*_quadratic_roots(low, b / scale, lead), 10.0 * tol)
+        return aberth([c, b, a])
+    return _merge_pair(*_quadratic_roots(low, b / scale, lead), 10.0 * _TOL)
 
 
-def _binomial_roots(b, a, n, tol):
+def _binomial_roots(b, a, n):
     """The n roots of a x^n + b (a, b != 0, n >= 3), the n-th roots of
     -b/a: modulus r = |b/a|^(1/n), angles 2 pi (arg(-b/a) / 2 pi + k) / n.
 
@@ -378,7 +381,7 @@ def _binomial_roots(b, a, n, tol):
     cos or sin, exact by Dekker's product, plus r_lo times it, rounded
     once.  So the rounding of r is not shared by all n moduli, where it
     would add up in a Mahler measure (1e-13 off log 2 at x^1000 - 2).
-    The roots merge to their centroid when neighbours lie within 10 tol
+    The roots merge to their centroid when neighbours lie within 10 _TOL
     (a gap of 2 r sin(pi / n)); otherwise each stands alone, sorted as
     `_merge_clusters` sorts."""
     t = abs(b) / abs(a)
@@ -406,8 +409,8 @@ def _binomial_roots(b, a, n, tol):
             part.append(p + ((((h1 * x1 - p) + h1 * x2 + h2 * x1) + h2 * x2)
                              + r_lo * x))
         z.append(complex(*part))
-    if 2.0 * r_hi * math.sin(math.pi / n) <= 10.0 * tol:
-        return _merge_clusters(z, 10.0 * tol, [0.0] * n, None)
+    if 2.0 * r_hi * math.sin(math.pi / n) <= 10.0 * _TOL:
+        return _merge_clusters(z, 10.0 * _TOL, [0.0] * n, None)
     return _singletons(z)
 
 
@@ -551,7 +554,7 @@ def _row_blocks(m, width):
     return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
-def _aberth_vector(coeffs, z, tol):
+def _aberth_vector(coeffs, z):
     """The iteration, polish and merge of `aberth` on its scaled
     coefficients (a_0 != 0, degree n >= 3) from the start z, each step on
     all n iterates at once in numpy: a total-step Aberth iteration, where
@@ -583,7 +586,7 @@ def _aberth_vector(coeffs, z, tol):
                 raise RootFindingError(
                     "Aberth iteration left the double range", best=z.tolist())
             max_corr = math.inf if flat.any() else size.max()
-            if max_corr < tol:
+            if max_corr < _TOL:
                 break
             # the stall rule of `aberth`
             if max_corr < 0.5 * best_corr:
@@ -595,7 +598,7 @@ def _aberth_vector(coeffs, z, tol):
                     break
         else:
             raise RootFindingError(
-                f"Aberth iteration did not reach tol={tol} in {_MAX_ITER} "
+                f"Aberth iteration did not reach tol={_TOL} in {_MAX_ITER} "
                 "steps", best=z.tolist())
         # the polish of `aberth`, P' at each iterate read off the
         # evaluation that found P there
@@ -615,8 +618,8 @@ def _aberth_vector(coeffs, z, tol):
             z = np.where(keep, step, z)
             p = np.where(keep, q, p)
             dp = np.where(keep, dq, dp)
-        return _merge_vector(z, 10.0 * tol,
-                             _inclusion_radii_vector(coeffs, z, 10.0 * tol),
+        return _merge_vector(z, 10.0 * _TOL,
+                             _inclusion_radii_vector(coeffs, z, 10.0 * _TOL),
                              coeffs)
 
 
@@ -716,14 +719,14 @@ def _merge_vector(z, radius, discs, coeffs):
     return _singletons(z.tolist())
 
 
-def aberth_rows(C, tol: float = 1e-12):
+def aberth_rows(C):
     """Roots of N polynomials of one degree n at once.
 
     C holds N ascending coefficient rows of length n + 1; the result is an
     (N, n) complex array, each row's roots in no fixed order.  Every row
     gets the steps of `aberth` on its coefficients scaled by their largest
     modulus: the closed forms for n <= 2, otherwise the same Gauss-Seidel
-    Aberth sweep, tolerance and three Newton polish steps, without guards,
+    Aberth sweep to the same tolerance _TOL, without guards or polish,
     each step applied to all unfinished rows at once.  The start differs:
     every row starts on one circle of radius 0.8 times its Fujiwara bound
     2 max |a_{n-k}/a_n|^(1/k), rotated by the same fixed angle, because a
@@ -733,18 +736,19 @@ def aberth_rows(C, tol: float = 1e-12):
     A row is handed to `aberth` itself when its constant or leading
     coefficient is zero, when its corrections stop halving for 40 sweeps
     (a multiple root, or one not finite) or run out of _MAX_ITER sweeps,
-    when two roots lie within the merge radius 10 tol, or when a root is
-    not finite.  So exact zero roots, clusters within 10 tol, the guards
+    when two roots lie within the merge radius 10 _TOL, or when a root is
+    not finite.  So exact zero roots, clusters within 10 _TOL, the guards
     and the failure rule stay those of `aberth`; a settled row is not
     merged by inclusion discs.  A degree drop leaves the missing roots at
     infinity, and a row on which `aberth` raises RootFindingError comes
     back as NaN.  (The batch can settle a row on which `aberth` would
-    fail, as its rounding differs; such a row has converged to tol all
+    fail, as its rounding differs; such a row has converged to _TOL all
     the same.)
 
-    numpy fuses multiply-adds in complex products and divides through a
-    reciprocal, so simple roots agree with `aberth` to a few units in the
-    last place rather than bit for bit.
+    A settled row is returned as its last sweep left it: the sweeps
+    converge cubically, so a simple root agrees with `aberth`'s polished
+    one to within its condition times a few eps, not bit for bit (numpy
+    also fuses multiply-adds and divides through a reciprocal).
     """
     import numpy as np
 
@@ -765,10 +769,10 @@ def aberth_rows(C, tol: float = 1e-12):
         elif n == 2:
             Z = _quadratic_rows(A)
         else:
-            Z, settled = _aberth_sweeps(A, tol)
+            Z, settled = _aberth_sweeps(A)
         for j in range(n):
             for k in range(j + 1, n):
-                settled &= _modulus(Z[:, j] - Z[:, k]) > 10.0 * tol
+                settled &= _modulus(Z[:, j] - Z[:, k]) > 10.0 * _TOL
         settled &= np.isfinite(Z).all(axis=1)
     out = np.empty((len(C), n), dtype=complex)
     out[batch[settled]] = Z[settled]
@@ -776,7 +780,7 @@ def aberth_rows(C, tol: float = 1e-12):
     rest[batch[settled]] = False
     for i in np.flatnonzero(rest):
         try:
-            roots = aberth(C[i], tol=tol)
+            roots = aberth(C[i])
         except RootFindingError:
             roots = [complex(math.nan, math.nan)] * n
         out[i] = roots + [complex(math.inf, 0.0)] * (n - len(roots))
@@ -803,10 +807,11 @@ def _quadratic_rows(A):
     return np.stack([q / a, c / q], axis=1)
 
 
-def _aberth_sweeps(A, tol):
-    """The iteration and polish of `aberth`, without guards, on scaled rows
-    A (nonzero constant and leading coefficients, degree n >= 3) at once:
-    (roots, settled), the roots of a row that is not settled undefined."""
+def _aberth_sweeps(A):
+    """The iteration of `aberth`, without guards or polish, on scaled
+    rows A (nonzero constant and leading coefficients, degree n >= 3) at
+    once: (roots, settled), the roots of a row that is not settled
+    undefined."""
     import numpy as np
 
     m, n = A.shape[0], A.shape[1] - 1
@@ -838,7 +843,7 @@ def _aberth_sweeps(A, tol):
             corr = w / (1.0 - w * s)
             z[j] = zj - corr
             max_corr = np.maximum(max_corr, _modulus(corr))
-        done = max_corr < tol
+        done = max_corr < _TOL
         improved = max_corr < 0.5 * best_corr
         best_corr = np.where(improved, max_corr, best_corr)
         stagnant = np.where(improved, 0, stagnant + 1)
@@ -853,22 +858,6 @@ def _aberth_sweeps(A, tol):
             deriv = [c[keep] for c in deriv]
             best_corr = best_corr[keep]
             stagnant = stagnant[keep]
-    rows = np.flatnonzero(settled)
-    coeffs = [A[rows, k, None] for k in range(n + 1)]
-    deriv = [k * coeffs[k] for k in range(1, n + 1)]
-    moduli = [_modulus(c) for c in coeffs]
-    max_eta = _BACKWARD_ERROR_UNITS * n * sys.float_info.epsilon
-    z = Z[rows]
-    p = horner(coeffs, z)
-    for _ in range(3):
-        step = z - p / horner(deriv, z)
-        q = horner(coeffs, step)
-        res = _modulus(q)
-        keep = ((res <= _POLISH_GROWTH * _modulus(p))
-                | (res <= max_eta * horner(moduli, _modulus(step))))
-        z = np.where(keep, step, z)
-        p = np.where(keep, q, p)
-    Z[rows] = z
     return Z, settled
 
 

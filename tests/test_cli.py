@@ -463,12 +463,22 @@ def test_graph_rationals_share_one_grammar(tmp_path, capsys, value, field):
     # a 10^11-entry coefficient tuple, and a 3.3-gigabit constant
     ("x^99999999999", "WorkBudgetError"),
     ("10^1000000000", "WorkBudgetError"),
+    # products of many terms within the degree and bit limits: unbudgeted,
+    # these took 3.5 s, 7.7 s and 1.0 s on a 2-vCPU x86 VM, and the last
+    # did not finish in 100 s
+    ("(x+1)^3000", "WorkBudgetError"),
+    ("(x^2+x+1)^2000", "WorkBudgetError"),
+    ("(x+1)^1000*(x-1)^1000", "WorkBudgetError"),
+    ("(10^1000*x+1)^300", "WorkBudgetError"),
 ])
 def test_parse_bounds_its_own_work(capsys, poly, error):
+    start = time.perf_counter()
     code = dispatch(["mahler", "--poly", poly])
+    elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     assert json.loads(out)["outputs"]["error"] == error
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("argv", [

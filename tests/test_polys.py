@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dynheights.errors import DegenerateMapError, ParseError
+from dynheights.errors import (DegenerateMapError, ParseError,
+                               WorkBudgetError)
 from dynheights import polys
 from dynheights.places import ProjPointQ
 from dynheights.polys import (HomogPair, Poly, bareiss, factorize,
@@ -415,6 +416,21 @@ def test_parse_errors():
     for bad in ("x +", "x^y", "2x", "x**2", "(x", "x^2 + y"):
         with pytest.raises(ParseError):
             parse_expr(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "(x+1)^3000", "(x^2+x+1)^2000", "(x+1)^1000*(x-1)^1000",
+    "(10^1000*x+1)^300"])
+def test_parse_charges_products_against_the_budget(text):
+    with pytest.raises(WorkBudgetError, match="weighted term products"):
+        parse_expr(text)
+
+
+def test_parse_within_the_product_budget():
+    # the largest product of (x+1)^500 is 62 965 term products of
+    # coefficients of at most 4 words each: 503 720 weighted, within 10^6
+    assert parse_expr("(x+1)^500").coeffs == tuple(
+        math.comb(500, k) for k in range(501))
 
 
 def test_negative_exponent():
